@@ -26,6 +26,7 @@ from .engine import (
     DecodeConfig,
     DecodeResult,
     decode,
+    rank_cdf,
     rank_histogram,
 )
 from .models import MarkovTableModel, load_model_file, save_model_file
@@ -298,15 +299,11 @@ def _cmd_check_report(args: argparse.Namespace) -> int:
         for key, expected in checks.items():
             if data[key] != expected:
                 failures.append(f"{mode}.{key}: report {data[key]} != recomputed {expected}")
-        rank_totals = {str(b): 0 for b in RANK_BUCKETS}
-        rank_totals["rest"] = 0
-        for r in rows:
-            for k, v in r["rank_counts"].items():
-                rank_totals[k] += v
-        running = 0
-        for (bucket, fraction), b in zip(data["rank_cdf"], list(RANK_BUCKETS) + ["rest"]):
-            running += rank_totals[str(b)]
-            if bucket != str(b) or abs(fraction - running / steps) > 1e-12:
+        cdf = rank_cdf(
+            [{b: r["rank_counts"][str(b)] for b in (*RANK_BUCKETS, "rest")} for r in rows]
+        )
+        for (bucket, fraction), (b, count) in zip(data["rank_cdf"], cdf):
+            if bucket != str(b) or abs(fraction - count / steps) > 1e-12:
                 failures.append(f"{mode}.rank_cdf[{bucket}] inconsistent")
     if failures:
         for msg in failures:

@@ -118,13 +118,17 @@ def build_draft(
     the remaining capacity and stops; identical sequences are dropped.
     """
     draft = DraftSet()
-    suffix = context + [next_token]
+    # queries read at most m_start tokens back, so only the context's
+    # tail is copied
+    suffix = context[-cfg.m_start :] + [next_token]
     seen: set[tuple[int, ...]] = set()
+    total = 0
 
     def add(seq: list[int], origin: str) -> bool:
         """Append a sequence, truncating to remaining capacity. Returns
         False once the budget is exhausted."""
-        remaining = cfg.capacity - draft.total_tokens
+        nonlocal total
+        remaining = cfg.capacity - total
         if remaining <= 0:
             return False
         seq = seq[:remaining]
@@ -134,7 +138,8 @@ def build_draft(
         seen.add(key)
         draft.sequences.append(seq)
         draft.origins.append(origin)
-        return draft.total_tokens < cfg.capacity
+        total += len(seq)
+        return total < cfg.capacity
 
     m_start = min(cfg.m_start, len(suffix))
     result, used_m = index.match_with_fallback(

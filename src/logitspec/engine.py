@@ -18,7 +18,7 @@ Modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "mat",
     "retrieval_success_rate",
     "rank_histogram",
+    "rank_cdf",
     "RANK_BUCKETS",
 ]
 
@@ -119,15 +120,6 @@ def _build_step_draft(
             origins=[f"cand:{rank}" for _, rank in cands.candidates],
         )
     assert index is not None
-    if cfg.mode == "retrieval_only":
-        no_cand = DraftConfig(
-            top_k=0,
-            capacity=cfg.draft.capacity,
-            m_start=cfg.draft.m_start,
-            next_token_value_len=cfg.draft.next_token_value_len,
-            max_matches=cfg.draft.max_matches,
-        )
-        return build_draft(index, context, pending, last_dist, no_cand)
     return build_draft(index, context, pending, last_dist, cfg.draft)
 
 
@@ -144,6 +136,8 @@ def decode(
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
+    if cfg.mode == "retrieval_only":  # logitspec drafting without candidates
+        cfg = replace(cfg, draft=replace(cfg.draft, top_k=0))
     rng = np.random.default_rng(cfg.seed)
     eos = model.vocab.eos
 
@@ -160,15 +154,15 @@ def decode(
             value_len=cfg.draft.next_token_value_len,
         )
 
+    context = list(prompt)
     generated: list[int] = []
     records: list[StepRecord] = []
     while True:
-        context = list(prompt) + generated
         draft = _build_step_draft(cfg, index, context, pending, last_dist)
         tree = prepare_attention_inputs(len(state), pending, draft.sequences, draft.origins)
         if tree_observer is not None:
             tree_observer(tree)
-        dists = model.forward_tree(state, tree.draft_ids, tree.mask, tree.position_ids)
+        dists = model.forward_tree(state, tree)
         if cfg.temperature == 0:
             outcome = verify_greedy(tree, dists)
         else:
@@ -180,6 +174,7 @@ def decode(
             emitted = emitted[: emitted.index(eos) + 1]
         model.forward(state, emitted)  # commit; rejected drafts were never applied
         generated.extend(emitted)
+        context.extend(emitted)
         if index is not None:
             index.extend(emitted)
 
@@ -244,18 +239,19 @@ def retrieval_success_rate(result: DecodeResult) -> float:
     return result.metrics.retrieval_hit_steps / result.metrics.steps
 
 
+def rank_cdf(rank_counts: list[dict[int | str, int]]) -> list[tuple[int | str, int]]:
+    """Cumulative next-next-token rank counts summed over per-decode
+    bucket counts (`DecodeMetrics.rank_counts`): the entry for bucket b
+    counts the steps with rank < b, and "rest" counts every step."""
+    cumulative: list[tuple[int | str, int]] = []
+    running = 0
+    for b in (*RANK_BUCKETS, "rest"):
+        running += sum(counts[b] for counts in rank_counts)
+        cumulative.append((b, running))
+    return cumulative
+
+
 def rank_histogram(results: list[DecodeResult]) -> list[tuple[int | str, int]]:
     """Cumulative next-next-token rank counts over all steps, bucketed by
     the top-1/2/4/.../60 windows plus a catch-all."""
-    counts: dict[int | str, int] = {b: 0 for b in RANK_BUCKETS}
-    counts["rest"] = 0
-    for result in results:
-        for rec in result.step_records:
-            _bucket_rank(counts, rec.next_next_rank)
-    cumulative: list[tuple[int | str, int]] = []
-    running = 0
-    for b in RANK_BUCKETS:
-        running += counts[b]
-        cumulative.append((b, running))
-    cumulative.append(("rest", running + counts["rest"]))
-    return cumulative
+    return rank_cdf([r.metrics.rank_counts for r in results])

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .tree import ancestor_rows
+from .tree import DraftTree, TreeStructureError
+from .tree import ancestor_rows  # noqa: F401  (perfbench/spans.py wraps models.ancestor_rows)
 
 __all__ = [
     "VocabSpec",
@@ -57,14 +58,9 @@ def validate_distribution(probs: np.ndarray, vocab_size: int) -> None:
 
 @dataclass
 class ModelState:
-    """Session-local decode state: the committed token prefix.
-
-    The cache slot is opaque to callers; the reference models recompute
-    from `committed` and leave it unused.
-    """
+    """Session-local decode state: the committed token prefix."""
 
     committed: list[int] = field(default_factory=list)
-    cache: object = None
 
     def __len__(self) -> int:
         return len(self.committed)
@@ -74,8 +70,11 @@ class Model:
     """Base class for target models.
 
     Subclasses implement `context_dist`; `forward`, `forward_tree` and
-    `rollback` are derived from it. Models are immutable after
-    construction and shareable across sessions.
+    `rollback` are derived from it, and `forward_tree` follows the draft
+    tree's parent array. A backend that evaluates the tree with tree
+    attention overrides `forward_tree` and reads `tree.mask` and
+    `tree.position_ids` instead. Models are immutable after construction
+    and shareable across sessions.
     """
 
     vocab: VocabSpec
@@ -106,34 +105,38 @@ class Model:
         state.committed = ctx
         return dists
 
-    def forward_tree(
-        self,
-        state: ModelState,
-        draft_ids: list[int],
-        mask: np.ndarray,
-        position_ids: np.ndarray,
-    ) -> list[np.ndarray]:
-        """Evaluate every draft-tree position in one call.
+    def forward_tree(self, state: ModelState, tree: DraftTree) -> list[np.ndarray]:
+        """Evaluate every draft-tree row in one call.
 
-        The distribution at each position equals sequential `forward`
-        along that position's ancestor path, reconstructed from the
-        attention mask. The state is not advanced; the caller commits
+        The distribution at each row equals sequential `forward` along
+        that row's ancestor path. The reference models read the paths
+        from `tree.parents`, extending each row's context from its parent
+        row's; a backend that consumes attention inputs reads
+        `tree.mask` and `tree.position_ids`, which are derived from the
+        same parents. The state is not advanced; the caller commits
         accepted tokens explicitly.
+
+        Raises TreeStructureError when a row's parent is not an earlier
+        row (or row 0 is not the root).
         """
-        self._check_tokens(draft_ids)
-        past_len = mask.shape[1] - mask.shape[0]
-        if past_len != len(state.committed):
+        ids = tree.draft_ids
+        parents = tree.parents
+        self._check_tokens(ids)
+        if tree.past_len != len(state.committed):
             raise ValueError(
-                f"mask past_len {past_len} != committed length {len(state.committed)}"
+                f"tree past_len {tree.past_len} != committed length {len(state.committed)}"
             )
-        if len(position_ids) != len(draft_ids):
-            raise ValueError("position_ids length != draft_ids length")
-        base = tuple(state.committed)
-        dists = []
-        for rows in ancestor_rows(mask):
-            path = tuple(draft_ids[r] for r in rows)
-            dists.append(self.context_dist(base + path))
-        return dists
+        if len(parents) != len(ids):
+            raise TreeStructureError("parents length != draft_ids length")
+        if parents[0] != -1:
+            raise TreeStructureError(f"row 0 has parent {parents[0]}, not -1")
+        contexts = [tuple(state.committed) + (ids[0],)]
+        for r in range(1, len(ids)):
+            p = parents[r]
+            if not 0 <= p < r:
+                raise TreeStructureError(f"row {r} has parent {p}, not an earlier row")
+            contexts.append(contexts[p] + (ids[r],))
+        return [self.context_dist(ctx) for ctx in contexts]
 
     def rollback(self, state: ModelState, keep_len: int) -> ModelState:
         """Truncate the committed prefix to keep_len tokens."""

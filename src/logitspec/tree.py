@@ -1,14 +1,21 @@
-"""Draft-tree layout: flattened ids, block-diagonal mask, position ids.
+"""Draft tree: flattened ids and a parent array, with the attention
+inputs derived from them.
 
 Sibling draft sequences all hang directly under the pending next token
-(row 0). Each sequence gets a lower-triangular block on the mask
-diagonal, so sequences are mutually invisible while every row sees the
-past context and the root.
+(row 0); inside a sequence each token's parent is the token before it.
+`parents[r]` is the row of row r's parent (-1 for the root), always an
+earlier row, so one pass in row order meets every parent before its
+children. The reference models and verification read the parents
+directly. The dense attention mask (each row sees the past context, its
+ancestors and itself) and the position ids (past_len + depth) are
+derived from the parents on first access, for mask-consuming backends
+and debug dumps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +30,7 @@ __all__ = [
 
 
 class TreeStructureError(ValueError):
-    """The attention mask is not a valid block-diagonal draft tree."""
+    """The parent array or attention mask is not a valid draft tree."""
 
 
 @dataclass
@@ -31,14 +38,13 @@ class DraftTree:
     """Verification payload for one decode step.
 
     draft_ids[0] is the pending next token; the remaining ids are the
-    concatenated draft sequences, with per-sequence lengths in seq_lens.
+    concatenated draft sequences. parents[r] is the row of row r's
+    parent, -1 for the root.
     """
 
     past_len: int
     draft_ids: list[int]
-    seq_lens: list[int]
-    mask: np.ndarray
-    position_ids: np.ndarray
+    parents: list[int]
     origins: list[str] = field(default_factory=list)
 
     @property
@@ -49,14 +55,38 @@ class DraftTree:
     def draft_count(self) -> int:
         return len(self.draft_ids) - 1
 
-    def sequence_offsets(self) -> list[int]:
-        """Flat index of the first token of each draft sequence."""
-        offsets = []
-        idx = 1
-        for m in self.seq_lens:
-            offsets.append(idx)
-            idx += m
-        return offsets
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """(seq_len, past_len + seq_len) int8 visibility: every row sees
+        the past context and the root, plus its draft ancestors and
+        itself."""
+        parents = self.parents
+        past = self.past_len
+        n = len(parents)
+        # path[r]: mask columns of row r's draft ancestors (root excluded)
+        # and of itself
+        path: list[list[int]] = [[]]
+        rows: list[int] = []
+        cols: list[int] = []
+        for r in range(1, n):
+            own = path[parents[r]] + [past + r]
+            path.append(own)
+            rows += [r] * len(own)
+            cols += own
+        mask = np.zeros((n, past + n), dtype=np.int8)
+        mask[:, : past + 1] = 1
+        if rows:
+            mask[rows, cols] = 1
+        return mask
+
+    @cached_property
+    def position_ids(self) -> np.ndarray:
+        """past_len + depth of each row (the root has depth 0)."""
+        parents = self.parents
+        depth = [0] * len(parents)
+        for r in range(1, len(parents)):
+            depth[r] = depth[parents[r]] + 1
+        return np.array(depth, dtype=np.int64) + self.past_len
 
 
 def prepare_attention_inputs(
@@ -65,41 +95,27 @@ def prepare_attention_inputs(
     sequences: list[list[int]],
     origins: list[str] | None = None,
 ) -> DraftTree:
-    """Flatten draft sequences into ids, mask and position ids.
+    """Flatten draft sequences into ids and a parent array.
 
-    Row 0 (the next token) sees columns [0, past_len]; every draft row
-    additionally sees its own sequence's lower-triangular prefix. An
-    empty sequence list yields the degenerate single-row tree.
+    Each sequence's first token hangs under row 0 (the next token) and
+    every later token under the one before it. An empty sequence list
+    yields the degenerate single-row tree.
     """
     if past_len < 0:
         raise ValueError(f"past_len must be >= 0, got {past_len}")
+    draft_ids = [next_token]
+    parents = [-1]
     for seq in sequences:
         if not seq:
             raise ValueError("draft sequences must be non-empty")
-    seq_lens = [len(s) for s in sequences]
-    seq_len = 1 + sum(seq_lens)
-
-    draft_ids = [next_token] + [tok for seq in sequences for tok in seq]
-    mask = np.zeros((seq_len, past_len + seq_len), dtype=np.int8)
-    mask[:, : past_len + 1] = 1
-    position_ids = np.zeros(seq_len, dtype=np.int64)
-
-    idx = 1
-    for seq in sequences:
-        l = len(seq)
-        mask[idx : idx + l, idx + past_len : idx + past_len + l] = np.tril(
-            np.ones((l, l), dtype=np.int8)
-        )
-        position_ids[idx : idx + l] = np.arange(1, l + 1)
-        idx += l
-    position_ids += past_len
-
+        start = len(draft_ids)
+        parents.append(0)
+        parents += range(start, start + len(seq) - 1)
+        draft_ids += seq
     return DraftTree(
         past_len=past_len,
         draft_ids=draft_ids,
-        seq_lens=seq_lens,
-        mask=mask,
-        position_ids=position_ids,
+        parents=parents,
         origins=list(origins) if origins is not None else ["" for _ in sequences],
     )
 

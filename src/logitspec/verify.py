@@ -3,8 +3,9 @@
 Retrieval drafts are deterministic proposals (one-hot q), so the
 stochastic acceptance rule reduces to accepting token x with probability
 p[x] and, on rejection, zeroing x out of p and renormalizing. Applying
-that rule across siblings and then linearly within the chosen sequence
-preserves the target distribution exactly.
+that rule to the children of the current row in row order, and moving
+down into the first accepted child, preserves the target distribution
+exactly. Both verifiers walk the tree's parent array once, in row order.
 """
 
 from __future__ import annotations
@@ -66,38 +67,57 @@ def _one_hot_residual(p: np.ndarray, x: int) -> np.ndarray | None:
     return r / total
 
 
-def verify_greedy(tree: DraftTree, dists: list[np.ndarray]) -> VerifyOutcome:
-    """Accept the longest draft prefix matching the argmax chain.
+def _sequence_index(parents: list[int], row: int) -> int | None:
+    """Index, among the root's children, of the one above row (None for
+    the root itself)."""
+    if row == 0:
+        return None
+    while parents[row] != 0:
+        row = parents[row]
+    return parents[1:row].count(0)
 
-    Ties between sequences go to the lowest sequence index; total
-    rejection still emits the argmax after the pending token as bonus.
+
+def verify_greedy(tree: DraftTree, dists: list[np.ndarray]) -> VerifyOutcome:
+    """Accept the longest draft path matching the argmax chain.
+
+    One pass over the parent array in row order: a row is accepted when
+    its parent was and its token is the parent's argmax. Each argmax is
+    computed once, and only for rows whose children are examined. The
+    deepest accepted row wins, ties going to the lowest row (the earliest
+    sequence); total rejection still emits the argmax after the pending
+    token as bonus.
     """
-    g0 = int(np.argmax(dists[0]))
-    best_len = 0
-    best_seq: int | None = None
-    best_pos = 0  # flat index of the last accepted position
-    offsets = tree.sequence_offsets()
-    for j, off in enumerate(offsets):
-        m = tree.seq_lens[j]
-        acc = 0
-        pos = 0
-        for t in range(m):
-            tok = tree.draft_ids[off + t]
-            if tok != int(np.argmax(dists[pos])):
-                break
-            acc = t + 1
-            pos = off + t
-        if acc > best_len:
-            best_len, best_seq, best_pos = acc, j, pos
-    if best_len == 0:
-        return VerifyOutcome(accepted=[], bonus=g0, next_dist=dists[0])
-    off = offsets[best_seq]
-    accepted = tree.draft_ids[off : off + best_len]
+    parents = tree.parents
+    ids = tree.draft_ids
+    depth = {0: 0}  # accepted row -> depth
+    argmax: dict[int, int] = {}
+    best = 0
+    for r in range(1, len(parents)):
+        p = parents[r]
+        if p not in depth:
+            continue
+        g = argmax.get(p)
+        if g is None:
+            g = argmax[p] = int(np.argmax(dists[p]))
+        if ids[r] != g:
+            continue
+        depth[r] = depth[p] + 1
+        if depth[r] > depth[best]:
+            best = r
+    bonus = argmax.get(best)
+    if bonus is None:
+        bonus = int(np.argmax(dists[best]))
+    accepted = []
+    r = best
+    while r > 0:
+        accepted.append(ids[r])
+        r = parents[r]
+    accepted.reverse()
     return VerifyOutcome(
         accepted=accepted,
-        bonus=int(np.argmax(dists[best_pos])),
-        next_dist=dists[best_pos],
-        accepted_seq_index=best_seq,
+        bonus=bonus,
+        next_dist=dists[best],
+        accepted_seq_index=_sequence_index(parents, best),
     )
 
 
@@ -106,51 +126,33 @@ def verify_stochastic(
 ) -> VerifyOutcome:
     """Lossless stochastic verification over one-hot draft proposals.
 
-    Sibling stage: walk the first token of each sequence with a working
-    distribution starting at dists[0]; accept with its current
-    probability, otherwise fold it into the residual and move on. After a
-    sibling is accepted the walk continues linearly inside that sequence
-    with the same accept/residual rule.
+    One pass over the parent array in row order. The walk sits at the
+    last accepted row (the root at first) with a working distribution
+    starting at that row's dist; each child of that row, in row order, is
+    accepted with its current probability, moving the walk to the child,
+    or else folded into the residual. The bonus is sampled from the
+    working distribution the walk ends with.
     """
-    offsets = tree.sequence_offsets()
+    parents = tree.parents
+    ids = tree.draft_ids
+    node = 0
     work = dists[0]
-    for j, off in enumerate(offsets):
-        first = tree.draft_ids[off]
-        if rng.random() >= work[first]:
-            rejected = _one_hot_residual(work, first)
-            if rejected is None:
-                # work is one-hot at first: acceptance prob was 1, so
-                # this branch is unreachable for valid inputs
-                raise AssertionError("rejected a certain token")
-            work = rejected
+    accepted = []
+    for r in range(1, len(parents)):
+        if parents[r] != node:
             continue
-        # sibling accepted; continue linearly within sequence j
-        accepted = [first]
-        pos = off
-        for t in range(1, tree.seq_lens[j]):
-            p = dists[pos]
-            tok = tree.draft_ids[off + t]
-            if rng.random() < p[tok]:
-                accepted.append(tok)
-                pos = off + t
-                continue
-            res = _one_hot_residual(p, tok)
-            next_dist = p if res is None else res
-            return VerifyOutcome(
-                accepted=accepted,
-                bonus=int(rng.choice(len(next_dist), p=next_dist)),
-                next_dist=next_dist,
-                accepted_seq_index=j,
-            )
-        next_dist = dists[off + tree.seq_lens[j] - 1]
-        return VerifyOutcome(
-            accepted=accepted,
-            bonus=int(rng.choice(len(next_dist), p=next_dist)),
-            next_dist=next_dist,
-            accepted_seq_index=j,
-        )
+        tok = ids[r]
+        if rng.random() < work[tok]:
+            accepted.append(tok)
+            node = r
+            work = dists[r]
+            continue
+        res = _one_hot_residual(work, tok)
+        if res is not None:  # None: work is one-hot at tok; keep it
+            work = res
     return VerifyOutcome(
-        accepted=[],
+        accepted=accepted,
         bonus=int(rng.choice(len(work), p=work)),
         next_dist=work,
+        accepted_seq_index=_sequence_index(parents, node),
     )

@@ -86,6 +86,21 @@ def test_build_draft_capacity_truncates():
     assert draft.sequences[0] == [3, 4, 5]
 
 
+def test_build_draft_short_context_queries_whole_context():
+    # a context shorter than m_start is queried whole: [1, 2] + next 3
+    # matches the 3-gram "1 2 3"; dropping the 1 would match the more
+    # recent "2 3" first
+    index = NGramIndex.build([1, 2, 3, 4, 9, 2, 3, 5], m_max=3)
+    cfg = DraftConfig(top_k=0, m_start=3)
+    dist = make_dist([3], vocab=16)
+    draft = build_draft(index, [1, 2], 3, dist, cfg)
+    assert draft.used_m == 3
+    assert draft.sequences == [[4, 9, 2, 3, 5]]
+    draft = build_draft(index, [2], 3, dist, cfg)
+    assert draft.used_m == 2
+    assert draft.sequences == [[5], [4, 9, 2, 3, 5]]
+
+
 def test_build_draft_invariants_fuzz():
     rng = np.random.default_rng(23)
     for _ in range(300):

@@ -58,6 +58,19 @@ def test_greedy_losslessness_all_modes():
             assert decode(model, prompt, cfgs[mode]).tokens == reference, mode
 
 
+def test_short_prompts_greedy_lossless():
+    # 1- and 2-token prompts are shorter than m_start: drafting must still
+    # query the whole context and emit exactly the autoregressive tokens
+    for seed in range(6):
+        model, prompts = trained_markov(seed)
+        for length in (1, 2):
+            prompt = prompts[seed][:length]
+            ref = decode(model, prompt, DecodeConfig(mode="autoregressive", max_new_tokens=48))
+            for mode in ("retrieval_only", "logitspec"):
+                out = decode(model, prompt, DecodeConfig(mode=mode, max_new_tokens=48))
+                assert out.tokens == ref.tokens, (seed, length, mode)
+
+
 def test_retrieval_only_accepts_on_repeating_span():
     # argmax continuation cycles 1 -> 2 -> 3 -> 1, repeating the prompt's
     # bigrams verbatim

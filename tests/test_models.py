@@ -82,9 +82,7 @@ def test_forward_tree_linear_chain_matches_forward(small_markov):
     state = small_markov.new_state()
     small_markov.forward(state, [1, 2])
     tree = prepare_attention_inputs(2, 3, [[1, 2]])
-    tree_dists = small_markov.forward_tree(
-        state, tree.draft_ids, tree.mask, tree.position_ids
-    )
+    tree_dists = small_markov.forward_tree(state, tree)
     ref_state = small_markov.new_state()
     small_markov.forward(ref_state, [1, 2])
     ref = small_markov.forward(ref_state, [3, 1, 2])
@@ -109,7 +107,7 @@ def test_forward_tree_siblings_isolated():
     state = model.new_state()
     model.forward(state, [0])
     tree = prepare_attention_inputs(1, 1, [[2], [3]])
-    dists = model.forward_tree(state, tree.draft_ids, tree.mask, tree.position_ids)
+    dists = model.forward_tree(state, tree)
     assert dists[2][4] == 1.0  # saw [0, 1, 3], not [0, 1, 2, 3]
 
 
@@ -119,7 +117,7 @@ def test_forward_tree_appendix_shape_conditioning(small_markov):
     state = small_markov.new_state()
     small_markov.forward(state, [1, 2, 3])
     tree = prepare_attention_inputs(3, 1, [[2, 3], [4]])
-    dists = small_markov.forward_tree(state, tree.draft_ids, tree.mask, tree.position_ids)
+    dists = small_markov.forward_tree(state, tree)
     base = (1, 2, 3)
     np.testing.assert_array_equal(dists[0], small_markov.context_dist(base + (1,)))
     np.testing.assert_array_equal(dists[1], small_markov.context_dist(base + (1, 2)))
@@ -142,9 +140,7 @@ def test_forward_tree_random_path_equivalence(small_markov):
         small_markov.forward(state, past)
         root = int(rng.integers(0, 8))
         tree = prepare_attention_inputs(len(past), root, seqs)
-        dists = small_markov.forward_tree(
-            state, tree.draft_ids, tree.mask, tree.position_ids
-        )
+        dists = small_markov.forward_tree(state, tree)
         # oracle: sequential forward along each ancestor path
         idx = 1
         np.testing.assert_array_equal(
@@ -159,14 +155,18 @@ def test_forward_tree_random_path_equivalence(small_markov):
                 idx += 1
 
 
-def test_forward_tree_rejects_inconsistent_mask(small_markov):
+def test_forward_tree_rejects_malformed_parents(small_markov):
     state = small_markov.new_state()
     small_markov.forward(state, [1])
-    tree = prepare_attention_inputs(1, 2, [[3], [4]])
-    bad = tree.mask.copy()
-    bad[1, 1 + 2] = 1  # sibling 1 row made to see sibling 2
+    for row, parent in ((1, 1), (1, 2), (2, 2), (2, 3)):  # itself or a later row
+        tree = prepare_attention_inputs(1, 2, [[3], [4, 5]])
+        tree.parents[row] = parent
+        with pytest.raises(TreeStructureError):
+            small_markov.forward_tree(state, tree)
+    tree = prepare_attention_inputs(1, 2, [[3]])
+    tree.parents[0] = 0  # the root must have no parent
     with pytest.raises(TreeStructureError):
-        small_markov.forward_tree(state, tree.draft_ids, bad, tree.position_ids)
+        small_markov.forward_tree(state, tree)
 
 
 def test_rollback_noop_and_range(small_markov):

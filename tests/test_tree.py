@@ -25,6 +25,7 @@ def brute_force_mask(past_len: int, seq_lens: list[int]) -> np.ndarray:
 def test_traced_example_bit_exact():
     tree = prepare_attention_inputs(3, 10, [[11, 12], [13]])
     assert tree.draft_ids == [10, 11, 12, 13]
+    assert tree.parents == [-1, 0, 1, 0]
     rows = ["".join(map(str, row.tolist())) for row in tree.mask]
     assert rows == ["1111000", "1111100", "1111110", "1111001"]
     assert tree.position_ids.tolist() == [3, 4, 5, 4]
@@ -77,6 +78,13 @@ def test_round_trip_and_mask_fuzz():
         root = int(rng.integers(0, 32))
         tree = prepare_attention_inputs(past_len, root, seqs)
 
+        # parent: the root for a sequence's first token, else the row above
+        expected_parents = [-1]
+        for seq in seqs:
+            expected_parents.append(0)
+            for _ in seq[1:]:
+                expected_parents.append(len(expected_parents) - 1)
+        assert tree.parents == expected_parents
         np.testing.assert_array_equal(
             tree.mask, brute_force_mask(past_len, [len(s) for s in seqs])
         )

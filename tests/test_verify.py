@@ -75,6 +75,24 @@ def test_greedy_sibling_selection():
     assert out.bonus == 1  # argmax after the accepted sibling
 
 
+def test_greedy_longest_path_over_first_matching_sibling():
+    # every sequence starts with the argmax 1; the second and third both
+    # continue along the argmax chain 1 -> 3 -> 2, and the tie goes to the
+    # earlier one
+    tree = prepare_attention_inputs(0, 0, [[1, 2], [1, 3, 2], [1, 3, 2]])
+    table = {
+        (0,): dist(4, t1=1.0),
+        (0, 1): dist(4, t3=1.0),
+        (0, 1, 2): dist(4, t0=1.0),
+        (0, 1, 3): dist(4, t2=1.0),
+        (0, 1, 3, 2): dist(4, t0=1.0),
+    }
+    out = verify_greedy(tree, make_dists(tree, table))
+    assert out.accepted == [1, 3, 2]
+    assert out.bonus == 0
+    assert out.accepted_seq_index == 1
+
+
 def test_greedy_total_rejection_still_emits():
     tree = prepare_attention_inputs(0, 0, [[1], [2]])
     dists = [dist(4, t3=1.0), dist(4, t0=1.0), dist(4, t0=1.0)]
