@@ -6,8 +6,8 @@ Subcommands:
   gen-model    train a Markov model on a corpus and write the model file
   check-report verify that a report's aggregates match its per-prompt rows
 
-Exit codes for run: 0 success, 2 input parse failure, 3 losslessness
-mismatch under --compare.
+Exit codes for run: 0 success, 2 input parse failure or out-of-range
+option, 3 losslessness mismatch under --compare.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .corpus import Corpus, gen_corpus, load_corpus, save_corpus
@@ -158,24 +159,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 print(f"error: prompt {i} token {tok} out of vocab", file=sys.stderr)
                 return 2
 
-    draft_cfg = DraftConfig(
-        top_k=args.top_k,
-        capacity=args.capacity,
-        m_start=args.m_start,
-    )
+    try:
+        base_cfg = DecodeConfig(
+            max_new_tokens=args.max_new_tokens,
+            temperature=args.temperature,
+            draft=DraftConfig(top_k=args.top_k, capacity=args.capacity, m_start=args.m_start),
+            last_logit_k=args.last_logit_k,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     dumped = {"tree": not args.dump_tree}
 
     def run_mode(mode: str) -> list[DecodeResult]:
         results = []
         for i, seq in enumerate(corpus.sequences):
-            cfg = DecodeConfig(
-                mode=mode,
-                max_new_tokens=args.max_new_tokens,
-                temperature=args.temperature,
-                seed=prompt_seed(args.seed, i),
-                draft=draft_cfg,
-                last_logit_k=args.last_logit_k,
-            )
+            cfg = replace(base_cfg, mode=mode, seed=prompt_seed(args.seed, i))
             observer = None
             if not dumped["tree"] and i == 0:
 

@@ -2,8 +2,11 @@
 
 The drafter speculates next-next candidates from the top of the last
 logit (minus the already-sampled next token), retrieves continuations for
-the next token and for each candidate, and assembles sibling sequences
-under a fixed token budget with a rank-tiered per-candidate cap.
+the next token (one match_with_fallback query) and for every candidate
+(one NGramIndex.match_candidates call per step, consumed lazily so that
+candidates past an exhausted budget are never probed), and assembles
+sibling sequences under a fixed token budget with a rank-tiered
+per-candidate cap.
 """
 
 from __future__ import annotations
@@ -116,6 +119,7 @@ def build_draft(
     retrieved continuation, capped by prune_budget; the bare candidate
     when nothing matches). Accumulation truncates the final sequence to
     the remaining capacity and stops; identical sequences are dropped.
+    Candidates past that stop are neither probed nor counted in queries.
     """
     draft = DraftSet()
     # queries read at most m_start tokens back, so only the context's
@@ -153,22 +157,32 @@ def build_draft(
         if not add(cont[: cfg.next_token_value_len], "next"):
             return draft
 
-    for cand, rank in speculate_next_next(last_dist, next_token, cfg.top_k).candidates:
-        cand_suffix = suffix + [cand]
-        m_start = min(cfg.m_start, len(cand_suffix))
-        result, _ = index.match_with_fallback(
-            cand_suffix,
-            m_start,
-            min_m=min(CANDIDATE_MIN_M, m_start),
-            max_matches=1,
-        )
+    candidates = speculate_next_next(last_dist, next_token, cfg.top_k).candidates
+    if not candidates:
+        return draft
+    # one index call serves every candidate query suffix + [cand],
+    # floored at CANDIDATE_MIN_M; it probes a candidate only when this
+    # loop reaches it, so candidates past a full budget stay unqueried
+    m_start = min(cfg.m_start, len(suffix) + 1)
+    continuations = index.match_candidates(
+        suffix,
+        [cand for cand, _ in candidates],
+        m_start,
+        min_m=min(CANDIDATE_MIN_M, m_start),
+    )
+    # add() inlined: this loop runs up to top_k times per step
+    for (cand, rank), cont in zip(candidates, continuations):
         draft.queries += 1
-        budget = prune_budget(rank)
-        if result:
+        if cont:
             draft.hits += 1
-            seq = [cand] + result.continuations[0][: budget - 1]
-        else:
-            seq = [cand]
-        if not add(seq, f"cand:{rank}"):
-            return draft
+        seq = ([cand] + cont[: prune_budget(rank) - 1])[: cfg.capacity - total]
+        key = tuple(seq)
+        if key in seen:
+            continue
+        seen.add(key)
+        draft.sequences.append(seq)
+        draft.origins.append(f"cand:{rank}")
+        total += len(seq)
+        if total >= cfg.capacity:
+            break
     return draft

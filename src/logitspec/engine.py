@@ -69,6 +69,8 @@ class DecodeConfig:
             raise ValueError("max_new_tokens must be >= 1")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if self.last_logit_k < 0:
+            raise ValueError(f"last_logit_k must be >= 0, got {self.last_logit_k}")
 
 
 @dataclass

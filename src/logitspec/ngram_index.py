@@ -5,10 +5,16 @@ its occurrences, so a lookup is a bounded number of hash probes
 regardless of source length. The index grows incrementally as tokens are
 decoded; extend() is equivalent to a rebuild as far as match() output is
 concerned.
+
+Two query paths: match_with_fallback() serves one suffix (the next-token
+query), and match_candidates() serves every next-next candidate of a step
+in one call, probing each candidate's grams directly, so its cost is also
+a bounded number of probes per candidate regardless of source length.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 __all__ = ["NGramIndex", "MatchResult"]
@@ -103,6 +109,55 @@ class NGramIndex:
             if result:
                 return result, m
         return MatchResult(), 0
+
+    def match_candidates(
+        self,
+        suffix: list[int],
+        candidates: Iterable[int],
+        m_start: int,
+        min_m: int = 1,
+    ) -> Iterator[list[int]]:
+        """For each candidate token in order, the continuation that
+        match_with_fallback(suffix + [cand], m_start, min_m, max_matches=1)
+        returns, or [] when every gram length misses.
+
+        The m_start - min_m + 1 query prefixes are built once; each
+        candidate then costs one probe of prefix + (cand,) per gram
+        length tried, counted in probe_count as match() counts them.
+        Candidates are probed lazily, so a caller that stops iterating
+        probes no further. Do not extend the index while iterating.
+        """
+        if not 1 <= min_m <= m_start <= min(self.m_max, len(suffix) + 1):
+            raise ValueError(
+                f"need 1 <= min_m {min_m} <= m_start {m_start} <= "
+                f"min(m_max {self.m_max}, len(suffix) + 1 = {len(suffix) + 1})"
+            )
+        prefixes = [
+            tuple(suffix[len(suffix) - m + 1 :]) for m in range(m_start, min_m - 1, -1)
+        ]
+        return self._candidate_continuations(prefixes, candidates)
+
+    def _candidate_continuations(
+        self, prefixes: list[tuple[int, ...]], candidates: Iterable[int]
+    ) -> Iterator[list[int]]:
+        table, source, value_len = self.table, self.source, self.value_len
+        for cand in candidates:
+            cont: list[int] = []
+            for prefix in prefixes:
+                self.probe_count += 1
+                offsets = table.get(prefix + (cand,))
+                if not offsets:
+                    continue
+                off = offsets[-1]
+                # offsets ascend, so only the latest occurrence can end
+                # the source and leave no continuation
+                if off == len(source):
+                    if len(offsets) == 1:
+                        continue
+                    off = offsets[-2]
+                cont = source[off : off + value_len]
+                break
+            yield cont
 
     def dump(self) -> str:
         """Debug dump, one key per line: "k1 k2 .. km | off1,off2,..."."""

@@ -144,6 +144,27 @@ def test_run_unknown_mode_exit_2(tmp_path, bench_files):
                  "--mode", "bogus"]) == 2
 
 
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("--capacity", "0"),
+        ("--m-start", "0"),
+        ("--top-k", "-1"),
+        ("--max-new-tokens", "0"),
+        ("--temperature", "-1"),
+        ("--last-logit-k", "-3"),
+    ],
+    ids=lambda option: " ".join(option),
+)
+def test_run_out_of_range_option_exit_2(tmp_path, bench_files, capsys, option):
+    # exit 1 belongs to check-report; a bad option is bad input
+    model, corpus = bench_files
+    code, out = run_report(tmp_path, model, corpus, "--mode", "logitspec", *option)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_dump_tree_format(tmp_path, bench_files, capsys):
     model, corpus = bench_files
     code, _ = run_report(tmp_path, model, corpus, "--mode", "logitspec", "--dump-tree")

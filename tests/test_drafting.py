@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from logitspec import DraftConfig, NGramIndex, build_draft, prune_budget, speculate_next_next
+from logitspec.drafting import CANDIDATE_MIN_M
+
+from conftest import naive_fallback
 
 
 def make_dist(order: list[int], vocab: int = 16) -> np.ndarray:
@@ -145,3 +148,96 @@ def test_speculate_returns_at_most_k():
     dist = np.full(4, 0.25)
     assert len(speculate_next_next(dist, 1, 10).candidates) <= 10
     assert all(t != 1 for t, _ in speculate_next_next(dist, 1, 10).candidates)
+
+
+def naive_build_draft(source, context, next_token, last_dist, cfg, value_len):
+    """Reference drafter: every query runs naive_fallback over the whole
+    context, one candidate at a time, with the documented assembly rules
+    (capacity truncation, content dedup, stop at a full budget)."""
+    suffix = list(context) + [next_token]
+    sequences, origins, seen = [], [], set()
+    counts = {"queries": 0, "hits": 0, "total": 0}
+
+    def add(seq, origin):
+        seq = seq[: cfg.capacity - counts["total"]]
+        if tuple(seq) not in seen:
+            seen.add(tuple(seq))
+            sequences.append(seq)
+            origins.append(origin)
+            counts["total"] += len(seq)
+        return counts["total"] < cfg.capacity
+
+    def query(query_suffix, m_start, min_m, max_matches):
+        conts, used_m = naive_fallback(
+            source, query_suffix, m_start, value_len, min_m=min_m, max_matches=max_matches
+        )
+        counts["queries"] += 1
+        counts["hits"] += bool(conts)
+        return conts, used_m
+
+    def result(used_m):
+        return sequences, origins, counts["queries"], counts["hits"], used_m
+
+    conts, used_m = query(suffix, min(cfg.m_start, len(suffix)), 1, cfg.max_matches)
+    for cont in conts:
+        if not add(cont[: cfg.next_token_value_len], "next"):
+            return result(used_m)
+    for cand, rank in speculate_next_next(last_dist, next_token, cfg.top_k).candidates:
+        m_start = min(cfg.m_start, len(suffix) + 1)
+        conts, _ = query(suffix + [cand], m_start, min(CANDIDATE_MIN_M, m_start), 1)
+        seq = [cand] + (conts[0][: prune_budget(rank) - 1] if conts else [])
+        if not add(seq, f"cand:{rank}"):
+            return result(used_m)
+    return result(used_m)
+
+
+def test_build_draft_equals_per_candidate_reference_random():
+    rng = np.random.default_rng(31)
+    for _ in range(600):
+        vocab = int(rng.integers(3, 12))
+        cfg = DraftConfig(
+            top_k=int(rng.integers(0, 13)),
+            capacity=int(rng.integers(1, 41)),
+            m_start=int(rng.integers(1, 6)),
+            next_token_value_len=int(rng.integers(1, 9)),
+        )
+        # short contexts too: shorter than m_start, or empty
+        context = rng.integers(0, vocab, size=rng.integers(0, 30)).tolist()
+        next_token = int(rng.integers(0, vocab))
+        # the engine indexes the committed context; sometimes index more
+        source = context + rng.integers(0, vocab, size=rng.integers(0, 3)).tolist()
+        value_len = int(rng.integers(cfg.next_token_value_len, 9))
+        index = NGramIndex.build(source, m_max=cfg.m_start, value_len=value_len)
+        last_dist = rng.random(vocab + 2)
+        last_dist /= last_dist.sum()
+
+        draft = build_draft(index, context, next_token, last_dist, cfg)
+        want = naive_build_draft(source, context, next_token, last_dist, cfg, value_len)
+        assert (
+            draft.sequences, draft.origins, draft.queries, draft.hits, draft.used_m
+        ) == want
+
+
+def test_build_draft_probe_count_flat_in_source_length():
+    # Both sources repeat one block that starts and ends with separator
+    # 63, which no query contains, so every query gram hits or misses
+    # alike on the short and the long source; only the number of
+    # occurrences per gram grows. Probes must not follow it.
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        block = [63] + rng.integers(0, 12, size=48).tolist() + [63]
+        cfg = DraftConfig(top_k=16, capacity=500, m_start=int(rng.integers(2, 5)))
+        context = rng.integers(0, 12, size=6).tolist()
+        next_token = int(rng.integers(0, 12))
+        last_dist = np.zeros(64)
+        last_dist[:12] = rng.random(12) + 0.01  # candidates 12.. never occur
+        probes = []
+        for source in (block, block * 100):
+            index = NGramIndex.build(source, m_max=cfg.m_start)
+            draft = build_draft(index, context, next_token, last_dist, cfg)
+            assert draft.queries == 1 + cfg.top_k
+            probes.append(index.probe_count)
+        assert probes[0] == probes[1]
+        # at most the cost of one fallback query per candidate
+        min_m = min(CANDIDATE_MIN_M, cfg.m_start)
+        assert probes[0] <= cfg.m_start + cfg.top_k * (cfg.m_start - min_m + 1)

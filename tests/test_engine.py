@@ -233,3 +233,6 @@ def test_decode_rejects_bad_inputs():
         decode(model, [999], DecodeConfig())
     with pytest.raises(ValueError):
         DecodeConfig(mode="nope")
+    with pytest.raises(ValueError):
+        DecodeConfig(last_logit_k=-1)
+    assert DecodeConfig(last_logit_k=0).last_logit_k == 0

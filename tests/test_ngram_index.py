@@ -144,6 +144,83 @@ def test_match_probe_count_bounded():
         assert index.probe_count <= 3
 
 
+def naive_candidates(source, suffix, candidates, m_start, value_len, min_m):
+    """Per-candidate oracle: the single continuation of suffix + [cand]
+    under fallback from m_start to min_m, or []."""
+    out = []
+    for cand in candidates:
+        conts, _ = naive_fallback(
+            source, suffix + [cand], m_start, value_len, min_m=min_m, max_matches=1
+        )
+        out.append(conts[0] if conts else [])
+    return out
+
+
+def test_match_candidates_equals_per_candidate_fallback_random():
+    rng = np.random.default_rng(29)
+    for _ in range(1500):
+        m_max = int(rng.integers(1, 6))
+        value_len = int(rng.integers(1, 9))
+        vocab = int(rng.integers(2, 9))
+        source = rng.integers(0, vocab, size=rng.integers(0, 60)).tolist()
+        index = NGramIndex.build(source, m_max=m_max, value_len=value_len)
+        m_start = int(rng.integers(1, m_max + 1))
+        min_m = int(rng.integers(1, m_start + 1))
+        # len(suffix) == m_start - 1 puts the whole suffix in the query
+        suffix = rng.integers(0, vocab, size=rng.integers(m_start - 1, m_start + 3)).tolist()
+        # tokens >= vocab never occur in the source
+        candidates = rng.integers(0, vocab + 2, size=rng.integers(0, 10)).tolist()
+
+        index.probe_count = 0
+        got = list(index.match_candidates(suffix, candidates, m_start, min_m))
+        batched_probes = index.probe_count
+        assert got == naive_candidates(source, suffix, candidates, m_start, value_len, min_m)
+
+        index.probe_count = 0
+        for cand in candidates:
+            result, _ = index.match_with_fallback(
+                suffix + [cand], m_start, min_m=min_m, max_matches=1
+            )
+            assert got.pop(0) == (result.continuations[0] if result else [])
+        assert batched_probes == index.probe_count
+
+
+def test_match_candidates_skips_occurrence_ending_source():
+    # (1, 2) occurs twice; its latest occurrence ends the source, so the
+    # older one supplies the continuation. 7 never occurs.
+    index = NGramIndex.build([1, 2, 5, 6, 1, 2], m_max=2, value_len=3)
+    got = list(index.match_candidates([1], [2, 7], m_start=2, min_m=1))
+    assert got == [[5, 6, 1], []]
+    # a single occurrence that ends the source falls back to shorter grams
+    index = NGramIndex.build([3, 2, 4, 1, 2], m_max=2, value_len=2)
+    assert list(index.match_candidates([1], [2], m_start=2, min_m=1)) == [[4, 1]]
+    assert list(index.match_candidates([1], [2], m_start=2, min_m=2)) == [[]]
+
+
+def test_match_candidates_probes_lazily():
+    index = NGramIndex.build([0, 1, 2, 3], m_max=3)
+    continuations = index.match_candidates([0], [1, 9, 9], m_start=2, min_m=1)
+    assert index.probe_count == 0
+    assert next(continuations) == [2, 3]
+    assert index.probe_count == 1  # (0, 1) hit at once
+    assert next(continuations) == []
+    assert index.probe_count == 3  # (0, 9) and (9,) missed
+    assert list(index.match_candidates([0], [], m_start=2)) == []
+    assert index.probe_count == 3
+
+
+def test_match_candidates_rejects_bad_lengths():
+    index = NGramIndex.build([0, 1, 2, 3], m_max=2)
+    for suffix, m_start, min_m in (
+        ([0, 1], 3, 1),  # beyond m_max
+        ([], 2, 1),  # beyond len(suffix) + 1
+        ([0, 1], 2, 0),  # empty gram
+        ([0, 1], 1, 2),  # min_m above m_start
+    ):
+        with pytest.raises(ValueError):
+            index.match_candidates(suffix, [1], m_start, min_m)
+
+
 def test_dump_format():
     index = NGramIndex.build([A, B, A, B], m_max=2)
     lines = index.dump().splitlines()
