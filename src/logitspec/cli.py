@@ -6,8 +6,9 @@ Subcommands:
   gen-model    train a Markov model on a corpus and write the model file
   check-report verify that a report's aggregates match its per-prompt rows
 
-Exit codes for run: 0 success, 2 input parse failure or out-of-range
-option, 3 losslessness mismatch under --compare.
+Exit codes for run: 0 success, 2 input parse failure, empty corpus, no
+mode or out-of-range option, 3 losslessness mismatch under --compare.
+check-report: 0 consistent, 1 mismatch, 2 unreadable or malformed report.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .engine import (
 )
 from .models import MarkovTableModel, load_model_file, save_model_file
 from .ngram_index import NGramIndex
-from .tree import format_tree
+from .tree import DraftTree, format_tree
 
 # spread per-prompt seeds apart so decode rngs never overlap
 PROMPT_SEED_STRIDE = 1_000_003
@@ -113,7 +114,7 @@ def _mode_report(results: list[DecodeResult]) -> dict:
         "tokens": tokens,
         "mat": tokens / steps,
         "retrieval_success_rate": hit_steps / steps,
-        "rank_cdf": [[str(b), count / steps if steps else 0.0] for b, count in cdf],
+        "rank_cdf": [[str(b), count / steps] for b, count in cdf],
         "phase_counters": phase_counters,
         "losslessness": {"checked": False, "mismatches": 0},
         "per_prompt": [
@@ -148,7 +149,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not corpus.sequences:
+        print(f"error: corpus {args.corpus} has no prompts", file=sys.stderr)
+        return 2
     modes = [m.strip() for m in args.mode.split(",") if m.strip()]
+    if not modes:
+        print(f"error: --mode {args.mode!r} names no mode", file=sys.stderr)
+        return 2
     for mode in modes:
         if mode not in MODES:
             print(f"error: unknown mode {mode!r}", file=sys.stderr)
@@ -169,21 +176,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    dumped = {"tree": not args.dump_tree}
 
-    def run_mode(mode: str) -> list[DecodeResult]:
+    def run_mode(mode: str, dump_tree: bool) -> list[DecodeResult]:
+        """Decode every prompt; with dump_tree, print prompt 0's first tree."""
         results = []
         for i, seq in enumerate(corpus.sequences):
             cfg = replace(base_cfg, mode=mode, seed=prompt_seed(args.seed, i))
-            observer = None
-            if not dumped["tree"] and i == 0:
-
-                def observer(tree, _d=dumped):
-                    if not _d["tree"]:
-                        print(format_tree(tree))
-                        _d["tree"] = True
-
+            trees: list[DraftTree] = []
+            observer = trees.append if dump_tree and i == 0 else None
             results.append(decode(model, seq, cfg, tree_observer=observer))
+            if trees:
+                print(format_tree(trees[0]))
         return results
 
     report = {
@@ -203,16 +206,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "modes": {},
     }
 
+    # only the first listed mode's run dumps its tree, even when the
+    # --compare baseline runs before it
     baseline: list[DecodeResult] | None = None
     if args.compare:
-        baseline = run_mode("autoregressive")
+        baseline = run_mode(
+            "autoregressive", args.dump_tree and modes[0] == "autoregressive"
+        )
 
     exit_code = 0
-    for mode in modes:
-        if args.compare and mode == "autoregressive" and baseline is not None:
+    for position, mode in enumerate(modes):
+        if args.compare and mode == "autoregressive":
             results = baseline
         else:
-            results = run_mode(mode)
+            results = run_mode(mode, args.dump_tree and position == 0)
         mode_report = _mode_report(results)
         if args.compare:
             mismatches = 0
@@ -279,13 +286,35 @@ def _cmd_check_report(args: argparse.Namespace) -> int:
     try:
         with open(args.report, encoding="utf-8") as f:
             report = json.load(f)
+        failures = _report_failures(report)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (KeyError, TypeError, AttributeError) as exc:
+        print(f"error: malformed report: {exc!r}", file=sys.stderr)
+        return 2
+    if failures:
+        for msg in failures:
+            print(f"check failed: {msg}", file=sys.stderr)
+        return 1
+    print("report aggregates consistent")
+    return 0
+
+
+def _report_failures(report: dict) -> list[str]:
+    """Each aggregate of the report that its per-prompt rows contradict.
+
+    Raises ValueError when the report has no modes or a mode has no
+    steps; `run` never writes either.
+    """
+    if not report["modes"]:
+        raise ValueError("report has no modes")
     failures = []
     for mode, data in report["modes"].items():
         rows = data["per_prompt"]
         steps = sum(r["steps"] for r in rows)
+        if steps == 0:
+            raise ValueError(f"mode {mode!r} has no steps")
         tokens = sum(r["tokens"] for r in rows)
         hit_steps = sum(r["retrieval_hit_steps"] for r in rows)
         checks = {
@@ -304,12 +333,7 @@ def _cmd_check_report(args: argparse.Namespace) -> int:
         for (bucket, fraction), (b, count) in zip(data["rank_cdf"], cdf):
             if bucket != str(b) or abs(fraction - count / steps) > 1e-12:
                 failures.append(f"{mode}.rank_cdf[{bucket}] inconsistent")
-    if failures:
-        for msg in failures:
-            print(f"check failed: {msg}", file=sys.stderr)
-        return 1
-    print("report aggregates consistent")
-    return 0
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:

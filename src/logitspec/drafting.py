@@ -3,14 +3,15 @@
 The drafter speculates next-next candidates from the top of the last
 logit (minus the already-sampled next token), retrieves continuations for
 the next token (one match_with_fallback query) and for every candidate
-(one NGramIndex.match_candidates call per step, consumed lazily so that
-candidates past an exhausted budget are never probed), and assembles
-sibling sequences under a fixed token budget with a rank-tiered
-per-candidate cap.
+(one NGramIndex.match_candidates call per step), and assembles sibling
+sequences under a fixed token budget with a rank-tiered per-candidate
+cap. Proposals are produced lazily and assembled by one loop, so
+candidates past an exhausted budget are never speculated or probed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,6 @@ from .ngram_index import NGramIndex
 
 __all__ = [
     "DraftConfig",
-    "CandidateSet",
     "DraftSet",
     "speculate_next_next",
     "prune_budget",
@@ -36,8 +36,6 @@ class DraftConfig:
     top_k: int = 16
     capacity: int = 60
     m_start: int = 3
-    next_token_value_len: int = 8
-    max_matches: int = 2
 
     def __post_init__(self) -> None:
         if self.top_k < 0:
@@ -46,14 +44,6 @@ class DraftConfig:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
         if self.m_start < 1:
             raise ValueError(f"m_start must be >= 1, got {self.m_start}")
-
-
-@dataclass
-class CandidateSet:
-    """Next-next-token guesses: (token, rank) with 0-based ranks assigned
-    after removing the sampled next token."""
-
-    candidates: list[tuple[int, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -76,21 +66,16 @@ class DraftSet:
         return sum(len(s) for s in self.sequences)
 
 
-def speculate_next_next(last_dist: np.ndarray, next_token: int, k: int) -> CandidateSet:
+def speculate_next_next(last_dist: np.ndarray, next_token: int, k: int) -> list[int]:
     """Top-k tokens of the last logit excluding the next token, in
-    descending probability (ties broken by lower id)."""
+    descending probability (ties broken by lower id); a token's 0-based
+    rank is its position in the list."""
     if k <= 0:
-        return CandidateSet()
-    order = np.argsort(-last_dist, kind="stable")
-    candidates = []
-    for tok in order[: k + 1]:
-        tok = int(tok)
-        if tok == next_token:
-            continue
-        candidates.append((tok, len(candidates)))
-        if len(candidates) == k:
-            break
-    return CandidateSet(candidates)
+        return []
+    top = np.argsort(-last_dist, kind="stable")[: k + 1].tolist()
+    if next_token in top:
+        top.remove(next_token)
+    return top[:k]
 
 
 def prune_budget(rank: int) -> int:
@@ -127,62 +112,46 @@ def build_draft(
     suffix = context[-cfg.m_start :] + [next_token]
     seen: set[tuple[int, ...]] = set()
     total = 0
-
-    def add(seq: list[int], origin: str) -> bool:
-        """Append a sequence, truncating to remaining capacity. Returns
-        False once the budget is exhausted."""
-        nonlocal total
-        remaining = cfg.capacity - total
-        if remaining <= 0:
-            return False
-        seq = seq[:remaining]
-        key = tuple(seq)
-        if key in seen:
-            return True
-        seen.add(key)
-        draft.sequences.append(seq)
-        draft.origins.append(origin)
-        total += len(seq)
-        return total < cfg.capacity
-
-    m_start = min(cfg.m_start, len(suffix))
-    result, used_m = index.match_with_fallback(
-        suffix, m_start, max_matches=cfg.max_matches
-    )
-    draft.queries += 1
-    draft.used_m = used_m
-    if result:
-        draft.hits += 1
-    for cont in result.continuations:
-        if not add(cont[: cfg.next_token_value_len], "next"):
-            return draft
-
-    candidates = speculate_next_next(last_dist, next_token, cfg.top_k).candidates
-    if not candidates:
-        return draft
-    # one index call serves every candidate query suffix + [cand],
-    # floored at CANDIDATE_MIN_M; it probes a candidate only when this
-    # loop reaches it, so candidates past a full budget stay unqueried
-    m_start = min(cfg.m_start, len(suffix) + 1)
-    continuations = index.match_candidates(
-        suffix,
-        [cand for cand, _ in candidates],
-        m_start,
-        min_m=min(CANDIDATE_MIN_M, m_start),
-    )
-    # add() inlined: this loop runs up to top_k times per step
-    for (cand, rank), cont in zip(candidates, continuations):
-        draft.queries += 1
-        if cont:
-            draft.hits += 1
-        seq = ([cand] + cont[: prune_budget(rank) - 1])[: cfg.capacity - total]
+    for seq, origin in _proposals(index, suffix, last_dist, cfg, draft):
+        seq = seq[: cfg.capacity - total]
         key = tuple(seq)
         if key in seen:
             continue
         seen.add(key)
         draft.sequences.append(seq)
-        draft.origins.append(f"cand:{rank}")
+        draft.origins.append(origin)
         total += len(seq)
         if total >= cfg.capacity:
             break
     return draft
+
+
+def _proposals(
+    index: NGramIndex,
+    suffix: list[int],
+    last_dist: np.ndarray,
+    cfg: DraftConfig,
+    draft: DraftSet,
+) -> Iterator[tuple[list[int], str]]:
+    """Yield (sequence, origin) in draft order for suffix (the context
+    tail plus the next token), recording each query's bookkeeping in
+    draft as it runs."""
+    result, draft.used_m = index.match_with_fallback(suffix, min(cfg.m_start, len(suffix)))
+    draft.queries += 1
+    draft.hits += bool(result)
+    for cont in result.continuations:
+        yield cont, "next"
+
+    candidates = speculate_next_next(last_dist, suffix[-1], cfg.top_k)
+    if not candidates:
+        return
+    # one index call serves every candidate query suffix + [cand],
+    # floored at CANDIDATE_MIN_M
+    m_start = min(cfg.m_start, len(suffix) + 1)
+    continuations = index.match_candidates(
+        suffix, candidates, m_start, min_m=min(CANDIDATE_MIN_M, m_start)
+    )
+    for rank, (cand, cont) in enumerate(zip(candidates, continuations)):
+        draft.queries += 1
+        draft.hits += bool(cont)
+        yield [cand] + cont[: prune_budget(rank) - 1], f"cand:{rank}"

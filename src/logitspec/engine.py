@@ -4,7 +4,9 @@ Per step: build drafts around the pending next token, evaluate the draft
 tree in one model call, verify, commit the pending token plus accepted
 drafts, update the retrieval index, and carry the bonus token (with the
 distribution that produced it) into the next step as the new pending
-token / last logit.
+token / last logit. Committing appends to the model state's tokens, the
+decode's one token history: the tree pass already evaluated them, so the
+model runs once per step after the prefill.
 
 Modes:
   autoregressive  no drafts; one token per forward (the baseline).
@@ -118,8 +120,8 @@ def _build_step_draft(
     if cfg.mode == "last_logit":
         cands = speculate_next_next(last_dist, pending, cfg.last_logit_k)
         return DraftSet(
-            sequences=[[tok] for tok, _ in cands.candidates],
-            origins=[f"cand:{rank}" for _, rank in cands.candidates],
+            sequences=[[tok] for tok in cands],
+            origins=[f"cand:{rank}" for rank in range(len(cands))],
         )
     assert index is not None
     return build_draft(index, context, pending, last_dist, cfg.draft)
@@ -144,23 +146,17 @@ def decode(
     eos = model.vocab.eos
 
     state = model.new_state()
-    prefill = model.forward(state, list(prompt))
-    last_dist = prefill[-1]
+    last_dist = model.forward(state, list(prompt))[-1]
     pending = sample(last_dist, cfg.temperature, rng)
 
     index: NGramIndex | None = None
     if cfg.mode in RETRIEVAL_MODES:
-        index = NGramIndex.build(
-            list(prompt),
-            m_max=cfg.draft.m_start,
-            value_len=cfg.draft.next_token_value_len,
-        )
+        index = NGramIndex.build(list(prompt), m_max=cfg.draft.m_start)
 
-    context = list(prompt)
-    generated: list[int] = []
+    end = len(prompt) + cfg.max_new_tokens
     records: list[StepRecord] = []
     while True:
-        draft = _build_step_draft(cfg, index, context, pending, last_dist)
+        draft = _build_step_draft(cfg, index, state.committed, pending, last_dist)
         tree = prepare_attention_inputs(len(state), pending, draft.sequences, draft.origins)
         if tree_observer is not None:
             tree_observer(tree)
@@ -171,12 +167,12 @@ def decode(
             outcome = verify_stochastic(tree, dists, rng)
 
         emitted = [pending] + outcome.accepted
-        emitted = emitted[: cfg.max_new_tokens - len(generated)]
+        emitted = emitted[: end - len(state)]
         if eos in emitted:
             emitted = emitted[: emitted.index(eos) + 1]
-        model.forward(state, emitted)  # commit; rejected drafts were never applied
-        generated.extend(emitted)
-        context.extend(emitted)
+        # commit: the tree pass evaluated every emitted token, and
+        # rejected drafts were never applied
+        state.committed.extend(emitted)
         if index is not None:
             index.extend(emitted)
 
@@ -197,11 +193,12 @@ def decode(
                 },
             )
         )
-        if emitted[-1] == eos or len(generated) >= cfg.max_new_tokens:
+        if emitted[-1] == eos or len(state) >= end:
             break
         pending = outcome.bonus
         last_dist = outcome.next_dist
 
+    generated = state.committed[len(prompt) :]
     rank_counts: dict[int | str, int] = {b: 0 for b in RANK_BUCKETS}
     rank_counts["rest"] = 0
     for rec in records:

@@ -1,10 +1,11 @@
 """Target-model contract and exact reference models.
 
-The decode engine only needs three things from a target model: the
-next-token distribution after any committed prefix, batched evaluation of
-a draft tree in one call, and rollback of the committed prefix. Both
-reference models here (an add-alpha Markov table and a scripted lookup
-table) are exact and deterministic, so they double as oracles in tests.
+The decode engine needs two calls from a target model: `forward` for the
+prefill and, once per step, `forward_tree` to evaluate a draft tree. It
+commits accepted tokens by appending them to `ModelState.committed`.
+Both reference models here (an add-alpha Markov table and a scripted
+lookup table) are exact and deterministic, so they double as oracles in
+tests.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ class Model:
     `rollback` are derived from it, and `forward_tree` follows the draft
     tree's parent array. A backend that evaluates the tree with tree
     attention overrides `forward_tree` and reads `tree.mask` and
-    `tree.position_ids` instead. Models are immutable after construction
-    and shareable across sessions.
+    `tree.position_ids` instead. The decode engine never calls
+    `rollback`. Models are immutable after construction and shareable
+    across sessions.
     """
 
     vocab: VocabSpec
@@ -93,7 +95,8 @@ class Model:
 
     def forward(self, state: ModelState, new_tokens: list[int]) -> list[np.ndarray]:
         """Consume new_tokens, returning the next-token distribution at
-        each position. Advances the state."""
+        each position. Advances the state; the decode engine uses it for
+        the prefill only."""
         if not new_tokens:
             raise ValueError("forward requires at least one new token")
         self._check_tokens(new_tokens)
@@ -113,8 +116,9 @@ class Model:
         from `tree.parents`, extending each row's context from its parent
         row's; a backend that consumes attention inputs reads
         `tree.mask` and `tree.position_ids`, which are derived from the
-        same parents. The state is not advanced; the caller commits
-        accepted tokens explicitly.
+        same parents. The state is not advanced; the caller commits the
+        accepted path by appending its tokens to `state.committed`, with
+        no further model call.
 
         Raises TreeStructureError when a row's parent is not an earlier
         row (or row 0 is not the root).

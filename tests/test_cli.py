@@ -180,6 +180,68 @@ def test_dump_tree_format(tmp_path, bench_files, capsys):
     assert len(mask_rows[0]) == past_len + seq_len
 
 
+@pytest.mark.parametrize("modes", ["logitspec", "logitspec,autoregressive"])
+def test_dump_tree_same_with_compare(tmp_path, bench_files, capsys, modes):
+    # the --compare baseline runs first, but the dump is the first
+    # listed mode's tree
+    model, corpus = bench_files
+    dumps = []
+    for extra in ((), ("--compare",)):
+        code, _ = run_report(tmp_path, model, corpus, "--mode", modes, "--dump-tree", *extra)
+        assert code == 0
+        dumps.append(capsys.readouterr().out.splitlines())
+    assert dumps[0] == dumps[1]
+    assert int(dumps[0][0].split()[1]) > 1
+
+
+def test_dump_tree_autoregressive_first_with_compare(tmp_path, bench_files, capsys):
+    # listed first, autoregressive reuses the baseline run, which dumps once
+    model, corpus = bench_files
+    code, _ = run_report(
+        tmp_path, model, corpus, "--mode", "autoregressive,logitspec", "--dump-tree", "--compare"
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[1] == "1"
+    assert sum(1 for line in lines if len(line.split()) == 2) == 1
+
+
+def test_run_empty_corpus_exit_2(tmp_path, bench_files, capsys):
+    model, _ = bench_files
+    corpus = tmp_path / "empty.txt"
+    corpus.write_text("\n")
+    code, out = run_report(tmp_path, model, corpus, "--mode", "logitspec")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_run_no_mode_exit_2(tmp_path, bench_files, capsys):
+    model, corpus = bench_files
+    code, out = run_report(tmp_path, model, corpus, "--mode", ",")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        {},
+        {"modes": {}},
+        {"modes": {"logitspec": {"per_prompt": []}}},
+        {"modes": {"logitspec": {"per_prompt": [{"steps": 0, "tokens": 0,
+                                                 "retrieval_hit_steps": 0}]}}},
+    ],
+    ids=["no-modes-key", "empty-modes", "no-prompts", "zero-steps"],
+)
+def test_check_report_malformed_exit_2(tmp_path, capsys, report):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["check-report", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_dump_index_output(tmp_path, bench_files, capsys):
     model, corpus = bench_files
     code, _ = run_report(tmp_path, model, corpus, "--mode", "logitspec", "--dump-index")

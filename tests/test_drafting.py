@@ -21,20 +21,20 @@ def make_dist(order: list[int], vocab: int = 16) -> np.ndarray:
 
 def test_speculate_excludes_next_token():
     dist = make_dist([5, 9, 2, 7])
-    cands = speculate_next_next(dist, 5, 3).candidates
-    assert cands == [(9, 0), (2, 1), (7, 2)]
+    cands = speculate_next_next(dist, 5, 3)
+    assert cands == [9, 2, 7]  # rank = position
 
 
 def test_speculate_next_token_outside_window():
     dist = make_dist([5, 9, 2, 7])
-    cands = speculate_next_next(dist, 14, 3).candidates
-    assert cands == [(5, 0), (9, 1), (2, 2)]
+    cands = speculate_next_next(dist, 14, 3)
+    assert cands == [5, 9, 2]
 
 
 def test_speculate_uniform_tie_break_lowest_ids():
     dist = np.full(8, 1.0 / 8)
-    cands = speculate_next_next(dist, 0, 2).candidates
-    assert cands == [(1, 0), (2, 1)]
+    cands = speculate_next_next(dist, 0, 2)
+    assert cands == [1, 2]
 
 
 def test_prune_budget_tiers():
@@ -125,8 +125,8 @@ def test_build_draft_invariants_fuzz():
         # next-token sequences precede candidates; candidate ranks
         # non-decreasing; candidate sequences start with their candidate
         # and respect the rank budget
-        cands = dict(speculate_next_next(dist, next_token, cfg.top_k).candidates)
-        rank_by_tok = {tok: rank for tok, rank in cands.items()}
+        cands = speculate_next_next(dist, next_token, cfg.top_k)
+        rank_by_tok = {tok: rank for rank, tok in enumerate(cands)}
         seen_cand = False
         prev_rank = -1
         for seq, origin in zip(draft.sequences, draft.origins):
@@ -146,17 +146,18 @@ def test_build_draft_invariants_fuzz():
 
 def test_speculate_returns_at_most_k():
     dist = np.full(4, 0.25)
-    assert len(speculate_next_next(dist, 1, 10).candidates) <= 10
-    assert all(t != 1 for t, _ in speculate_next_next(dist, 1, 10).candidates)
+    assert len(speculate_next_next(dist, 1, 10)) <= 10
+    assert all(t != 1 for t in speculate_next_next(dist, 1, 10))
 
 
 def naive_build_draft(source, context, next_token, last_dist, cfg, value_len):
     """Reference drafter: every query runs naive_fallback over the whole
     context, one candidate at a time, with the documented assembly rules
-    (capacity truncation, content dedup, stop at a full budget)."""
+    (capacity truncation, content dedup, stop at a full budget). Probes
+    count one index lookup per gram length tried."""
     suffix = list(context) + [next_token]
     sequences, origins, seen = [], [], set()
-    counts = {"queries": 0, "hits": 0, "total": 0}
+    counts = {"queries": 0, "hits": 0, "total": 0, "probes": 0}
 
     def add(seq, origin):
         seq = seq[: cfg.capacity - counts["total"]]
@@ -173,16 +174,18 @@ def naive_build_draft(source, context, next_token, last_dist, cfg, value_len):
         )
         counts["queries"] += 1
         counts["hits"] += bool(conts)
+        counts["probes"] += m_start - (used_m if conts else min_m) + 1
         return conts, used_m
 
     def result(used_m):
-        return sequences, origins, counts["queries"], counts["hits"], used_m
+        return sequences, origins, counts["queries"], counts["hits"], used_m, counts["probes"]
 
-    conts, used_m = query(suffix, min(cfg.m_start, len(suffix)), 1, cfg.max_matches)
+    # up to 2 next-token continuations: match_with_fallback's default
+    conts, used_m = query(suffix, min(cfg.m_start, len(suffix)), 1, 2)
     for cont in conts:
-        if not add(cont[: cfg.next_token_value_len], "next"):
+        if not add(cont, "next"):
             return result(used_m)
-    for cand, rank in speculate_next_next(last_dist, next_token, cfg.top_k).candidates:
+    for rank, cand in enumerate(speculate_next_next(last_dist, next_token, cfg.top_k)):
         m_start = min(cfg.m_start, len(suffix) + 1)
         conts, _ = query(suffix + [cand], m_start, min(CANDIDATE_MIN_M, m_start), 1)
         seq = [cand] + (conts[0][: prune_budget(rank) - 1] if conts else [])
@@ -199,14 +202,13 @@ def test_build_draft_equals_per_candidate_reference_random():
             top_k=int(rng.integers(0, 13)),
             capacity=int(rng.integers(1, 41)),
             m_start=int(rng.integers(1, 6)),
-            next_token_value_len=int(rng.integers(1, 9)),
         )
         # short contexts too: shorter than m_start, or empty
         context = rng.integers(0, vocab, size=rng.integers(0, 30)).tolist()
         next_token = int(rng.integers(0, vocab))
         # the engine indexes the committed context; sometimes index more
         source = context + rng.integers(0, vocab, size=rng.integers(0, 3)).tolist()
-        value_len = int(rng.integers(cfg.next_token_value_len, 9))
+        value_len = int(rng.integers(1, 9))
         index = NGramIndex.build(source, m_max=cfg.m_start, value_len=value_len)
         last_dist = rng.random(vocab + 2)
         last_dist /= last_dist.sum()
@@ -214,7 +216,8 @@ def test_build_draft_equals_per_candidate_reference_random():
         draft = build_draft(index, context, next_token, last_dist, cfg)
         want = naive_build_draft(source, context, next_token, last_dist, cfg, value_len)
         assert (
-            draft.sequences, draft.origins, draft.queries, draft.hits, draft.used_m
+            draft.sequences, draft.origins, draft.queries, draft.hits, draft.used_m,
+            index.probe_count,
         ) == want
 
 

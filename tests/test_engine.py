@@ -45,6 +45,35 @@ def trained_markov(seed: int, vocab: int = 32) -> tuple[MarkovTableModel, list[l
     return model.train(corpus.sequences), corpus.sequences
 
 
+class ForwardCountingModel(MarkovTableModel):
+    """MarkovTableModel that counts its `forward` calls."""
+
+    forward_calls = 0
+
+    def forward(self, state, new_tokens):
+        self.forward_calls += 1
+        return super().forward(state, new_tokens)
+
+
+def test_forward_runs_once_per_decode():
+    # the prefill is the only forward call: each step commits from the
+    # tree pass, and the tokens equal a plain model's
+    corpus = gen_corpus(seed=5, vocab_size=32, count=4, length=24, repetitiveness=0.6)
+    plain = MarkovTableModel(VocabSpec(32, 31), order=2, alpha=0.1, seed=5)
+    plain.train(corpus.sequences)
+    counting = ForwardCountingModel(plain.vocab, order=2, alpha=0.1, seed=5)
+    counting.train(corpus.sequences)
+    for temperature in (0.0, 1.0):
+        for mode in MODES:
+            cfg = DecodeConfig(mode=mode, max_new_tokens=48, temperature=temperature, seed=3)
+            for prompt in corpus.sequences:
+                counting.forward_calls = 0
+                result = decode(counting, prompt, cfg)
+                assert result.metrics.steps > 1
+                assert counting.forward_calls == 1, (temperature, mode)
+                assert result.tokens == decode(plain, prompt, cfg).tokens
+
+
 def test_greedy_losslessness_all_modes():
     for seed in range(20):
         model, prompts = trained_markov(seed)
