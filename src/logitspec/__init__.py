@@ -5,14 +5,7 @@ harness."""
 __version__ = "0.1.0"
 
 from .drafting import DraftConfig, build_draft, prune_budget, speculate_next_next
-from .engine import (
-    DecodeConfig,
-    DecodeResult,
-    decode,
-    mat,
-    rank_histogram,
-    retrieval_success_rate,
-)
+from .engine import DecodeConfig, DecodeResult, decode
 from .models import (
     MarkovTableModel,
     Model,
@@ -22,7 +15,7 @@ from .models import (
     sample,
 )
 from .ngram_index import NGramIndex
-from .tree import DraftTree, paths_from_mask, prepare_attention_inputs
+from .tree import DraftTree, prepare_attention_inputs
 from .verify import acceptance_prob, residual, verify_greedy, verify_stochastic
 
 __all__ = [
@@ -34,9 +27,6 @@ __all__ = [
     "DecodeConfig",
     "DecodeResult",
     "decode",
-    "mat",
-    "rank_histogram",
-    "retrieval_success_rate",
     "MarkovTableModel",
     "Model",
     "ModelState",
@@ -45,7 +35,6 @@ __all__ = [
     "sample",
     "NGramIndex",
     "DraftTree",
-    "paths_from_mask",
     "prepare_attention_inputs",
     "acceptance_prob",
     "residual",

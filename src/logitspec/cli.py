@@ -9,28 +9,21 @@ Subcommands:
 Exit codes for run: 0 success, 2 input parse failure, empty corpus, no
 mode or out-of-range option, 3 losslessness mismatch under --compare.
 check-report: 0 consistent, 1 mismatch, 2 unreadable or malformed report.
+Any command: 141 when stdout closes early (e.g. piped into head).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
-from .corpus import Corpus, gen_corpus, load_corpus, save_corpus
+from .corpus import gen_corpus, load_corpus, save_corpus
 from .drafting import DraftConfig
-from .engine import (
-    MODES,
-    PHASES,
-    RANK_BUCKETS,
-    DecodeConfig,
-    DecodeResult,
-    decode,
-    rank_cdf,
-    rank_histogram,
-)
+from .engine import MODES, PHASES, DecodeConfig, DecodeResult, decode, rank_cdf
 from .models import MarkovTableModel, load_model_file, save_model_file
 from .ngram_index import NGramIndex
 from .tree import DraftTree, format_tree
@@ -98,40 +91,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mode_report(results: list[DecodeResult]) -> dict:
-    steps = sum(r.metrics.steps for r in results)
-    tokens = sum(r.metrics.tokens for r in results)
-    hit_steps = sum(r.metrics.retrieval_hit_steps for r in results)
-    cdf = rank_histogram(results)
-    phase_counters = {p: 0 for p in PHASES}
-    for r in results:
-        for rec in r.step_records:
-            for p in PHASES:
-                phase_counters[p] += rec.phase_counters[p]
+def _summary(rows: list[dict]) -> dict:
+    """A mode's aggregates, derived from its per-prompt rows alone."""
+    steps = sum(r["steps"] for r in rows)
+    tokens = sum(r["tokens"] for r in rows)
+    cdf = rank_cdf([r["rank_counts"] for r in rows])
     return {
-        "prompts": len(results),
+        "prompts": len(rows),
         "steps": steps,
         "tokens": tokens,
         "mat": tokens / steps,
-        "retrieval_success_rate": hit_steps / steps,
-        "rank_cdf": [[str(b), count / steps] for b, count in cdf],
-        "phase_counters": phase_counters,
+        "retrieval_success_rate": sum(r["retrieval_hit_steps"] for r in rows) / steps,
+        "rank_cdf": [[b, count / steps] for b, count in cdf],
+        "phase_counters": {p: sum(r["phase_counters"][p] for r in rows) for p in PHASES},
+    }
+
+
+def _mode_report(results: list[DecodeResult]) -> dict:
+    rows = [{"prompt_index": i, **asdict(r.metrics)} for i, r in enumerate(results)]
+    return {
+        **_summary(rows),
         "losslessness": {"checked": False, "mismatches": 0},
-        "per_prompt": [
-            {
-                "prompt_index": i,
-                "steps": r.metrics.steps,
-                "tokens": r.metrics.tokens,
-                "mat": r.metrics.mat,
-                "retrieval_hit_steps": r.metrics.retrieval_hit_steps,
-                "rank_counts": {str(k): v for k, v in r.metrics.rank_counts.items()},
-                "phase_counters": {
-                    p: sum(rec.phase_counters[p] for rec in r.step_records)
-                    for p in PHASES
-                },
-            }
-            for i, r in enumerate(results)
-        ],
+        "per_prompt": rows,
     }
 
 
@@ -312,27 +293,15 @@ def _report_failures(report: dict) -> list[str]:
     failures = []
     for mode, data in report["modes"].items():
         rows = data["per_prompt"]
-        steps = sum(r["steps"] for r in rows)
-        if steps == 0:
+        if sum(r["steps"] for r in rows) == 0:
             raise ValueError(f"mode {mode!r} has no steps")
-        tokens = sum(r["tokens"] for r in rows)
-        hit_steps = sum(r["retrieval_hit_steps"] for r in rows)
-        checks = {
-            "prompts": len(rows),
-            "steps": steps,
-            "tokens": tokens,
-            "mat": tokens / steps,
-            "retrieval_success_rate": hit_steps / steps,
-        }
-        for key, expected in checks.items():
-            if data[key] != expected:
+        for key, expected in _summary(rows).items():
+            if key == "rank_cdf":
+                for (bucket, fraction), (b, share) in zip(data[key], expected):
+                    if bucket != b or abs(fraction - share) > 1e-12:
+                        failures.append(f"{mode}.rank_cdf[{bucket}] inconsistent")
+            elif data[key] != expected:
                 failures.append(f"{mode}.{key}: report {data[key]} != recomputed {expected}")
-        cdf = rank_cdf(
-            [{b: r["rank_counts"][str(b)] for b in (*RANK_BUCKETS, "rest")} for r in rows]
-        )
-        for (bucket, fraction), (b, count) in zip(data["rank_cdf"], cdf):
-            if bucket != str(b) or abs(fraction - count / steps) > 1e-12:
-                failures.append(f"{mode}.rank_cdf[{bucket}] inconsistent")
     return failures
 
 
@@ -344,7 +313,18 @@ def main(argv: list[str] | None = None) -> int:
         "gen-model": _cmd_gen_model,
         "check-report": _cmd_check_report,
     }
-    return handlers[args.command](args)
+    try:
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): send what is still
+        # buffered to devnull so the flush at exit cannot raise again,
+        # and exit like a process killed by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ Modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,9 +38,6 @@ __all__ = [
     "DecodeMetrics",
     "DecodeResult",
     "decode",
-    "mat",
-    "retrieval_success_rate",
-    "rank_histogram",
     "rank_cdf",
     "RANK_BUCKETS",
 ]
@@ -47,10 +45,13 @@ __all__ = [
 MODES = ("autoregressive", "last_logit", "retrieval_only", "logitspec")
 RETRIEVAL_MODES = ("retrieval_only", "logitspec")
 
-# cumulative rank buckets for the next-next-token statistic: a step falls
-# in bucket b when the realized token's 0-based rank in the last logit
-# is < b; "rest" catches everything beyond the top-60 window
-RANK_BUCKETS = (1, 2, 4, 8, 16, 32, 60)
+# rank buckets for the next-next-token statistic, name -> exclusive bound:
+# a step falls in the first bucket whose bound exceeds the realized
+# token's 0-based rank in the last logit; "rest" catches everything
+# beyond the top-60 window
+RANK_BUCKETS = {
+    "1": 1, "2": 2, "4": 4, "8": 8, "16": 16, "32": 32, "60": 60, "rest": math.inf,
+}
 
 PHASES = ("retrieve", "prepare", "forward", "verify", "update")
 
@@ -81,17 +82,25 @@ class StepRecord:
     draft_size: int
     retrieval_hit: bool
     used_m: int
-    next_next_rank: int | None
+    next_next_rank: int
     phase_counters: dict[str, int]
 
 
 @dataclass
 class DecodeMetrics:
+    """Every statistic a decode reports, each computed here once.
+
+    mat is tokens per step (verification forwards, prefill excluded);
+    rank_counts counts the steps per `RANK_BUCKETS` bucket and
+    phase_counters sums the steps' `StepRecord.phase_counters`.
+    """
+
     steps: int
     tokens: int
     mat: float
     retrieval_hit_steps: int
-    rank_counts: dict[int | str, int]
+    rank_counts: dict[str, int]
+    phase_counters: dict[str, int]
 
 
 @dataclass
@@ -157,7 +166,7 @@ def decode(
     records: list[StepRecord] = []
     while True:
         draft = _build_step_draft(cfg, index, state.committed, pending, last_dist)
-        tree = prepare_attention_inputs(len(state), pending, draft.sequences, draft.origins)
+        tree = prepare_attention_inputs(len(state), pending, draft.sequences)
         if tree_observer is not None:
             tree_observer(tree)
         dists = model.forward_tree(state, tree)
@@ -199,58 +208,32 @@ def decode(
         last_dist = outcome.next_dist
 
     generated = state.committed[len(prompt) :]
-    rank_counts: dict[int | str, int] = {b: 0 for b in RANK_BUCKETS}
-    rank_counts["rest"] = 0
+    rank_counts = dict.fromkeys(RANK_BUCKETS, 0)
     for rec in records:
-        _bucket_rank(rank_counts, rec.next_next_rank)
+        rank_counts[_rank_bucket(rec.next_next_rank)] += 1
     metrics = DecodeMetrics(
         steps=len(records),
         tokens=len(generated),
         mat=len(generated) / len(records),
         retrieval_hit_steps=sum(1 for r in records if r.retrieval_hit),
         rank_counts=rank_counts,
+        phase_counters={p: sum(r.phase_counters[p] for r in records) for p in PHASES},
     )
     return DecodeResult(tokens=generated, metrics=metrics, step_records=records, mode=cfg.mode)
 
 
-def _bucket_rank(counts: dict[int | str, int], rank: int | None) -> None:
-    if rank is None:
-        return
-    for b in RANK_BUCKETS:
-        if rank < b:
-            counts[b] += 1
-            return
-    counts["rest"] += 1
+def _rank_bucket(rank: int) -> str:
+    return next(name for name, bound in RANK_BUCKETS.items() if rank < bound)
 
 
-def mat(result: DecodeResult) -> float:
-    """Mean accepted tokens per decoding step: generated tokens divided
-    by verification forwards (prefill excluded)."""
-    if not result.step_records:
-        raise ValueError("result has no decode steps")
-    return result.metrics.tokens / result.metrics.steps
-
-
-def retrieval_success_rate(result: DecodeResult) -> float:
-    """Fraction of steps where at least one retrieval query matched."""
-    if not result.step_records:
-        raise ValueError("result has no decode steps")
-    return result.metrics.retrieval_hit_steps / result.metrics.steps
-
-
-def rank_cdf(rank_counts: list[dict[int | str, int]]) -> list[tuple[int | str, int]]:
+def rank_cdf(rank_counts: list[dict[str, int]]) -> list[tuple[str, int]]:
     """Cumulative next-next-token rank counts summed over per-decode
     bucket counts (`DecodeMetrics.rank_counts`): the entry for bucket b
-    counts the steps with rank < b, and "rest" counts every step."""
-    cumulative: list[tuple[int | str, int]] = []
+    counts the steps ranked below b's bound, and "rest" counts every
+    step."""
+    cumulative: list[tuple[str, int]] = []
     running = 0
-    for b in (*RANK_BUCKETS, "rest"):
+    for b in RANK_BUCKETS:
         running += sum(counts[b] for counts in rank_counts)
         cumulative.append((b, running))
     return cumulative
-
-
-def rank_histogram(results: list[DecodeResult]) -> list[tuple[int | str, int]]:
-    """Cumulative next-next-token rank counts over all steps, bucketed by
-    the top-1/2/4/.../60 windows plus a catch-all."""
-    return rank_cdf([r.metrics.rank_counts for r in results])

@@ -14,7 +14,7 @@ and debug dumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "DraftTree",
     "prepare_attention_inputs",
     "ancestor_rows",
-    "paths_from_mask",
     "format_tree",
 ]
 
@@ -45,7 +44,6 @@ class DraftTree:
     past_len: int
     draft_ids: list[int]
     parents: list[int]
-    origins: list[str] = field(default_factory=list)
 
     @property
     def seq_len(self) -> int:
@@ -93,7 +91,6 @@ def prepare_attention_inputs(
     past_len: int,
     next_token: int,
     sequences: list[list[int]],
-    origins: list[str] | None = None,
 ) -> DraftTree:
     """Flatten draft sequences into ids and a parent array.
 
@@ -112,12 +109,7 @@ def prepare_attention_inputs(
         parents.append(0)
         parents += range(start, start + len(seq) - 1)
         draft_ids += seq
-    return DraftTree(
-        past_len=past_len,
-        draft_ids=draft_ids,
-        parents=parents,
-        origins=list(origins) if origins is not None else ["" for _ in sequences],
-    )
+    return DraftTree(past_len=past_len, draft_ids=draft_ids, parents=parents)
 
 
 def ancestor_rows(mask: np.ndarray) -> list[list[int]]:
@@ -151,23 +143,6 @@ def ancestor_rows(mask: np.ndarray) -> list[list[int]]:
             raise TreeStructureError(f"row {r} sees a non-ancestor row {s}")
         paths.append([0] + list(range(s, r + 1)))
     return paths
-
-
-def paths_from_mask(tree: DraftTree) -> list[list[int]]:
-    """Root-to-leaf token paths reconstructed from mask visibility alone.
-
-    Inverse of prepare_attention_inputs: leaves are the last rows of each
-    diagonal block; a degenerate tree yields the single path [root].
-    """
-    paths = ancestor_rows(tree.mask)
-    if len(paths) == 1:
-        return [[tree.draft_ids[0]]]
-    leaves = []
-    for r in range(1, len(paths)):
-        is_leaf = r + 1 >= len(paths) or len(paths[r + 1]) <= len(paths[r])
-        if is_leaf:
-            leaves.append(paths[r])
-    return [[tree.draft_ids[i] for i in rows] for rows in leaves]
 
 
 def format_tree(tree: DraftTree) -> str:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import logitspec
 from logitspec.cli import main
 from logitspec.corpus import gen_corpus, load_corpus
 
@@ -120,6 +125,38 @@ def test_check_report_roundtrip_and_tamper(tmp_path, bench_files, capsys):
     report["modes"]["logitspec"]["tokens"] += 1
     out.write_text(json.dumps(report))
     assert main(["check-report", str(out)]) == 1
+
+
+def test_check_report_tampered_phase_counters(tmp_path, bench_files, capsys):
+    model, corpus = bench_files
+    _, out = run_report(tmp_path, model, corpus, "--mode", "logitspec")
+    report = json.loads(out.read_text())
+    report["modes"]["logitspec"]["phase_counters"]["forward"] += 1
+    out.write_text(json.dumps(report))
+    assert main(["check-report", str(out)]) == 1
+    assert "logitspec.phase_counters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra", [(), ("--dump-tree", "--json-out", "report.json")], ids=["report", "dump-tree"]
+)
+def test_run_into_closed_pipe_exits_141(tmp_path, bench_files, extra):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails; the shell convention for that is 128 + SIGPIPE
+    model, corpus = bench_files
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(logitspec.__file__).parents[1])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "logitspec.cli", "run", "--model", str(model),
+             "--corpus", str(corpus), "--max-new-tokens", "8", *extra],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert b"Traceback" not in proc.stderr
 
 
 def test_run_parse_failure_exit_2(tmp_path):

@@ -3,19 +3,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from logitspec import (
-    DecodeConfig,
-    DraftConfig,
-    MarkovTableModel,
-    VocabSpec,
-    decode,
-    mat,
-    rank_histogram,
-    retrieval_success_rate,
-)
+from logitspec import DecodeConfig, MarkovTableModel, VocabSpec, decode
 from logitspec.corpus import gen_corpus
-from logitspec.engine import MODES, DecodeMetrics, DecodeResult, StepRecord
+from logitspec.engine import MODES, PHASES, rank_cdf
 from logitspec.models import Model
+
+# next-next rank bucket -> its range of 0-based ranks [lo, hi)
+RANK_RANGES = {
+    "1": (0, 1), "2": (1, 2), "4": (2, 4), "8": (4, 8), "16": (8, 16),
+    "32": (16, 32), "60": (32, 60), "rest": (60, float("inf")),
+}
 
 
 class LastTokenModel(Model):
@@ -111,7 +108,7 @@ def test_retrieval_only_accepts_on_repeating_span():
     )
     assert decode(model, [1, 2, 3, 1], DecodeConfig(mode="autoregressive", max_new_tokens=12)).tokens == result.tokens
     assert any(rec.accepted_len >= 1 for rec in result.step_records)
-    assert mat(result) > 1.0
+    assert result.metrics.mat > 1.0
 
 
 def test_last_logit_mode_bounds():
@@ -120,41 +117,48 @@ def test_last_logit_mode_bounds():
     for prompt in prompts[:5]:
         result = decode(model, prompt, cfg)
         assert all(rec.accepted_len in (0, 1) for rec in result.step_records)
-        assert 1.0 <= mat(result) <= 2.0
+        assert 1.0 <= result.metrics.mat <= 2.0
 
 
 def test_mat_autoregressive_is_one():
     model, prompts = trained_markov(4)
     result = decode(model, prompts[0], DecodeConfig(mode="autoregressive", max_new_tokens=32))
-    assert mat(result) == 1.0
+    assert result.metrics.mat == 1.0
     assert result.metrics.steps == result.metrics.tokens
 
 
-def test_mat_arithmetic_from_definition():
-    records = [
-        StepRecord(accepted_len=a, draft_size=4, retrieval_hit=False, used_m=0,
-                   next_next_rank=None, phase_counters={})
-        for a in (2, 0, 1)
-    ]
-    result = DecodeResult(
-        tokens=[0] * 6,
-        metrics=DecodeMetrics(steps=3, tokens=6, mat=2.0, retrieval_hit_steps=0,
-                              rank_counts={}),
-        step_records=records,
-        mode="logitspec",
-    )
-    assert mat(result) == (3 + 1 + 2) / 3 == 2.0
+def test_decode_metrics_match_step_records():
+    # every DecodeMetrics field, recomputed from the decode's step records
+    model, prompts = trained_markov(7)
+    for temperature in (0.0, 1.0):
+        for mode in MODES:
+            cfg = DecodeConfig(mode=mode, max_new_tokens=48, temperature=temperature, seed=5)
+            for prompt in prompts[:4]:
+                result = decode(model, prompt, cfg)
+                records = result.step_records
+                m = result.metrics
+                assert m.steps == len(records)
+                assert m.tokens == sum(r.accepted_len + 1 for r in records) == len(result.tokens)
+                assert m.mat == m.tokens / m.steps
+                assert m.retrieval_hit_steps == sum(r.retrieval_hit for r in records)
+                assert m.rank_counts == {
+                    name: sum(lo <= r.next_next_rank < hi for r in records)
+                    for name, (lo, hi) in RANK_RANGES.items()
+                }
+                assert m.phase_counters == {
+                    p: sum(r.phase_counters[p] for r in records) for p in PHASES
+                }
 
 
 def test_retrieval_success_rate_edges():
     model = chain_model(5, {1: 2, 2: 3, 3: 1}, eos=4)
     hit = decode(model, [1, 2, 3, 1], DecodeConfig(mode="retrieval_only", max_new_tokens=8))
-    assert retrieval_success_rate(hit) == 1.0
+    assert hit.metrics.retrieval_hit_steps == hit.metrics.steps
     # all-distinct prompt, nothing to match on the first step
     model2 = chain_model(8, {i: i + 1 for i in range(6)}, eos=7)
     miss = decode(model2, [0], DecodeConfig(mode="retrieval_only", max_new_tokens=4))
     assert not miss.step_records[0].retrieval_hit
-    assert retrieval_success_rate(miss) < 1.0
+    assert miss.metrics.retrieval_hit_steps < miss.metrics.steps
 
 
 def test_rank_histogram_second_entry_case():
@@ -169,9 +173,9 @@ def test_rank_histogram_second_entry_case():
         dists[t] = d / d.sum()
     model = LastTokenModel(VocabSpec(vocab, 4), dists)
     result = decode(model, [0], DecodeConfig(mode="autoregressive", max_new_tokens=20))
-    hist = dict(rank_histogram([result]))
-    assert hist[1] == 0
-    assert hist[2] == result.metrics.steps
+    hist = dict(rank_cdf([result.metrics.rank_counts]))
+    assert hist["1"] == 0
+    assert hist["2"] == result.metrics.steps
     assert hist["rest"] == result.metrics.steps
 
 
@@ -187,7 +191,7 @@ def test_rank_histogram_conservation_and_replay_oracle():
         results.append(r)
         total_steps += r.metrics.steps
     assert total_steps >= 500
-    hist = dict(rank_histogram(results))
+    hist = dict(rank_cdf([r.metrics.rank_counts for r in results]))
     assert hist["rest"] == total_steps  # cumulative tail holds every step
 
     # brute-force oracle: replay each run with plain forwards and

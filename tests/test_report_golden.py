@@ -1,0 +1,52 @@
+"""Golden digests of `run` output: the report JSON bytes and the
+`--dump-tree` text. A refactor of the engine's metrics or of the report
+must leave both unchanged. Paths are relative (the report embeds the
+model and corpus paths), so each case runs in its own directory."""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from logitspec.cli import main
+
+# case -> (report sha256, --dump-tree stdout sha256)
+GOLDEN = {
+    "T0-all-modes-compare": (
+        "5a0301482c1d46ba4c43a3ec70d4c0dc6e5c78fe553cbee3f0759fe1ed63e867",
+        "cd2c3035432595f90f37279170507500501c6b710c8f02c6880a7d5c96c49253",
+    ),
+    "T1-logitspec-last_logit": (
+        "d0a1ff7d4aab9ff1d3c704fe3e5a455afb1c7524fe486f17342a6ef7ee352277",
+        "cd2c3035432595f90f37279170507500501c6b710c8f02c6880a7d5c96c49253",
+    ),
+}
+
+ARGS = {
+    "T0-all-modes-compare": [
+        "--mode", "logitspec,retrieval_only,last_logit,autoregressive", "--compare",
+    ],
+    "T1-logitspec-last_logit": ["--mode", "logitspec,last_logit", "--temperature", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_report_and_dump_tree_bytes(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "gen-corpus", "--out", "corpus.txt", "--seed", "7", "--vocab", "32",
+        "--count", "8", "--length", "24", "--repetitiveness", "0.7",
+    ]) == 0
+    assert main([
+        "gen-model", "--out", "model.txt", "--corpus", "corpus.txt", "--vocab", "32",
+        "--seed", "7",
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "run", "--model", "model.txt", "--corpus", "corpus.txt", "--max-new-tokens", "32",
+        "--json-out", "report.json", "--dump-tree", *ARGS[case],
+    ]) == 0
+    report = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    dump = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (report, dump) == GOLDEN[case]

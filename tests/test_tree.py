@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from logitspec import paths_from_mask, prepare_attention_inputs
+from logitspec import prepare_attention_inputs
 from logitspec.tree import TreeStructureError, ancestor_rows, format_tree
 
 
@@ -45,25 +45,15 @@ def test_single_chain_equals_plain_causal():
     assert tree.position_ids.tolist() == [0, 1, 2, 3]
 
 
-def test_paths_round_trip_traced_example():
-    tree = prepare_attention_inputs(3, 10, [[11, 12], [13]])
-    assert paths_from_mask(tree) == [[10, 11, 12], [10, 13]]
-
-
-def test_paths_degenerate():
-    tree = prepare_attention_inputs(2, 6, [])
-    assert paths_from_mask(tree) == [[6]]
-
-
 def test_paths_reject_malformed_mask():
     tree = prepare_attention_inputs(2, 6, [[1], [2]])
     tree.mask[1, 2 + 2] = 1  # row 1 sees row 2's column
     with pytest.raises(TreeStructureError):
-        paths_from_mask(tree)
+        ancestor_rows(tree.mask)
     tree2 = prepare_attention_inputs(2, 6, [[1]])
     tree2.mask[1, 0] = 0  # row no longer sees the full past
     with pytest.raises(TreeStructureError):
-        paths_from_mask(tree2)
+        ancestor_rows(tree2.mask)
 
 
 def test_round_trip_and_mask_fuzz():
@@ -88,8 +78,6 @@ def test_round_trip_and_mask_fuzz():
         np.testing.assert_array_equal(
             tree.mask, brute_force_mask(past_len, [len(s) for s in seqs])
         )
-        expected_paths = [[root] + s for s in seqs] if seqs else [[root]]
-        assert paths_from_mask(tree) == expected_paths
 
         # position ids: past_len + depth within sub-sequence (root depth 0)
         assert tree.position_ids[0] == past_len
