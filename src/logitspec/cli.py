@@ -297,8 +297,12 @@ def _report_failures(report: dict) -> list[str]:
             raise ValueError(f"mode {mode!r} has no steps")
         for key, expected in _summary(rows).items():
             if key == "rank_cdf":
-                for (bucket, fraction), (b, share) in zip(data[key], expected):
-                    if bucket != b or abs(fraction - share) > 1e-12:
+                buckets = [b for b, _ in data[key]]
+                want = [b for b, _ in expected]
+                if buckets != want:
+                    failures.append(f"{mode}.rank_cdf: buckets {buckets} != {want}")
+                for (bucket, fraction), (_, share) in zip(data[key], expected):
+                    if abs(fraction - share) > 1e-12:
                         failures.append(f"{mode}.rank_cdf[{bucket}] inconsistent")
             elif data[key] != expected:
                 failures.append(f"{mode}.{key}: report {data[key]} != recomputed {expected}")

@@ -5,7 +5,11 @@ stochastic acceptance rule reduces to accepting token x with probability
 p[x] and, on rejection, zeroing x out of p and renormalizing. Applying
 that rule to the children of the current row in row order, and moving
 down into the first accepted child, preserves the target distribution
-exactly. Both verifiers walk the tree's parent array once, in row order.
+exactly. The renormalized distribution is never needed to test a child:
+accepting x with probability p[x] / (unrejected mass) is the same rule,
+so the stochastic walk keeps only that mass and the rejected tokens, and
+builds one residual for the bonus. Both verifiers walk the tree's parent
+array once, in row order.
 """
 
 from __future__ import annotations
@@ -57,16 +61,6 @@ def residual(p: np.ndarray, q: np.ndarray) -> np.ndarray | None:
     return r / total
 
 
-def _one_hot_residual(p: np.ndarray, x: int) -> np.ndarray | None:
-    # residual(p, one_hot(x)) without materializing the one-hot vector
-    r = p.copy()
-    r[x] = 0.0
-    total = r.sum()
-    if total <= 0:
-        return None
-    return r / total
-
-
 def _sequence_index(parents: list[int], row: int) -> int | None:
     """Index, among the root's children, of the one above row (None for
     the root itself)."""
@@ -98,7 +92,7 @@ def verify_greedy(tree: DraftTree, dists: list[np.ndarray]) -> VerifyOutcome:
             continue
         g = argmax.get(p)
         if g is None:
-            g = argmax[p] = int(np.argmax(dists[p]))
+            g = argmax[p] = int(dists[p].argmax())
         if ids[r] != g:
             continue
         depth[r] = depth[p] + 1
@@ -106,7 +100,7 @@ def verify_greedy(tree: DraftTree, dists: list[np.ndarray]) -> VerifyOutcome:
             best = r
     bonus = argmax.get(best)
     if bonus is None:
-        bonus = int(np.argmax(dists[best]))
+        bonus = int(dists[best].argmax())
     accepted = []
     r = best
     while r > 0:
@@ -127,32 +121,52 @@ def verify_stochastic(
     """Lossless stochastic verification over one-hot draft proposals.
 
     One pass over the parent array in row order. The walk sits at the
-    last accepted row (the root at first) with a working distribution
-    starting at that row's dist; each child of that row, in row order, is
-    accepted with its current probability, moving the walk to the child,
-    or else folded into the residual. The bonus is sampled from the
-    working distribution the walk ends with.
+    last accepted row (the root at first), whose dist d it never copies,
+    and keeps the mass of d not yet rejected there (1 on arrival) and the
+    rejected tokens. Each child of that row, in row order, draws one
+    uniform u and is accepted iff u * remaining < d[x], moving the walk to
+    the child; a token already rejected at this row has mass 0. On
+    rejection remaining drops by d[x]. The bonus is sampled from the
+    residual of d at the row the walk ends at: d with the rejected tokens
+    zeroed and renormalized, built once, or d itself when nothing was
+    rejected or the residual is empty.
     """
     parents = tree.parents
     ids = tree.draft_ids
     node = 0
-    work = dists[0]
+    d = dists[0]
+    remaining = 1.0
+    rejected: list[int] = []
     accepted = []
     for r in range(1, len(parents)):
         if parents[r] != node:
             continue
         tok = ids[r]
-        if rng.random() < work[tok]:
+        u = rng.random()
+        if tok in rejected:
+            continue
+        p = d.item(tok)
+        if u * remaining < p:
             accepted.append(tok)
             node = r
-            work = dists[r]
+            d = dists[r]
+            remaining = 1.0
+            rejected = []
             continue
-        res = _one_hot_residual(work, tok)
-        if res is not None:  # None: work is one-hot at tok; keep it
-            work = res
+        remaining -= p
+        rejected.append(tok)
+    if rejected:
+        res = d.copy()
+        for x in rejected:  # scalar stores beat fancy indexing at these sizes
+            res[x] = 0.0
+        total = res.sum()
+        # decided on the built sum: rounding can leave remaining a tiny
+        # positive number when every token with mass was rejected
+        if total > 0:
+            d = res / total
     return VerifyOutcome(
         accepted=accepted,
-        bonus=int(rng.choice(len(work), p=work)),
-        next_dist=work,
+        bonus=int(rng.choice(len(d), p=d)),
+        next_dist=d,
         accepted_seq_index=_sequence_index(parents, node),
     )

@@ -97,7 +97,7 @@ def test_criterion_1_greedy_losslessness():
 
 
 def test_criterion_2_stochastic_losslessness():
-    with criterion(2, "stochastic losslessness, 5 tree shapes"):
+    with criterion(2, "stochastic losslessness, 7 tree shapes"):
         vocab = VocabSpec(8, 7)
         rng_target = np.random.default_rng(2024)
         target = rng_target.random(8)
@@ -111,6 +111,8 @@ def test_criterion_2_stochastic_losslessness():
             "three_siblings": [[2], [0], [5]],
             "empty": [],
             "full_capacity": [[t % 8, (t + 1) % 8] for t in range(30)],
+            "repeated_siblings": [[3], [3], [5], [3]],
+            "wide_fan": [[t % 8] for t in range(60)],
         }
         trials = 100_000
         for shape_idx, (name, seqs) in enumerate(shapes.items()):

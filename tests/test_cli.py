@@ -137,6 +137,21 @@ def test_check_report_tampered_phase_counters(tmp_path, bench_files, capsys):
     assert "logitspec.phase_counters" in capsys.readouterr().err
 
 
+def test_check_report_truncated_rank_cdf(tmp_path, bench_files, capsys):
+    model, corpus = bench_files
+    _, out = run_report(tmp_path, model, corpus, "--mode", "retrieval_only,autoregressive")
+    assert main(["check-report", str(out)]) == 0
+    report = json.loads(out.read_text())
+    modes = report["modes"]
+    modes["retrieval_only"]["rank_cdf"] = modes["retrieval_only"]["rank_cdf"][:2]
+    modes["autoregressive"]["rank_cdf"] = []
+    out.write_text(json.dumps(report))
+    assert main(["check-report", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "retrieval_only.rank_cdf" in err
+    assert "autoregressive.rank_cdf" in err
+
+
 @pytest.mark.parametrize(
     "extra", [(), ("--dump-tree", "--json-out", "report.json")], ids=["report", "dump-tree"]
 )

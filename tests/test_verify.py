@@ -13,6 +13,8 @@ from logitspec import (
     verify_stochastic,
 )
 
+from logitspec.verify import VerifyOutcome
+
 from conftest import dist
 
 
@@ -166,3 +168,104 @@ def test_stochastic_emits_at_least_one_token():
         assert len(out.accepted) <= tree.draft_count
         assert 0 <= out.bonus < 4
         assert out.next_dist.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+def reference_verify_stochastic(tree, dists, rng):
+    """The sequential-residual walk: after each rejected child, the working
+    distribution becomes the renormalized residual, a full-vocab array."""
+    parents = tree.parents
+    ids = tree.draft_ids
+    node = 0
+    work = dists[0]
+    accepted = []
+    for r in range(1, len(parents)):
+        if parents[r] != node:
+            continue
+        tok = ids[r]
+        if rng.random() < work[tok]:
+            accepted.append(tok)
+            node = r
+            work = dists[r]
+            continue
+        res = residual(work, np.eye(len(work))[tok])
+        if res is not None:  # None: work is one-hot at tok; keep it
+            work = res
+    seq_index = None
+    if node:
+        top = node
+        while parents[top] != 0:
+            top = parents[top]
+        seq_index = parents[1:top].count(0)
+    return VerifyOutcome(
+        accepted=accepted,
+        bonus=int(rng.choice(len(work), p=work)),
+        next_dist=work,
+        accepted_seq_index=seq_index,
+    )
+
+
+def random_dist(rng, vocab):
+    kind = rng.integers(0, 3)
+    if kind == 0:  # one-hot
+        d = np.zeros(vocab)
+        d[rng.integers(0, vocab)] = 1.0
+        return d
+    d = rng.random(vocab)
+    if kind == 1:  # some tokens impossible
+        d[rng.random(vocab) < 0.4] = 0.0
+        if not d.any():
+            d[rng.integers(0, vocab)] = 1.0
+    return d / d.sum()
+
+
+def test_stochastic_matches_sequential_residual_oracle():
+    # vocabs this small make repeated sibling tokens the rule
+    rng = np.random.default_rng(77)
+    for case in range(2000):
+        vocab = int(rng.integers(2, 9))
+        fan = int(rng.integers(0, 61 if case % 4 == 0 else 6))
+        seqs = [
+            rng.integers(0, vocab, size=rng.integers(1, 5)).tolist() for _ in range(fan)
+        ]
+        tree = prepare_attention_inputs(0, 0, seqs)
+        dists = [random_dist(rng, vocab) for _ in range(tree.seq_len)]
+        for r in range(1, tree.seq_len):
+            if rng.random() < 0.3:  # lean the parent towards r so walks go deep
+                p = tree.parents[r]
+                dists[p] = 0.1 * dists[p]
+                dists[p][tree.draft_ids[r]] += 0.9
+        ref_rng = np.random.default_rng(case)
+        new_rng = np.random.default_rng(case)
+        want = reference_verify_stochastic(tree, dists, ref_rng)
+        got = verify_stochastic(tree, dists, new_rng)
+        assert got.accepted == want.accepted, case
+        assert got.bonus == want.bonus, case
+        assert got.accepted_seq_index == want.accepted_seq_index, case
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state, case
+        np.testing.assert_allclose(got.next_dist, want.next_dist, rtol=0, atol=1e-12)
+
+
+class AlmostOneRandom:
+    """random() always returns the largest double below 1; choice draws
+    from a real generator."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+    def choice(self, *args, **kwargs):
+        return self._rng.choice(*args, **kwargs)
+
+
+def test_stochastic_rejection_of_all_mass_keeps_distribution():
+    # d[1] rounds below 1, so u = 1 - 2**-53 rejects token 1 and leaves no
+    # mass: the residual is all zeros and the bonus comes from d itself
+    tree = prepare_attention_inputs(0, 0, [[1]])
+    d = np.array([0.0, 1.0 - 2.0**-52, 0.0, 0.0])
+    out = verify_stochastic(tree, [d, dist(4, t0=1.0)], AlmostOneRandom(0))
+    assert out.accepted == []
+    assert out.bonus == 1
+    assert not np.isnan(out.next_dist).any()
+    np.testing.assert_array_equal(out.next_dist, d)
