@@ -7,6 +7,9 @@ the next token (one match_with_fallback query) and for every candidate
 sequences under a fixed token budget with a rank-tiered per-candidate
 cap. Proposals are produced lazily and assembled by one loop, so
 candidates past an exhausted budget are never speculated or probed.
+
+At temperature 0, a next-token query that hits at its full starting
+length ends the draft, so such steps speculate and probe no candidates.
 """
 
 from __future__ import annotations
@@ -96,6 +99,8 @@ def build_draft(
     next_token: int,
     last_dist: np.ndarray,
     cfg: DraftConfig,
+    *,
+    greedy: bool = False,
 ) -> DraftSet:
     """Assemble the draft set for one decode step.
 
@@ -105,6 +110,10 @@ def build_draft(
     when nothing matches). Accumulation truncates the final sequence to
     the remaining capacity and stops; identical sequences are dropped.
     Candidates past that stop are neither probed nor counted in queries.
+
+    With greedy (temperature-0 decoding), a next-token query that hits
+    at its starting length min(m_start, len(context) + 1) drafts its
+    continuations only: no candidate is speculated, probed or counted.
     """
     draft = DraftSet()
     # queries read at most m_start tokens back, so only the context's
@@ -112,7 +121,7 @@ def build_draft(
     suffix = context[-cfg.m_start :] + [next_token]
     seen: set[tuple[int, ...]] = set()
     total = 0
-    for seq, origin in _proposals(index, suffix, last_dist, cfg, draft):
+    for seq, origin in _proposals(index, suffix, last_dist, cfg, draft, greedy):
         seq = seq[: cfg.capacity - total]
         key = tuple(seq)
         if key in seen:
@@ -132,15 +141,21 @@ def _proposals(
     last_dist: np.ndarray,
     cfg: DraftConfig,
     draft: DraftSet,
+    greedy: bool,
 ) -> Iterator[tuple[list[int], str]]:
     """Yield (sequence, origin) in draft order for suffix (the context
     tail plus the next token), recording each query's bookkeeping in
     draft as it runs."""
-    result, draft.used_m = index.match_with_fallback(suffix, min(cfg.m_start, len(suffix)))
+    m_next = min(cfg.m_start, len(suffix))
+    result, draft.used_m = index.match_with_fallback(suffix, m_next)
     draft.queries += 1
     draft.hits += bool(result)
     for cont in result.continuations:
         yield cont, "next"
+    # a full-length greedy hit rarely loses to a candidate, and greedy
+    # verification emits the same tokens whatever the draft holds
+    if greedy and draft.used_m == m_next:
+        return
 
     candidates = speculate_next_next(last_dist, suffix[-1], cfg.top_k)
     if not candidates:

@@ -15,7 +15,9 @@ Modes:
                   per step, so at most 2 tokens per forward).
   retrieval_only  next-token retrieval sequences only.
   logitspec       retrieval for the next token and for each speculated
-                  next-next candidate.
+                  next-next candidate; at temperature 0 the candidates
+                  are skipped on steps whose next-token query hits at
+                  full length.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ class DecodeConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.last_logit_k < 0:
             raise ValueError(f"last_logit_k must be >= 0, got {self.last_logit_k}")
 
@@ -133,7 +135,9 @@ def _build_step_draft(
             origins=[f"cand:{rank}" for rank in range(len(cands))],
         )
     assert index is not None
-    return build_draft(index, context, pending, last_dist, cfg.draft)
+    return build_draft(
+        index, context, pending, last_dist, cfg.draft, greedy=cfg.temperature == 0
+    )
 
 
 def decode(

@@ -1,7 +1,11 @@
 """Bit-identity gate: every mode's emitted tokens and per-step records on
 the seed-0 corpus hash to digests recorded from the dense-mask
 implementation. Any change to drafting, the tree, the model contract or
-verification (including the order of RNG draws at T=1) shows up here."""
+verification (including the order of RNG draws at T=1) shows up here.
+
+The T=0 logitspec digest was re-recorded when greedy steps whose
+next-token query hits at full length stopped drafting candidates: its
+tokens are unchanged, its draft sizes are not."""
 
 from __future__ import annotations
 
@@ -30,8 +34,8 @@ DIGESTS = {
             "3337da38fd5983953ab0d263e9abf2e8"
         ),
         "logitspec": (
-            "2e6378184b0af08d63229746f858c1c4"
-            "a425d93c9048e73bbd76d1b2c088f47a"
+            "73e064612e77a3c8db2068858044c959"
+            "405303fd64a945abb433087e46b72f8b"
         ),
     },
     (1.0, 0.2): {

@@ -204,6 +204,8 @@ def test_run_unknown_mode_exit_2(tmp_path, bench_files):
         ("--top-k", "-1"),
         ("--max-new-tokens", "0"),
         ("--temperature", "-1"),
+        ("--temperature", "nan"),
+        ("--temperature", "inf"),
         ("--last-logit-k", "-3"),
     ],
     ids=lambda option: " ".join(option),

@@ -144,16 +144,64 @@ def test_build_draft_invariants_fuzz():
         assert len(keys) == len(set(keys))
 
 
+@pytest.mark.parametrize(
+    "context, m_start",
+    [([0, 1, 2, 3, 4, 1, 2], 3), ([2], 3)],
+    ids=["m_start", "short-context"],
+)
+def test_build_draft_greedy_full_length_hit_skips_candidates(context, m_start):
+    # next token 3: the query gram of length min(m_start, len(context) + 1)
+    # is "1 2 3" ("2 3" for the short context), which occurs in the
+    # source, so the first probe hits
+    source = [0, 1, 2, 3, 4, 1, 2]
+    cfg = DraftConfig(top_k=4, capacity=60, m_start=m_start)
+    last_dist = make_dist([3, 5, 6, 7, 4], vocab=8)
+    index = NGramIndex.build(source, m_max=m_start)
+    draft = build_draft(index, context, 3, last_dist, cfg, greedy=True)
+    assert draft.used_m == min(m_start, len(context) + 1)
+    assert draft.sequences and set(draft.origins) == {"next"}
+    assert (draft.queries, draft.hits, index.probe_count) == (1, 1, 1)
+    # the same step drafts candidates when sampling
+    index = NGramIndex.build(source, m_max=m_start)
+    sampled = build_draft(index, context, 3, last_dist, cfg, greedy=False)
+    assert sampled.sequences[: len(draft.sequences)] == draft.sequences
+    assert sampled.queries == 1 + cfg.top_k
+    assert index.probe_count > 1
+
+
+@pytest.mark.parametrize(
+    "next_token, used_m",
+    [(3, 2), (5, 0)],
+    ids=["fallback-hit", "miss"],
+)
+def test_build_draft_greedy_without_full_length_hit_drafts_candidates(next_token, used_m):
+    # context ends "9 2": "9 2 3" never occurs but "2 3" does (a
+    # shorter hit); 5 never occurs at all (a miss)
+    source = [0, 1, 2, 3, 4, 9, 2]
+    cfg = DraftConfig(top_k=4, capacity=60, m_start=3)
+    last_dist = make_dist([next_token, 1, 6, 7, 4], vocab=10)
+    drafts, probes = [], []
+    for greedy in (True, False):
+        index = NGramIndex.build(source, m_max=3)
+        drafts.append(build_draft(index, source, next_token, last_dist, cfg, greedy=greedy))
+        probes.append(index.probe_count)
+    assert drafts[0].used_m == used_m
+    assert drafts[0] == drafts[1]
+    assert drafts[0].queries == 1 + cfg.top_k
+    assert probes[0] == probes[1]
+
+
 def test_speculate_returns_at_most_k():
     dist = np.full(4, 0.25)
     assert len(speculate_next_next(dist, 1, 10)) <= 10
     assert all(t != 1 for t in speculate_next_next(dist, 1, 10))
 
 
-def naive_build_draft(source, context, next_token, last_dist, cfg, value_len):
+def naive_build_draft(source, context, next_token, last_dist, cfg, value_len, greedy):
     """Reference drafter: every query runs naive_fallback over the whole
     context, one candidate at a time, with the documented assembly rules
-    (capacity truncation, content dedup, stop at a full budget). Probes
+    (capacity truncation, content dedup, stop at a full budget) and the
+    greedy rule (a next-token hit at full length ends the draft). Probes
     count one index lookup per gram length tried."""
     suffix = list(context) + [next_token]
     sequences, origins, seen = [], [], set()
@@ -181,10 +229,13 @@ def naive_build_draft(source, context, next_token, last_dist, cfg, value_len):
         return sequences, origins, counts["queries"], counts["hits"], used_m, counts["probes"]
 
     # up to 2 next-token continuations: match_with_fallback's default
-    conts, used_m = query(suffix, min(cfg.m_start, len(suffix)), 1, 2)
+    m_next = min(cfg.m_start, len(suffix))
+    conts, used_m = query(suffix, m_next, 1, 2)
     for cont in conts:
         if not add(cont, "next"):
             return result(used_m)
+    if greedy and used_m == m_next:
+        return result(used_m)
     for rank, cand in enumerate(speculate_next_next(last_dist, next_token, cfg.top_k)):
         m_start = min(cfg.m_start, len(suffix) + 1)
         conts, _ = query(suffix + [cand], m_start, min(CANDIDATE_MIN_M, m_start), 1)
@@ -212,9 +263,12 @@ def test_build_draft_equals_per_candidate_reference_random():
         index = NGramIndex.build(source, m_max=cfg.m_start, value_len=value_len)
         last_dist = rng.random(vocab + 2)
         last_dist /= last_dist.sum()
+        greedy = bool(rng.integers(0, 2))
 
-        draft = build_draft(index, context, next_token, last_dist, cfg)
-        want = naive_build_draft(source, context, next_token, last_dist, cfg, value_len)
+        draft = build_draft(index, context, next_token, last_dist, cfg, greedy=greedy)
+        want = naive_build_draft(
+            source, context, next_token, last_dist, cfg, value_len, greedy
+        )
         assert (
             draft.sequences, draft.origins, draft.queries, draft.hits, draft.used_m,
             index.probe_count,

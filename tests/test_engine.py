@@ -268,4 +268,7 @@ def test_decode_rejects_bad_inputs():
         DecodeConfig(mode="nope")
     with pytest.raises(ValueError):
         DecodeConfig(last_logit_k=-1)
+    for temperature in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            DecodeConfig(temperature=temperature)
     assert DecodeConfig(last_logit_k=0).last_logit_k == 0

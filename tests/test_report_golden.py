@@ -14,8 +14,8 @@ from logitspec.cli import main
 # case -> (report sha256, --dump-tree stdout sha256)
 GOLDEN = {
     "T0-all-modes-compare": (
-        "5a0301482c1d46ba4c43a3ec70d4c0dc6e5c78fe553cbee3f0759fe1ed63e867",
-        "cd2c3035432595f90f37279170507500501c6b710c8f02c6880a7d5c96c49253",
+        "cfbcb6340a40b1396a8053445a9e41446c60320f6a973c47f745b9f6a387058f",
+        "1563f70dce0edce22f5f275a963f86511165941bd7d4ca82cb3d4d38af77f9d9",
     ),
     "T1-logitspec-last_logit": (
         "d0a1ff7d4aab9ff1d3c704fe3e5a455afb1c7524fe486f17342a6ef7ee352277",
