@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--compare",
         action="store_true",
-        help="assert each mode's output matches autoregressive decoding",
+        help="assert each mode's tokens equal autoregressive decoding's (any temperature)",
     )
     run.add_argument(
         "--dump-tree",

@@ -64,10 +64,6 @@ class DraftSet:
     hits: int = 0
     used_m: int = 0
 
-    @property
-    def total_tokens(self) -> int:
-        return sum(len(s) for s in self.sequences)
-
 
 def speculate_next_next(last_dist: np.ndarray, next_token: int, k: int) -> list[int]:
     """Top-k tokens of the last logit excluding the next token, in

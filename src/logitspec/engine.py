@@ -8,6 +8,12 @@ token / last logit. Committing appends to the model state's tokens, the
 decode's one token history: the tree pass already evaluated them, so the
 model runs once per step after the prefill.
 
+Every emitted token is one draw on the target model's dist at its
+context: argmax at temperature 0, `models.sample` at the configured
+temperature otherwise, the prefill's pending token included. Drafts
+only decide how many of those draws one forward call serves, so for a
+seed every mode emits exactly the autoregressive tokens.
+
 Modes:
   autoregressive  no drafts; one token per forward (the baseline).
   last_logit      top-k last-logit entries as single-token sibling
@@ -148,8 +154,9 @@ def decode(
 ) -> DecodeResult:
     """Generate up to max_new_tokens after prompt, stopping at eos.
 
-    Identical (model, prompt, cfg) always produces an identical result;
-    at temperature 0 every mode reproduces plain argmax decoding exactly.
+    Identical (model, prompt, cfg) always produces an identical result,
+    and every mode emits the tokens of mode autoregressive with the same
+    temperature and seed.
     """
     if not prompt:
         raise ValueError("prompt must be non-empty")
@@ -177,7 +184,7 @@ def decode(
         if cfg.temperature == 0:
             outcome = verify_greedy(tree, dists)
         else:
-            outcome = verify_stochastic(tree, dists, rng)
+            outcome = verify_stochastic(tree, dists, rng, cfg.temperature)
 
         emitted = [pending] + outcome.accepted
         emitted = emitted[: end - len(state)]

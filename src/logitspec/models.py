@@ -11,6 +11,7 @@ tests.
 from __future__ import annotations
 
 import collections
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,13 +71,12 @@ class ModelState:
 class Model:
     """Base class for target models.
 
-    Subclasses implement `context_dist`; `forward`, `forward_tree` and
-    `rollback` are derived from it, and `forward_tree` follows the draft
-    tree's parent array. A backend that evaluates the tree with tree
-    attention overrides `forward_tree` and reads `tree.mask` and
-    `tree.position_ids` instead. The decode engine never calls
-    `rollback`. Models are immutable after construction and shareable
-    across sessions.
+    Subclasses implement `context_dist`; `forward` and `forward_tree` are
+    derived from it, and `forward_tree` follows the draft tree's parent
+    array. A backend that evaluates the tree with tree attention
+    overrides `forward_tree` and reads `tree.mask` and
+    `tree.position_ids` instead. Models are immutable after construction
+    and shareable across sessions.
     """
 
     vocab: VocabSpec
@@ -141,15 +141,6 @@ class Model:
                 raise TreeStructureError(f"row {r} has parent {p}, not an earlier row")
             contexts.append(contexts[p] + (ids[r],))
         return [self.context_dist(ctx) for ctx in contexts]
-
-    def rollback(self, state: ModelState, keep_len: int) -> ModelState:
-        """Truncate the committed prefix to keep_len tokens."""
-        if keep_len > len(state.committed):
-            raise ValueError(
-                f"keep_len {keep_len} > committed length {len(state.committed)}"
-            )
-        state.committed = state.committed[:keep_len]
-        return state
 
 
 class MarkovTableModel(Model):
@@ -226,13 +217,16 @@ class ScriptedModel(Model):
 
 def sample(dist: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
     """Sample a token id. Temperature 0 is argmax with lowest-id
-    tie-break; temperature 1 is an exact categorical draw."""
-    if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    tie-break; temperature 1 is an exact categorical draw from dist.
+    Other temperatures draw from dist ** (1 / temperature), renormalized;
+    dist is scaled by its maximum first, so the tempered sum is at least
+    1 and cannot underflow to 0."""
+    if not 0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if temperature == 0:
         return int(np.argmax(dist))
     if temperature != 1.0:
-        scaled = np.power(dist, 1.0 / temperature)
+        scaled = np.power(dist / dist.max(), 1.0 / temperature)
         scaled /= scaled.sum()
     else:
         scaled = dist

@@ -1,23 +1,32 @@
-"""Draft-tree verification: greedy longest-prefix and lossless stochastic.
+"""Draft-tree verification: one walk for every temperature.
 
-Retrieval drafts are deterministic proposals (one-hot q), so the
-stochastic acceptance rule reduces to accepting token x with probability
-p[x] and, on rejection, zeroing x out of p and renormalizing. Applying
-that rule to the children of the current row in row order, and moving
-down into the first accepted child, preserves the target distribution
-exactly. The renormalized distribution is never needed to test a child:
-accepting x with probability p[x] / (unrejected mass) is the same rule,
-so the stochastic walk keeps only that mass and the rejected tokens, and
-builds one residual for the bonus. Both verifiers walk the tree's parent
-array once, in row order.
+Retrieval drafts are deterministic proposals (one-hot q), so speculative
+sampling reduces to drawing the target's own token and checking whether
+the draft carries it (Leviathan et al. 2023). The walk keeps the live
+rows: the rows whose token path equals the emitted tokens so far, the
+root at first. At each depth it draws one token x from the dist of the
+lowest live row; the live rows of the next depth are every child of a
+live row whose token is x. When no child carries x, x is the bonus and
+that dist is the next step's last logit.
+
+Rows with the same token path share a context, so their dists are equal
+and one draw serves them all; keeping every such row live accepts the
+deepest matching path, ties going to the lowest row. Per row, the rule
+accepts the target mass of the distinct child tokens, the most any valid
+rule can accept (SpecTr, Sun et al. 2023). Greedy verification draws the
+argmax; stochastic verification draws with `models.sample`, so every
+emitted token is one `sample` call on the same dist autoregressive
+decoding would draw from, and a seed gives the same tokens in every mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
+from .models import sample
 from .tree import DraftTree
 
 __all__ = [
@@ -38,7 +47,6 @@ class VerifyOutcome:
     accepted: list[int]
     bonus: int
     next_dist: np.ndarray
-    accepted_seq_index: int | None = None
 
 
 def acceptance_prob(p: np.ndarray, q: np.ndarray, x: int) -> float:
@@ -61,112 +69,36 @@ def residual(p: np.ndarray, q: np.ndarray) -> np.ndarray | None:
     return r / total
 
 
-def _sequence_index(parents: list[int], row: int) -> int | None:
-    """Index, among the root's children, of the one above row (None for
-    the root itself)."""
-    if row == 0:
-        return None
-    while parents[row] != 0:
-        row = parents[row]
-    return parents[1:row].count(0)
+def _walk(
+    tree: DraftTree, dists: list[np.ndarray], draw: Callable[[np.ndarray], int]
+) -> VerifyOutcome:
+    parents = tree.parents
+    ids = tree.draft_ids
+    live = [0]
+    accepted = []
+    while True:
+        d = dists[live[0]]
+        x = draw(d)
+        # a child is a later row than its parent, so the scan starts
+        # after the lowest live row and yields the next live rows in order
+        live = [
+            r for r in range(live[0] + 1, len(ids)) if ids[r] == x and parents[r] in live
+        ]
+        if not live:
+            return VerifyOutcome(accepted=accepted, bonus=x, next_dist=d)
+        accepted.append(x)
 
 
 def verify_greedy(tree: DraftTree, dists: list[np.ndarray]) -> VerifyOutcome:
-    """Accept the longest draft path matching the argmax chain.
-
-    One pass over the parent array in row order: a row is accepted when
-    its parent was and its token is the parent's argmax. Each argmax is
-    computed once, and only for rows whose children are examined. The
-    deepest accepted row wins, ties going to the lowest row (the earliest
-    sequence); total rejection still emits the argmax after the pending
-    token as bonus.
-    """
-    parents = tree.parents
-    ids = tree.draft_ids
-    depth = {0: 0}  # accepted row -> depth
-    argmax: dict[int, int] = {}
-    best = 0
-    for r in range(1, len(parents)):
-        p = parents[r]
-        if p not in depth:
-            continue
-        g = argmax.get(p)
-        if g is None:
-            g = argmax[p] = int(dists[p].argmax())
-        if ids[r] != g:
-            continue
-        depth[r] = depth[p] + 1
-        if depth[r] > depth[best]:
-            best = r
-    bonus = argmax.get(best)
-    if bonus is None:
-        bonus = int(dists[best].argmax())
-    accepted = []
-    r = best
-    while r > 0:
-        accepted.append(ids[r])
-        r = parents[r]
-    accepted.reverse()
-    return VerifyOutcome(
-        accepted=accepted,
-        bonus=bonus,
-        next_dist=dists[best],
-        accepted_seq_index=_sequence_index(parents, best),
-    )
+    """Accept the longest draft path matching the argmax chain."""
+    return _walk(tree, dists, lambda d: int(d.argmax()))
 
 
 def verify_stochastic(
-    tree: DraftTree, dists: list[np.ndarray], rng: np.random.Generator
+    tree: DraftTree,
+    dists: list[np.ndarray],
+    rng: np.random.Generator,
+    temperature: float = 1.0,
 ) -> VerifyOutcome:
-    """Lossless stochastic verification over one-hot draft proposals.
-
-    One pass over the parent array in row order. The walk sits at the
-    last accepted row (the root at first), whose dist d it never copies,
-    and keeps the mass of d not yet rejected there (1 on arrival) and the
-    rejected tokens. Each child of that row, in row order, draws one
-    uniform u and is accepted iff u * remaining < d[x], moving the walk to
-    the child; a token already rejected at this row has mass 0. On
-    rejection remaining drops by d[x]. The bonus is sampled from the
-    residual of d at the row the walk ends at: d with the rejected tokens
-    zeroed and renormalized, built once, or d itself when nothing was
-    rejected or the residual is empty.
-    """
-    parents = tree.parents
-    ids = tree.draft_ids
-    node = 0
-    d = dists[0]
-    remaining = 1.0
-    rejected: list[int] = []
-    accepted = []
-    for r in range(1, len(parents)):
-        if parents[r] != node:
-            continue
-        tok = ids[r]
-        u = rng.random()
-        if tok in rejected:
-            continue
-        p = d.item(tok)
-        if u * remaining < p:
-            accepted.append(tok)
-            node = r
-            d = dists[r]
-            remaining = 1.0
-            rejected = []
-            continue
-        remaining -= p
-        rejected.append(tok)
-    if rejected:
-        res = d.copy()
-        for x in rejected:  # scalar stores beat fancy indexing at these sizes
-            res[x] = 0.0
-        total = res.sum()
-        # decided on the built sum: rounding can leave remaining a tiny
-        # positive number when every token with mass was rejected
-        if total > 0:
-            d = res / total
-    return VerifyOutcome(
-        accepted=accepted,
-        bonus=int(rng.choice(len(d), p=d)),
-        next_dist=d,
-        accepted_seq_index=_sequence_index(parents, node),
-    )
+    """Lossless verification of one-hot drafts at a sampling temperature."""
+    return _walk(tree, dists, lambda d: sample(d, temperature, rng))

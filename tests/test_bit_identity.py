@@ -5,15 +5,22 @@ verification (including the order of RNG draws at T=1) shows up here.
 
 The T=0 logitspec digest was re-recorded when greedy steps whose
 next-token query hits at full length stopped drafting candidates: its
-tokens are unchanged, its draft sizes are not."""
+tokens are unchanged, its draft sizes are not.
+
+The three speculative T=1 digests were re-recorded when stochastic
+verification became one `sample` draw per emitted token: every mode now
+emits autoregressive's tokens for a seed, so their tokens, accepted
+lengths and next-next ranks moved. The autoregressive T=1 digest did not
+(its one-row tree made one `rng.choice` per token before and after)."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import pytest
 
-from logitspec import DecodeConfig, MarkovTableModel, VocabSpec, decode
+from logitspec import DecodeConfig, DecodeResult, MarkovTableModel, VocabSpec, decode
 from logitspec.cli import prompt_seed
 from logitspec.corpus import gen_corpus
 from logitspec.engine import MODES
@@ -44,36 +51,46 @@ DIGESTS = {
             "ea2ed9a6b2d64163bfb4b0ef68576991"
         ),
         "last_logit": (
-            "3dc716fd6f927171f808abfe1cfaf065"
-            "81a4c77baac15fd939cc2acd71243a35"
+            "54b18c925d6a33297942b7da6011394b"
+            "ef927002567556e49299f180260453f7"
         ),
         "retrieval_only": (
-            "65e7036a4ffb331e82aab01fd3f41cef"
-            "fe7d1a76bada94c969e463e2b737916d"
+            "0a224fb1486fd268a6ee7eb0c032cb3f"
+            "5636fdcc8e6a9906ddce1d86d2a335f7"
         ),
         "logitspec": (
-            "bbd522cdddb7889364f18d6a5b8ebeff"
-            "528bf6f5d47c194719bf8f9ecf0f7497"
+            "42f8d7b133fde71bbfc137238299374a"
+            "0ad584e7869d7c9a8c998896fbe9a8a9"
         ),
     },
 }
 
 
-def decode_digest(temperature: float, repetitiveness: float, mode: str) -> str:
+@functools.cache
+def decode_corpus(temperature: float, repetitiveness: float, mode: str) -> list[DecodeResult]:
     corpus = gen_corpus(
         seed=0, vocab_size=64, count=40, length=32, repetitiveness=repetitiveness
     )
     model = MarkovTableModel(VocabSpec(64, 63), order=2, alpha=0.1, seed=0)
     model.train(corpus.sequences)
-    h = hashlib.sha256()
-    for i, prompt in enumerate(corpus.sequences):
-        cfg = DecodeConfig(
-            mode=mode,
-            max_new_tokens=128,
-            temperature=temperature,
-            seed=prompt_seed(0, i),
+    return [
+        decode(
+            model,
+            prompt,
+            DecodeConfig(
+                mode=mode,
+                max_new_tokens=128,
+                temperature=temperature,
+                seed=prompt_seed(0, i),
+            ),
         )
-        result = decode(model, prompt, cfg)
+        for i, prompt in enumerate(corpus.sequences)
+    ]
+
+
+def decode_digest(temperature: float, repetitiveness: float, mode: str) -> str:
+    h = hashlib.sha256()
+    for i, result in enumerate(decode_corpus(temperature, repetitiveness, mode)):
         h.update(f"prompt {i} tokens {result.tokens}\n".encode())
         for rec in result.step_records:
             h.update(
@@ -87,3 +104,13 @@ def decode_digest(temperature: float, repetitiveness: float, mode: str) -> str:
 def test_decode_bit_identical_to_reference(setting, mode):
     temperature, repetitiveness = setting
     assert decode_digest(temperature, repetitiveness, mode) == DIGESTS[setting][mode]
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0], ids=lambda t: f"T{t:g}")
+@pytest.mark.parametrize("mode", [m for m in MODES if m != "autoregressive"])
+def test_sampled_tokens_equal_autoregressive(temperature, mode):
+    # every emitted token is one draw on the dist autoregressive decoding
+    # draws it from, so a seed gives the same tokens in every mode
+    reference = decode_corpus(temperature, 0.7, "autoregressive")
+    for i, result in enumerate(decode_corpus(temperature, 0.7, mode)):
+        assert result.tokens == reference[i].tokens, i

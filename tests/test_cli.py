@@ -85,6 +85,28 @@ def test_run_compare_lossless(tmp_path, bench_files):
         assert report["modes"][mode]["losslessness"] == {"checked": True, "mismatches": 0}
 
 
+def test_run_compare_sampled_all_modes(tmp_path, bench_files):
+    # a seed gives every mode autoregressive's tokens at T > 0 too
+    model, corpus = bench_files
+    code, out = run_report(
+        tmp_path, model, corpus,
+        "--mode", "logitspec,retrieval_only,last_logit,autoregressive",
+        "--compare", "--temperature", "1",
+    )
+    assert code == 0
+    report = json.loads(out.read_text())
+    for mode in ("logitspec", "retrieval_only", "last_logit", "autoregressive"):
+        assert report["modes"][mode]["losslessness"] == {"checked": True, "mismatches": 0}
+
+
+def test_run_tiny_temperature(tmp_path, bench_files):
+    # tempering at T = 0.002 raises every probability to the power 500
+    model, corpus = bench_files
+    code, out = run_report(tmp_path, model, corpus, "--mode", "logitspec", "--temperature", "0.002")
+    assert code == 0
+    assert json.loads(out.read_text())["modes"]["logitspec"]["tokens"] > 0
+
+
 def test_run_report_byte_identical(tmp_path, bench_files):
     model, corpus = bench_files
     _, out1 = run_report(tmp_path, model, corpus, "--mode", "logitspec")

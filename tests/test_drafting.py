@@ -85,7 +85,7 @@ def test_build_draft_capacity_truncates():
     index = NGramIndex.build(source, m_max=3, value_len=8)
     cfg = DraftConfig(top_k=4, capacity=3, m_start=2)
     draft = build_draft(index, source[:-1], 2, make_dist([2, 5], vocab=16), cfg)
-    assert draft.total_tokens <= 3
+    assert sum(map(len, draft.sequences)) <= 3
     assert draft.sequences[0] == [3, 4, 5]
 
 
@@ -120,7 +120,7 @@ def test_build_draft_invariants_fuzz():
         dist /= dist.sum()
         draft = build_draft(index, source, next_token, dist, cfg)
 
-        assert draft.total_tokens <= cfg.capacity
+        assert sum(map(len, draft.sequences)) <= cfg.capacity
         assert all(draft.sequences)
         # next-token sequences precede candidates; candidate ranks
         # non-decreasing; candidate sequences start with their candidate

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from logitspec import DecodeConfig, MarkovTableModel, VocabSpec, decode
+from logitspec import DecodeConfig, MarkovTableModel, ScriptedModel, VocabSpec, decode
 from logitspec.corpus import gen_corpus
 from logitspec.engine import MODES, PHASES, rank_cdf
 from logitspec.models import Model
@@ -244,6 +246,45 @@ def test_stochastic_first_token_marginal():
         counts[out.tokens[0]] += 1
     tv = 0.5 * np.abs(counts / n - d).sum()
     assert tv <= 0.02
+
+
+# a repeating prompt, so retrieval drafts continue the 0 1 2 cycle
+TINY_PROMPT = (0, 1, 2, 0, 1, 2, 0, 1)
+
+
+def tiny_scripted_model() -> ScriptedModel:
+    """Vocab 4 with eos 3 unreachable; a random dist over 0..2 for every
+    context of up to 2 tokens after TINY_PROMPT."""
+    rng = np.random.default_rng(31)
+    table = {
+        TINY_PROMPT + prefix: np.append(rng.dirichlet(np.ones(3)), 0.0)
+        for n in range(3)
+        for prefix in itertools.product(range(3), repeat=n)
+    }
+    return ScriptedModel(VocabSpec(4, 3), table, np.array([0.5, 0.3, 0.2, 0.0]))
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("mode", MODES)
+def test_first_three_tokens_follow_tempered_joint(mode, temperature):
+    # the exact joint of the first 3 tokens: each token drawn from its
+    # context's dist ** (1 / temperature), renormalized
+    model = tiny_scripted_model()
+    sequences = list(itertools.product(range(3), repeat=3))
+    target = np.ones(len(sequences))
+    for i, seq in enumerate(sequences):
+        for k, tok in enumerate(seq):
+            d = model.table[TINY_PROMPT + seq[:k]] ** (1.0 / temperature)
+            target[i] *= d[tok] / d.sum()
+    n = 1000
+    counts = np.zeros(len(sequences))
+    for seed in range(n):
+        cfg = DecodeConfig(mode=mode, max_new_tokens=3, temperature=temperature, seed=seed)
+        counts[sequences.index(tuple(decode(model, list(TINY_PROMPT), cfg).tokens))] += 1
+    # sampling noise alone gives an expected TV of 0.04-0.06 at n = 1000;
+    # drawing any token from an untempered dist gives about 0.15 or more
+    tv = 0.5 * np.abs(counts / n - target).sum()
+    assert tv <= 0.1, tv
 
 
 def test_eos_truncates_accepted_span():

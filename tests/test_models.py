@@ -169,47 +169,6 @@ def test_forward_tree_rejects_malformed_parents(small_markov):
         small_markov.forward_tree(state, tree)
 
 
-def test_rollback_noop_and_range(small_markov):
-    state = small_markov.new_state()
-    small_markov.forward(state, [1, 2, 3])
-    small_markov.rollback(state, 3)
-    assert state.committed == [1, 2, 3]
-    with pytest.raises(ValueError):
-        small_markov.rollback(state, 4)
-
-
-def test_rollback_replay_equivalence(small_markov):
-    state = small_markov.new_state()
-    small_markov.forward(state, [1, 2, 3])  # A B C
-    small_markov.rollback(state, 1)
-    d1 = small_markov.forward(state, [2])
-    fresh = small_markov.new_state()
-    small_markov.forward(fresh, [1])
-    d2 = small_markov.forward(fresh, [2])
-    np.testing.assert_array_equal(d1[0], d2[0])
-
-
-def test_rollback_random_interleavings_vs_replay_oracle(small_markov):
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        state = small_markov.new_state()
-        oracle: list[int] = []
-        for _ in range(rng.integers(2, 8)):
-            if oracle and rng.random() < 0.4:
-                keep = int(rng.integers(0, len(oracle) + 1))
-                small_markov.rollback(state, keep)
-                oracle = oracle[:keep]
-            else:
-                toks = rng.integers(0, 8, size=rng.integers(1, 4)).tolist()
-                dists = small_markov.forward(state, toks)
-                oracle.extend(toks)
-                fresh = small_markov.new_state()
-                replay = small_markov.forward(fresh, oracle)
-                for a, b in zip(dists, replay[-len(toks) :]):
-                    np.testing.assert_array_equal(a, b)
-        assert state.committed == oracle
-
-
 def test_sample_argmax_tie_break_lowest_id():
     rng = np.random.default_rng(0)
     assert sample(np.array([0.5, 0.5]), 0.0, rng) == 0
@@ -228,6 +187,43 @@ def test_sample_categorical_frequencies():
     draws = np.array([sample(d, 1.0, rng) for _ in range(100_000)])
     assert np.mean(draws == 0) == pytest.approx(0.3, abs=0.01)
     assert np.mean(draws == 1) == pytest.approx(0.7, abs=0.01)
+
+
+def test_sample_temperature_one_is_a_plain_choice():
+    # no tempering at T=1: the draw is rng.choice on dist itself
+    d = np.random.default_rng(3).random(64)
+    d /= d.sum()
+    for seed in range(20):
+        want = np.random.default_rng(seed).choice(64, p=d)
+        assert sample(d, 1.0, np.random.default_rng(seed)) == want
+
+
+@pytest.mark.parametrize("temperature", [0.5, 2.0])
+def test_sample_tempered_frequencies(temperature):
+    rng = np.random.default_rng(8)
+    d = np.array([0.6, 0.3, 0.1, 0.0])
+    target = d ** (1.0 / temperature)
+    target /= target.sum()
+    n = 50_000
+    counts = np.bincount([sample(d, temperature, rng) for _ in range(n)], minlength=4)
+    assert counts[3] == 0
+    np.testing.assert_allclose(counts / n, target, atol=0.01)
+
+
+def test_sample_tiny_temperature_does_not_underflow():
+    # every p ** 1000 underflows to 0 unless dist is scaled by its max first
+    rng = np.random.default_rng(0)
+    uniform = np.full(64, 1.0 / 64)
+    draws = {sample(uniform, 0.001, rng) for _ in range(500)}
+    assert draws <= set(range(64)) and len(draws) > 32
+    peaked = np.array([0.2, 0.5, 0.3])
+    assert all(sample(peaked, 0.002, rng) == 1 for _ in range(50))
+
+
+@pytest.mark.parametrize("temperature", [-1.0, float("nan"), float("inf")])
+def test_sample_rejects_bad_temperature(temperature):
+    with pytest.raises(ValueError):
+        sample(np.array([0.0, 1.0, 0.0, 0.0]), temperature, np.random.default_rng(0))
 
 
 def test_model_file_round_trip(tmp_path, small_markov):

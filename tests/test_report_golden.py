@@ -1,7 +1,12 @@
 """Golden digests of `run` output: the report JSON bytes and the
 `--dump-tree` text. A refactor of the engine's metrics or of the report
 must leave both unchanged. Paths are relative (the report embeds the
-model and corpus paths), so each case runs in its own directory."""
+model and corpus paths), so each case runs in its own directory.
+
+The T1 report digest was re-recorded when stochastic verification became
+one `sample` draw per emitted token: both modes now emit
+autoregressive's tokens (140 per mode instead of 175 and 163), so their
+rows and aggregates moved. Its first tree, and so the dump, did not."""
 
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ GOLDEN = {
         "1563f70dce0edce22f5f275a963f86511165941bd7d4ca82cb3d4d38af77f9d9",
     ),
     "T1-logitspec-last_logit": (
-        "d0a1ff7d4aab9ff1d3c704fe3e5a455afb1c7524fe486f17342a6ef7ee352277",
+        "e69f0346aed10d060d370b4d81c5c4408448a04dbe96d03269e7e293ac751c8f",
         "cd2c3035432595f90f37279170507500501c6b710c8f02c6880a7d5c96c49253",
     ),
 }

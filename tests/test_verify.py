@@ -9,6 +9,7 @@ from logitspec import (
     acceptance_prob,
     prepare_attention_inputs,
     residual,
+    sample,
     verify_greedy,
     verify_stochastic,
 )
@@ -65,7 +66,6 @@ def test_greedy_full_linear_acceptance():
     out = verify_greedy(tree, dists)
     assert out.accepted == [a, b]
     assert out.bonus == c
-    assert out.accepted_seq_index == 0
 
 
 def test_greedy_sibling_selection():
@@ -73,7 +73,6 @@ def test_greedy_sibling_selection():
     dists = [dist(4, t2=1.0), dist(4, t3=1.0), dist(4, t1=1.0)]
     out = verify_greedy(tree, dists)
     assert out.accepted == [2]
-    assert out.accepted_seq_index == 1
     assert out.bonus == 1  # argmax after the accepted sibling
 
 
@@ -92,7 +91,6 @@ def test_greedy_longest_path_over_first_matching_sibling():
     out = verify_greedy(tree, make_dists(tree, table))
     assert out.accepted == [1, 3, 2]
     assert out.bonus == 0
-    assert out.accepted_seq_index == 1
 
 
 def test_greedy_total_rejection_still_emits():
@@ -170,38 +168,24 @@ def test_stochastic_emits_at_least_one_token():
         assert out.next_dist.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-def reference_verify_stochastic(tree, dists, rng):
-    """The sequential-residual walk: after each rejected child, the working
-    distribution becomes the renormalized residual, a full-vocab array."""
-    parents = tree.parents
-    ids = tree.draft_ids
-    node = 0
-    work = dists[0]
+def reference_verify(tree, dists, temperature, rng):
+    """Walk the token paths: draw from the dist of the lowest row whose
+    path is the emitted prefix, and continue while some row's path
+    extends the prefix by the drawn token."""
+    lowest_row = {}
+    paths = [()]
+    for r in range(1, tree.seq_len):
+        paths.append(paths[tree.parents[r]] + (tree.draft_ids[r],))
+        lowest_row.setdefault(paths[r], r)
+    row = 0
     accepted = []
-    for r in range(1, len(parents)):
-        if parents[r] != node:
-            continue
-        tok = ids[r]
-        if rng.random() < work[tok]:
-            accepted.append(tok)
-            node = r
-            work = dists[r]
-            continue
-        res = residual(work, np.eye(len(work))[tok])
-        if res is not None:  # None: work is one-hot at tok; keep it
-            work = res
-    seq_index = None
-    if node:
-        top = node
-        while parents[top] != 0:
-            top = parents[top]
-        seq_index = parents[1:top].count(0)
-    return VerifyOutcome(
-        accepted=accepted,
-        bonus=int(rng.choice(len(work), p=work)),
-        next_dist=work,
-        accepted_seq_index=seq_index,
-    )
+    while True:
+        x = sample(dists[row], temperature, rng)
+        child = lowest_row.get(paths[row] + (x,))
+        if child is None:
+            return VerifyOutcome(accepted=accepted, bonus=x, next_dist=dists[row])
+        accepted.append(x)
+        row = child
 
 
 def random_dist(rng, vocab):
@@ -218,7 +202,7 @@ def random_dist(rng, vocab):
     return d / d.sum()
 
 
-def test_stochastic_matches_sequential_residual_oracle():
+def test_verify_matches_token_path_oracle():
     # vocabs this small make repeated sibling tokens the rule
     rng = np.random.default_rng(77)
     for case in range(2000):
@@ -234,38 +218,15 @@ def test_stochastic_matches_sequential_residual_oracle():
                 p = tree.parents[r]
                 dists[p] = 0.1 * dists[p]
                 dists[p][tree.draft_ids[r]] += 0.9
+        temperature = [0.0, 0.5, 1.0, 2.0][case // 4 % 4]
         ref_rng = np.random.default_rng(case)
         new_rng = np.random.default_rng(case)
-        want = reference_verify_stochastic(tree, dists, ref_rng)
-        got = verify_stochastic(tree, dists, new_rng)
+        want = reference_verify(tree, dists, temperature, ref_rng)
+        if temperature == 0:
+            got = verify_greedy(tree, dists)
+        else:
+            got = verify_stochastic(tree, dists, new_rng, temperature)
         assert got.accepted == want.accepted, case
         assert got.bonus == want.bonus, case
-        assert got.accepted_seq_index == want.accepted_seq_index, case
+        assert got.next_dist is want.next_dist, case
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state, case
-        np.testing.assert_allclose(got.next_dist, want.next_dist, rtol=0, atol=1e-12)
-
-
-class AlmostOneRandom:
-    """random() always returns the largest double below 1; choice draws
-    from a real generator."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def random(self):
-        return 1.0 - 2.0**-53
-
-    def choice(self, *args, **kwargs):
-        return self._rng.choice(*args, **kwargs)
-
-
-def test_stochastic_rejection_of_all_mass_keeps_distribution():
-    # d[1] rounds below 1, so u = 1 - 2**-53 rejects token 1 and leaves no
-    # mass: the residual is all zeros and the bonus comes from d itself
-    tree = prepare_attention_inputs(0, 0, [[1]])
-    d = np.array([0.0, 1.0 - 2.0**-52, 0.0, 0.0])
-    out = verify_stochastic(tree, [d, dist(4, t0=1.0)], AlmostOneRandom(0))
-    assert out.accepted == []
-    assert out.bonus == 1
-    assert not np.isnan(out.next_dist).any()
-    np.testing.assert_array_equal(out.next_dist, d)
