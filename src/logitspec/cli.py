@@ -6,8 +6,9 @@ Subcommands:
   gen-model    train a Markov model on a corpus and write the model file
   check-report verify that a report's aggregates match its per-prompt rows
 
-Exit codes for run: 0 success, 2 input parse failure, empty corpus, no
-mode or out-of-range option, 3 losslessness mismatch under --compare.
+Exit codes for run, gen-corpus and gen-model: 0 success, 2 bad input
+(unreadable or invalid file, empty corpus, token outside the vocab, no
+mode or out-of-range option), 3 losslessness mismatch under run --compare.
 check-report: 0 consistent, 1 mismatch, 2 unreadable or malformed report.
 Any command: 141 when stdout closes early (e.g. piped into head).
 """
@@ -24,7 +25,7 @@ from . import __version__
 from .corpus import gen_corpus, load_corpus, save_corpus
 from .drafting import DraftConfig
 from .engine import MODES, PHASES, DecodeConfig, DecodeResult, decode, rank_cdf
-from .models import MarkovTableModel, load_model_file, save_model_file
+from .models import MarkovTableModel, VocabSpec, load_model_file, save_model_file
 from .ngram_index import NGramIndex
 from .tree import DraftTree, format_tree
 
@@ -34,6 +35,12 @@ PROMPT_SEED_STRIDE = 1_000_003
 
 def prompt_seed(base_seed: int, prompt_index: int) -> int:
     return base_seed * PROMPT_SEED_STRIDE + prompt_index
+
+
+def _bad_input(message: str) -> int:
+    """Report bad input on stderr and give its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,24 +135,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         model = load_model_file(args.model)
         corpus = load_corpus(args.corpus)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _bad_input(str(exc))
     if not corpus.sequences:
-        print(f"error: corpus {args.corpus} has no prompts", file=sys.stderr)
-        return 2
+        return _bad_input(f"corpus {args.corpus} has no prompts")
     modes = [m.strip() for m in args.mode.split(",") if m.strip()]
     if not modes:
-        print(f"error: --mode {args.mode!r} names no mode", file=sys.stderr)
-        return 2
+        return _bad_input(f"--mode {args.mode!r} names no mode")
     for mode in modes:
         if mode not in MODES:
-            print(f"error: unknown mode {mode!r}", file=sys.stderr)
-            return 2
+            return _bad_input(f"unknown mode {mode!r}")
     for i, seq in enumerate(corpus.sequences):
         for tok in seq:
             if not 0 <= tok < model.vocab.size:
-                print(f"error: prompt {i} token {tok} out of vocab", file=sys.stderr)
-                return 2
+                return _bad_input(f"prompt {i} token {tok} out of vocab")
 
     try:
         base_cfg = DecodeConfig(
@@ -155,8 +157,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             last_logit_k=args.last_logit_k,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _bad_input(str(exc))
 
     def run_mode(mode: str, dump_tree: bool) -> list[DecodeResult]:
         """Decode every prompt; with dump_tree, print prompt 0's first tree."""
@@ -235,31 +236,31 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_corpus(args: argparse.Namespace) -> int:
-    corpus = gen_corpus(
-        seed=args.seed,
-        vocab_size=args.vocab,
-        count=args.count,
-        length=args.length,
-        repetitiveness=args.repetitiveness,
-    )
-    save_corpus(args.out, corpus)
+    try:
+        corpus = gen_corpus(
+            seed=args.seed,
+            vocab_size=args.vocab,
+            count=args.count,
+            length=args.length,
+            repetitiveness=args.repetitiveness,
+        )
+        save_corpus(args.out, corpus)
+    except (OSError, ValueError) as exc:
+        return _bad_input(str(exc))
     return 0
 
 
 def _cmd_gen_model(args: argparse.Namespace) -> int:
-    from .models import VocabSpec
-
+    eos = args.eos if args.eos is not None else args.vocab - 1
     try:
         corpus = load_corpus(args.corpus)
+        model = MarkovTableModel(
+            VocabSpec(args.vocab, eos), order=args.order, alpha=args.alpha, seed=args.seed
+        )
+        model.train(corpus.sequences)
+        save_model_file(args.out, model)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    eos = args.eos if args.eos is not None else args.vocab - 1
-    model = MarkovTableModel(
-        VocabSpec(args.vocab, eos), order=args.order, alpha=args.alpha, seed=args.seed
-    )
-    model.train(corpus.sequences)
-    save_model_file(args.out, model)
+        return _bad_input(str(exc))
     return 0
 
 
@@ -269,11 +270,9 @@ def _cmd_check_report(args: argparse.Namespace) -> int:
             report = json.load(f)
         failures = _report_failures(report)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _bad_input(str(exc))
     except (KeyError, TypeError, AttributeError) as exc:
-        print(f"error: malformed report: {exc!r}", file=sys.stderr)
-        return 2
+        return _bad_input(f"malformed report: {exc!r}")
     if failures:
         for msg in failures:
             print(f"check failed: {msg}", file=sys.stderr)

@@ -53,6 +53,9 @@ def gen_corpus(
     phrase per prompt; in between, each emission repeats a verbatim
     phrase from the prompt's own history with that probability.
     """
+    for name, value in (("vocab_size", vocab_size), ("count", count), ("length", length)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if not 0.0 <= repetitiveness <= 1.0:
         raise ValueError(f"repetitiveness must be in [0, 1], got {repetitiveness}")
     rng = np.random.default_rng(seed)

@@ -3,10 +3,11 @@
 The drafter speculates next-next candidates from the top of the last
 logit (minus the already-sampled next token), retrieves continuations for
 the next token (one match_with_fallback query) and for every candidate
-(one NGramIndex.match_candidates call per step), and assembles sibling
-sequences under a fixed token budget with a rank-tiered per-candidate
-cap. Proposals are produced lazily and assembled by one loop, so
-candidates past an exhausted budget are never speculated or probed.
+(one NGramIndex.match_candidates call per step), and assembles the
+proposed sequences, overlaps included (the draft tree merges them), under
+a fixed token budget with a rank-tiered per-candidate cap. Proposals are
+produced lazily and assembled by one capacity loop, so candidates past an
+exhausted budget are never speculated or probed.
 
 At temperature 0, a next-token query that hits at its full starting
 length ends the draft, so such steps speculate and probe no candidates.
@@ -51,7 +52,7 @@ class DraftConfig:
 
 @dataclass
 class DraftSet:
-    """Sibling sequences to hang under the pending next token.
+    """Draft sequences to merge under the pending next token.
 
     Origins are "next" for next-token retrievals and "cand:<rank>" for
     candidate-rooted sequences. Query bookkeeping feeds the per-step
@@ -104,8 +105,9 @@ def build_draft(
     candidate in rank order (candidate token followed by its most recent
     retrieved continuation, capped by prune_budget; the bare candidate
     when nothing matches). Accumulation truncates the final sequence to
-    the remaining capacity and stops; identical sequences are dropped.
-    Candidates past that stop are neither probed nor counted in queries.
+    the remaining capacity and stops, so capacity bounds the proposed
+    tokens, repeats included. Candidates past that stop are neither
+    probed nor counted in queries.
 
     With greedy (temperature-0 decoding), a next-token query that hits
     at its starting length min(m_start, len(context) + 1) drafts its
@@ -115,14 +117,9 @@ def build_draft(
     # queries read at most m_start tokens back, so only the context's
     # tail is copied
     suffix = context[-cfg.m_start :] + [next_token]
-    seen: set[tuple[int, ...]] = set()
     total = 0
     for seq, origin in _proposals(index, suffix, last_dist, cfg, draft, greedy):
         seq = seq[: cfg.capacity - total]
-        key = tuple(seq)
-        if key in seen:
-            continue
-        seen.add(key)
         draft.sequences.append(seq)
         draft.origins.append(origin)
         total += len(seq)

@@ -89,7 +89,6 @@ class StepRecord:
     accepted_len: int
     draft_size: int
     retrieval_hit: bool
-    used_m: int
     next_next_rank: int
     phase_counters: dict[str, int]
 
@@ -202,7 +201,6 @@ def decode(
                 accepted_len=len(emitted) - 1,
                 draft_size=tree.draft_count,
                 retrieval_hit=draft.hits > 0,
-                used_m=draft.used_m,
                 next_next_rank=_token_rank(last_dist, realized_next_next),
                 phase_counters={
                     "retrieve": draft.queries,

@@ -256,11 +256,14 @@ def load_model_file(path: str | Path) -> MarkovTableModel:
 
     Header fields: vocab_size, eos, order, alpha, seed. Then either a
     `train_corpus_path <relative path>` line or a `counts` section with
-    one line per context: "ctx_tokens -> token:count,...".
+    one line per context: "ctx_tokens -> token:count,...". A counts line
+    with a token id outside the vocab, a negative count or a context
+    longer than the order raises ValueError naming its path:line.
     """
     path = Path(path)
     header: dict[str, str] = {}
     counts: dict[tuple[int, ...], dict[int, int]] = {}
+    count_lines: dict[tuple[int, ...], int] = {}
     corpus_path: Path | None = None
     in_counts = False
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -279,6 +282,7 @@ def load_model_file(path: str | Path) -> MarkovTableModel:
                 tok, _, cnt = pair.partition(":")
                 per_tok[int(tok)] = int(cnt)
             counts[ctx] = per_tok
+            count_lines[ctx] = lineno
             continue
         if line == "counts":
             in_counts = True
@@ -301,6 +305,15 @@ def load_model_file(path: str | Path) -> MarkovTableModel:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing model header field {exc}") from exc
+    for ctx, lineno in count_lines.items():
+        where = f"{path}:{lineno}"
+        if len(ctx) > model.order:
+            raise ValueError(f"{where}: context of {len(ctx)} tokens exceeds order {model.order}")
+        for tok in (*ctx, *counts[ctx]):
+            if not 0 <= tok < vocab.size:
+                raise ValueError(f"{where}: token id {tok} out of range [0, {vocab.size})")
+        if any(cnt < 0 for cnt in counts[ctx].values()):
+            raise ValueError(f"{where}: negative count")
     if corpus_path is not None:
         from .corpus import load_corpus
 

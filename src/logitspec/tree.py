@@ -1,15 +1,16 @@
-"""Draft tree: flattened ids and a parent array, with the attention
-inputs derived from them.
+"""Draft tree: a token trie held as flattened ids and a parent array,
+with the attention inputs derived from them.
 
-Sibling draft sequences all hang directly under the pending next token
-(row 0); inside a sequence each token's parent is the token before it.
-`parents[r]` is the row of row r's parent (-1 for the root), always an
-earlier row, so one pass in row order meets every parent before its
-children. The reference models and verification read the parents
-directly. The dense attention mask (each row sees the past context, its
-ancestors and itself) and the position ids (past_len + depth) are
-derived from the parents on first access, for mask-consuming backends
-and debug dumps.
+Row 0 is the pending next token. Draft sequences are merged into a trie
+under it: a sequence descends through the rows that already carry its
+tokens and adds rows only where it diverges, so every row's token path
+(from the root) is unique. `parents[r]` is the row of row r's parent
+(-1 for the root), always an earlier row, so one pass in row order meets
+every parent before its children. The reference models and verification
+read the parents directly. The dense attention mask (each row sees the
+past context, its ancestors and itself) and the position ids (past_len +
+depth) are derived from the parents on first access, for mask-consuming
+backends and debug dumps.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ class TreeStructureError(ValueError):
 class DraftTree:
     """Verification payload for one decode step.
 
-    draft_ids[0] is the pending next token; the remaining ids are the
-    concatenated draft sequences. parents[r] is the row of row r's
-    parent, -1 for the root.
+    draft_ids[0] is the pending next token; the remaining rows hold the
+    trie of the draft sequences, one row per distinct token path.
+    parents[r] is the row of row r's parent, -1 for the root.
     """
 
     past_len: int
@@ -92,32 +93,39 @@ def prepare_attention_inputs(
     next_token: int,
     sequences: list[list[int]],
 ) -> DraftTree:
-    """Flatten draft sequences into ids and a parent array.
+    """Merge draft sequences into a trie under row 0 (the next token).
 
-    Each sequence's first token hangs under row 0 (the next token) and
-    every later token under the one before it. An empty sequence list
+    Each sequence follows the rows that already carry its prefix and
+    appends a row per token from where it diverges, so rows keep the
+    order in which their paths first appear. An empty sequence list
     yields the degenerate single-row tree.
     """
     if past_len < 0:
         raise ValueError(f"past_len must be >= 0, got {past_len}")
     draft_ids = [next_token]
     parents = [-1]
+    # (parent row, token) -> row
+    rows: dict[tuple[int, int], int] = {}
     for seq in sequences:
         if not seq:
             raise ValueError("draft sequences must be non-empty")
-        start = len(draft_ids)
-        parents.append(0)
-        parents += range(start, start + len(seq) - 1)
-        draft_ids += seq
+        row = 0
+        for tok in seq:
+            child = rows.setdefault((row, tok), len(draft_ids))
+            if child == len(draft_ids):
+                draft_ids.append(tok)
+                parents.append(row)
+            row = child
     return DraftTree(past_len=past_len, draft_ids=draft_ids, parents=parents)
 
 
 def ancestor_rows(mask: np.ndarray) -> list[list[int]]:
     """Per-row ancestor path (row indices, root first, self last).
 
-    Validates the block-diagonal structure: every row must see the full
-    past plus the root, and its own-block visibility must be a contiguous
-    run ending at itself.
+    Validates any tree mask: every row sees the full past plus the root,
+    the root sees no draft row, and every other row's draft columns are
+    those of its parent plus its own, the parent being the deepest row
+    it sees besides itself.
     """
     seq_len, total = mask.shape
     past_len = total - seq_len
@@ -125,23 +133,16 @@ def ancestor_rows(mask: np.ndarray) -> list[list[int]]:
         raise TreeStructureError("mask has fewer columns than rows")
     if not np.all(mask[:, : past_len + 1] == 1):
         raise TreeStructureError("a row does not see the full past context + root")
-
-    paths: list[list[int]] = [[0]]
     if np.any(mask[0, past_len + 1 :]):
         raise TreeStructureError("root row sees a draft column")
-    block_start = None
+    paths: list[list[int]] = [[0]]
     for r in range(1, seq_len):
-        visible = np.flatnonzero(mask[r, past_len + 1 :]) + 1
-        if visible.size == 0 or visible[-1] != r:
-            raise TreeStructureError(f"row {r} does not see itself")
-        s = int(visible[0])
-        if not np.array_equal(visible, np.arange(s, r + 1)):
-            raise TreeStructureError(f"row {r} visibility is not contiguous")
-        if s == r:
-            block_start = r
-        elif s != block_start:
-            raise TreeStructureError(f"row {r} sees a non-ancestor row {s}")
-        paths.append([0] + list(range(s, r + 1)))
+        path = [0] + (np.flatnonzero(mask[r, past_len + 1 :]) + 1).tolist()
+        if path[-1] != r:
+            raise TreeStructureError(f"row {r} does not see itself, or sees a later row")
+        if path[:-1] != paths[path[-2]]:
+            raise TreeStructureError(f"row {r} sees a non-ancestor row")
+        paths.append(path)
     return paths
 
 

@@ -2,21 +2,19 @@
 
 Retrieval drafts are deterministic proposals (one-hot q), so speculative
 sampling reduces to drawing the target's own token and checking whether
-the draft carries it (Leviathan et al. 2023). The walk keeps the live
-rows: the rows whose token path equals the emitted tokens so far, the
-root at first. At each depth it draws one token x from the dist of the
-lowest live row; the live rows of the next depth are every child of a
-live row whose token is x. When no child carries x, x is the bonus and
-that dist is the next step's last logit.
+the draft carries it (Leviathan et al. 2023). The draft tree is a token
+trie, so the walk holds one row: the row whose token path equals the
+emitted tokens so far, the root at first. At each depth it draws one
+token x from that row's dist and moves to the row's child carrying x.
+When no child carries x, x is the bonus and that dist is the next step's
+last logit.
 
-Rows with the same token path share a context, so their dists are equal
-and one draw serves them all; keeping every such row live accepts the
-deepest matching path, ties going to the lowest row. Per row, the rule
-accepts the target mass of the distinct child tokens, the most any valid
-rule can accept (SpecTr, Sun et al. 2023). Greedy verification draws the
-argmax; stochastic verification draws with `models.sample`, so every
-emitted token is one `sample` call on the same dist autoregressive
-decoding would draw from, and a seed gives the same tokens in every mode.
+Per row, the rule accepts the target mass of the distinct child tokens,
+the most any valid rule can accept (SpecTr, Sun et al. 2023). Greedy
+verification draws the argmax; stochastic verification draws with
+`models.sample`, so every emitted token is one `sample` call on the same
+dist autoregressive decoding would draw from, and a seed gives the same
+tokens in every mode.
 """
 
 from __future__ import annotations
@@ -74,19 +72,20 @@ def _walk(
 ) -> VerifyOutcome:
     parents = tree.parents
     ids = tree.draft_ids
-    live = [0]
+    row = 0
     accepted = []
     while True:
-        d = dists[live[0]]
+        d = dists[row]
         x = draw(d)
-        # a child is a later row than its parent, so the scan starts
-        # after the lowest live row and yields the next live rows in order
-        live = [
-            r for r in range(live[0] + 1, len(ids)) if ids[r] == x and parents[r] in live
-        ]
-        if not live:
+        # a child is a later row than its parent, and the trie gives the
+        # row at most one child carrying x
+        for r in range(row + 1, len(ids)):
+            if ids[r] == x and parents[r] == row:
+                break
+        else:
             return VerifyOutcome(accepted=accepted, bonus=x, next_dist=d)
         accepted.append(x)
+        row = r
 
 
 def verify_greedy(tree: DraftTree, dists: list[np.ndarray]) -> VerifyOutcome:

@@ -11,7 +11,15 @@ The three speculative T=1 digests were re-recorded when stochastic
 verification became one `sample` draw per emitted token: every mode now
 emits autoregressive's tokens for a seed, so their tokens, accepted
 lengths and next-next ranks moved. The autoregressive T=1 digest did not
-(its one-row tree made one `rng.choice` per token before and after)."""
+(its one-row tree made one `rng.choice` per token before and after).
+
+The four retrieval_only and logitspec digests were re-recorded when the
+draft tree became a token trie (one row per distinct token path): their
+draft sizes fell, while tokens, accepted lengths and next-next ranks did
+not move. Before -> after: T=0 retrieval_only 25e71235...abf2e8 ->
+5efdf5e0...6bf9359, T=0 logitspec 73e06461...b72f8b -> 4915d7b3...a643b3,
+T=1 retrieval_only 0a224fb1...a335f7 -> 4d0705d5...4f2d06, T=1 logitspec
+42f8d7b1...e9a8a9 -> 537fbe0b...e79d777a."""
 
 from __future__ import annotations
 
@@ -37,12 +45,12 @@ DIGESTS = {
             "aeb045a37346dda6bec50455f4f319bb"
         ),
         "retrieval_only": (
-            "25e712351654161bb0ff1db66b7ad6eb"
-            "3337da38fd5983953ab0d263e9abf2e8"
+            "5efdf5e0d9ed16cd20872184867be232"
+            "bed21c78695e2ed3f22bcb0946bf9359"
         ),
         "logitspec": (
-            "73e064612e77a3c8db2068858044c959"
-            "405303fd64a945abb433087e46b72f8b"
+            "4915d7b39afc3b1adac828bf220c9b43"
+            "b93a6ba84c04529e9fc76795bba643b3"
         ),
     },
     (1.0, 0.2): {
@@ -55,12 +63,12 @@ DIGESTS = {
             "ef927002567556e49299f180260453f7"
         ),
         "retrieval_only": (
-            "0a224fb1486fd268a6ee7eb0c032cb3f"
-            "5636fdcc8e6a9906ddce1d86d2a335f7"
+            "4d0705d547027406f9405a22bb81d001"
+            "a64d18669b0c8b06a29321108f4f2d06"
         ),
         "logitspec": (
-            "42f8d7b133fde71bbfc137238299374a"
-            "0ad584e7869d7c9a8c998896fbe9a8a9"
+            "537fbe0beeec6d73aaa45bef5eb53f9c"
+            "3fc83b41524f1bf77ccd0510e79d777a"
         ),
     },
 }

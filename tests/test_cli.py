@@ -205,6 +205,40 @@ def test_run_parse_failure_exit_2(tmp_path):
     assert main(["run", "--model", str(tmp_path / "missing"), "--corpus", str(corpus)]) == 2
 
 
+@pytest.mark.parametrize("line", ["1 2 -> -1:5", "1 -> 9:1", "2 3 -> 4:-3", "1 2 3 -> 4:1"])
+def test_run_invalid_model_counts_exit_2(tmp_path, capsys, line):
+    model = tmp_path / "model.txt"
+    model.write_text(f"vocab_size 8\neos 7\norder 2\ncounts\n{line}\n")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("1 2 3\n")
+    assert main(["run", "--model", str(model), "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {model}:5: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gen-corpus", "--vocab", "0"],
+        ["gen-corpus", "--count", "-1"],
+        ["gen-corpus", "--length", "0"],
+        ["gen-corpus", "--repetitiveness", "2"],
+        ["gen-model", "--vocab", "1"],
+        ["gen-model", "--order", "0"],
+        ["gen-model", "--alpha", "0"],
+        ["gen-model", "--vocab", "8"],  # the corpus holds tokens >= 8
+    ],
+    ids=lambda command: " ".join(command),
+)
+def test_gen_bad_input_exit_2(tmp_path, bench_files, capsys, command):
+    _, corpus = bench_files
+    out = tmp_path / "out.txt"
+    extra = ["--corpus", str(corpus)] if command[0] == "gen-model" else []
+    capsys.readouterr()
+    assert main([*command, "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_run_out_of_vocab_prompt_exit_2(tmp_path, bench_files):
     model, _ = bench_files
     corpus = tmp_path / "big.txt"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -141,8 +143,12 @@ def test_forward_tree_random_path_equivalence(small_markov):
         root = int(rng.integers(0, 8))
         tree = prepare_attention_inputs(len(past), root, seqs)
         dists = small_markov.forward_tree(state, tree)
+        # each sequence prefix's row, found by its token path
+        paths = [()]
+        for r in range(1, tree.seq_len):
+            paths.append(paths[tree.parents[r]] + (tree.draft_ids[r],))
+        row_of = {path: r for r, path in enumerate(paths)}
         # oracle: sequential forward along each ancestor path
-        idx = 1
         np.testing.assert_array_equal(
             dists[0], small_markov.context_dist(tuple(past) + (root,))
         )
@@ -150,9 +156,28 @@ def test_forward_tree_random_path_equivalence(small_markov):
             for t in range(len(seq)):
                 path = tuple(past) + (root,) + tuple(seq[: t + 1])
                 np.testing.assert_array_equal(
-                    dists[idx], small_markov.context_dist(path)
+                    dists[row_of[tuple(seq[: t + 1])]], small_markov.context_dist(path)
                 )
-                idx += 1
+
+
+def test_forward_tree_evaluates_each_distinct_path_once():
+    class CountingModel(ScriptedModel):
+        def context_dist(self, context):
+            self.calls.append(context)
+            return super().context_dist(context)
+
+    model = CountingModel(VocabSpec(6, 5), {}, np.full(6, 1.0 / 6))
+    model.calls = []
+    state = model.new_state()
+    model.forward(state, [0])
+    model.calls.clear()
+    # 11 proposed tokens, 5 distinct draft paths: (2,) (2, 3) (2, 3, 4)
+    # (4,) (2, 4)
+    tree = prepare_attention_inputs(1, 1, [[2, 3], [2, 3, 4], [2, 3], [4], [2, 4]])
+    model.forward_tree(state, tree)
+    assert sorted(model.calls) == sorted({
+        (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 3, 4), (0, 1, 4), (0, 1, 2, 4),
+    })
 
 
 def test_forward_tree_rejects_malformed_parents(small_markov):
@@ -256,4 +281,23 @@ def test_model_file_parse_errors(tmp_path):
         load_model_file(bad)
     bad.write_text("vocab_size 8\neos 7\ncounts\nnot a counts line\n")
     with pytest.raises(ValueError):
+        load_model_file(bad)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1 2 -> -1:5", "token id -1 out of range"),
+        ("1 -> 9:1", "token id 9 out of range"),
+        ("8 -> 1:1", "token id 8 out of range"),
+        ("2 3 -> 4:-3", "negative count"),
+        ("1 2 3 -> 4:1", "context of 3 tokens exceeds order 2"),
+    ],
+    ids=["negative-token", "token-past-vocab", "context-token-past-vocab",
+         "negative-count", "context-past-order"],
+)
+def test_model_file_rejects_invalid_counts_line(tmp_path, line, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"vocab_size 8\neos 7\norder 2\ncounts\n1 2 -> 3:2\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:6: {message}")):
         load_model_file(bad)

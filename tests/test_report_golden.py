@@ -6,7 +6,14 @@ model and corpus paths), so each case runs in its own directory.
 The T1 report digest was re-recorded when stochastic verification became
 one `sample` draw per emitted token: both modes now emit
 autoregressive's tokens (140 per mode instead of 175 and 163), so their
-rows and aggregates moved. Its first tree, and so the dump, did not."""
+rows and aggregates moved. Its first tree, and so the dump, did not.
+
+Both report digests were re-recorded when the draft tree became a token
+trie (one row per distinct token path): only `phase_counters.forward`
+moved, the tree rows evaluated (T0: logitspec 476 -> 421, retrieval_only
+322 -> 271; T1: logitspec 2054 -> 1976). T0 cfbcb634...87058f ->
+d1189cb3...47af0d4, T1 e69f0346...51c8f -> 1ff88905...44ffa8. Both
+dumps are unchanged."""
 
 from __future__ import annotations
 
@@ -19,11 +26,11 @@ from logitspec.cli import main
 # case -> (report sha256, --dump-tree stdout sha256)
 GOLDEN = {
     "T0-all-modes-compare": (
-        "cfbcb6340a40b1396a8053445a9e41446c60320f6a973c47f745b9f6a387058f",
+        "d1189cb365aea20772ad6193733f21a06690c033dc32b4f2a1b21356f47af0d4",
         "1563f70dce0edce22f5f275a963f86511165941bd7d4ca82cb3d4d38af77f9d9",
     ),
     "T1-logitspec-last_logit": (
-        "e69f0346aed10d060d370b4d81c5c4408448a04dbe96d03269e7e293ac751c8f",
+        "1ff889058c07aa7dbb74259f06f688483f7ae1e6c4fa55da2de044657244ffa8",
         "cd2c3035432595f90f37279170507500501c6b710c8f02c6880a7d5c96c49253",
     ),
 }

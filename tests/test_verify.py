@@ -77,9 +77,9 @@ def test_greedy_sibling_selection():
 
 
 def test_greedy_longest_path_over_first_matching_sibling():
-    # every sequence starts with the argmax 1; the second and third both
-    # continue along the argmax chain 1 -> 3 -> 2, and the tie goes to the
-    # earlier one
+    # every sequence starts with the argmax 1; the second continues along
+    # the argmax chain 1 -> 3 -> 2, and the third repeats it, which the
+    # trie holds as the same rows
     tree = prepare_attention_inputs(0, 0, [[1, 2], [1, 3, 2], [1, 3, 2]])
     table = {
         (0,): dist(4, t1=1.0),
