@@ -18,7 +18,6 @@ __all__ = ["Corpus", "load_corpus", "save_corpus", "gen_corpus"]
 @dataclass
 class Corpus:
     sequences: list[list[int]]
-    source: str = ""
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -32,7 +31,7 @@ def load_corpus(path: str | Path) -> Corpus:
             sequences.append([int(t) for t in line.split()])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-integer token") from exc
-    return Corpus(sequences, source=str(path))
+    return Corpus(sequences)
 
 
 def save_corpus(path: str | Path, corpus: Corpus) -> None:

@@ -140,10 +140,10 @@ def _proposals(
     tail plus the next token), recording each query's bookkeeping in
     draft as it runs."""
     m_next = min(cfg.m_start, len(suffix))
-    result, draft.used_m = index.match_with_fallback(suffix, m_next)
+    found, draft.used_m = index.match_with_fallback(suffix, m_next)
     draft.queries += 1
-    draft.hits += bool(result)
-    for cont in result.continuations:
+    draft.hits += bool(found)
+    for cont in found:
         yield cont, "next"
     # a full-length greedy hit rarely loses to a candidate, and greedy
     # verification emits the same tokens whatever the draft holds

@@ -163,8 +163,8 @@ class MarkovTableModel(Model):
     ):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        if alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
+        if not 0 < alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {alpha}")
         self.vocab = vocab
         self.order = order
         self.alpha = alpha
@@ -251,71 +251,83 @@ def save_model_file(path: str | Path, model: MarkovTableModel) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# header fields and their parsers; any other header key is ignored
+_HEADER_FIELDS = {"vocab_size": int, "eos": int, "order": int, "alpha": float, "seed": int}
+
+
 def load_model_file(path: str | Path) -> MarkovTableModel:
     """Parse a model file.
 
     Header fields: vocab_size, eos, order, alpha, seed. Then either a
     `train_corpus_path <relative path>` line or a `counts` section with
-    one line per context: "ctx_tokens -> token:count,...". A counts line
-    with a token id outside the vocab, a negative count or a context
-    longer than the order raises ValueError naming its path:line.
+    one line per context: "ctx_tokens -> token:count,...". A malformed
+    number, or a counts line with a token id outside the vocab, a
+    negative count or a context longer than the order, raises ValueError
+    naming its path:line.
     """
     path = Path(path)
-    header: dict[str, str] = {}
-    counts: dict[tuple[int, ...], dict[int, int]] = {}
-    count_lines: dict[tuple[int, ...], int] = {}
+    header: dict[str, int | float] = {}
+    model: MarkovTableModel | None = None
     corpus_path: Path | None = None
-    in_counts = False
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if in_counts:
-            if "->" not in line:
-                raise ValueError(f"{path}:{lineno}: malformed counts line")
-            ctx_part, _, val_part = line.partition("->")
-            ctx = tuple(int(t) for t in ctx_part.split())
-            per_tok: dict[int, int] = {}
-            for pair in val_part.strip().split(","):
-                if not pair:
-                    continue
-                tok, _, cnt = pair.partition(":")
-                per_tok[int(tok)] = int(cnt)
-            counts[ctx] = per_tok
-            count_lines[ctx] = lineno
+        if model is None and line == "counts":
+            model = _header_model(path, header)
             continue
-        if line == "counts":
-            in_counts = True
-            continue
-        key, _, value = line.partition(" ")
-        if not value:
-            raise ValueError(f"{path}:{lineno}: malformed header line {line!r}")
-        if key == "train_corpus_path":
-            corpus_path = path.parent / value.strip()
-        else:
-            header[key] = value.strip()
-    try:
-        vocab = VocabSpec(int(header["vocab_size"]), int(header["eos"]))
-        model = MarkovTableModel(
-            vocab,
-            order=int(header.get("order", 2)),
-            alpha=float(header.get("alpha", 0.1)),
-            seed=int(header.get("seed", 0)),
-            counts=counts,
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing model header field {exc}") from exc
-    for ctx, lineno in count_lines.items():
-        where = f"{path}:{lineno}"
-        if len(ctx) > model.order:
-            raise ValueError(f"{where}: context of {len(ctx)} tokens exceeds order {model.order}")
-        for tok in (*ctx, *counts[ctx]):
-            if not 0 <= tok < vocab.size:
-                raise ValueError(f"{where}: token id {tok} out of range [0, {vocab.size})")
-        if any(cnt < 0 for cnt in counts[ctx].values()):
-            raise ValueError(f"{where}: negative count")
+        try:
+            if model is not None:
+                _add_counts_line(model, line)
+                continue
+            key, _, value = line.partition(" ")
+            if not value:
+                raise ValueError(f"malformed header line {line!r}")
+            if key == "train_corpus_path":
+                corpus_path = path.parent / value.strip()
+            elif key in _HEADER_FIELDS:
+                header[key] = _HEADER_FIELDS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    if model is None:
+        model = _header_model(path, header)
     if corpus_path is not None:
         from .corpus import load_corpus
 
         model.train(load_corpus(corpus_path).sequences)
     return model
+
+
+def _header_model(path: Path, header: dict[str, int | float]) -> MarkovTableModel:
+    try:
+        return MarkovTableModel(
+            VocabSpec(int(header["vocab_size"]), int(header["eos"])),
+            order=int(header.get("order", 2)),
+            alpha=header.get("alpha", 0.1),
+            seed=int(header.get("seed", 0)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing model header field {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _add_counts_line(model: MarkovTableModel, line: str) -> None:
+    """Parse and check one "ctx_tokens -> token:count,..." line."""
+    ctx_part, arrow, val_part = line.partition("->")
+    if not arrow:
+        raise ValueError("malformed counts line")
+    ctx = tuple(int(t) for t in ctx_part.split())
+    per_tok: dict[int, int] = {}
+    for pair in val_part.strip().split(","):
+        if pair:
+            tok, _, cnt = pair.partition(":")
+            per_tok[int(tok)] = int(cnt)
+    if len(ctx) > model.order:
+        raise ValueError(f"context of {len(ctx)} tokens exceeds order {model.order}")
+    for tok in (*ctx, *per_tok):
+        if not 0 <= tok < model.vocab.size:
+            raise ValueError(f"token id {tok} out of range [0, {model.vocab.size})")
+    if any(cnt < 0 for cnt in per_tok.values()):
+        raise ValueError("negative count")
+    model.counts[ctx] = per_tok

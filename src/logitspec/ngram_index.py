@@ -6,29 +6,19 @@ regardless of source length. The index grows incrementally as tokens are
 decoded; extend() is equivalent to a rebuild as far as match() output is
 concerned.
 
-Two query paths: match_with_fallback() serves one suffix (the next-token
-query), and match_candidates() serves every next-next candidate of a step
-in one call, probing each candidate's grams directly, so its cost is also
-a bounded number of probes per candidate regardless of source length.
+Every query reads the table through one lookup, _continuations(): one
+probe returning the most recent distinct continuations of a gram.
+match_with_fallback() serves one suffix (the next-token query), and
+match_candidates() serves every next-next candidate of a step in one
+call, so its cost is also a bounded number of probes per candidate
+regardless of source length.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
-__all__ = ["NGramIndex", "MatchResult"]
-
-
-@dataclass
-class MatchResult:
-    """Continuations following each source occurrence of the query,
-    most-recent occurrence first, deduplicated by content."""
-
-    continuations: list[list[int]] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return bool(self.continuations)
+__all__ = ["NGramIndex"]
 
 
 class NGramIndex:
@@ -63,31 +53,14 @@ class NGramIndex:
                 self.table.setdefault(key, []).append(end)
         return self
 
-    def match(self, query: list[int], max_matches: int = 2) -> MatchResult:
+    def match(self, query: list[int], max_matches: int = 2) -> list[list[int]]:
         """Continuations (up to value_len tokens) after each occurrence of
-        query, most recent first, capped at max_matches."""
+        query, most recent first, distinct, capped at max_matches."""
         if not 1 <= len(query) <= self.m_max:
             raise ValueError(
                 f"query length {len(query)} outside [1, {self.m_max}]"
             )
-        self.probe_count += 1
-        offsets = self.table.get(tuple(query))
-        if not offsets:
-            return MatchResult()
-        result: list[list[int]] = []
-        seen: set[tuple[int, ...]] = set()
-        for off in reversed(offsets):
-            cont = self.source[off : off + self.value_len]
-            if not cont:
-                continue
-            key = tuple(cont)
-            if key in seen:
-                continue
-            seen.add(key)
-            result.append(cont)
-            if len(result) >= max_matches:
-                break
-        return MatchResult(result)
+        return self._continuations(tuple(query), max_matches)
 
     def match_with_fallback(
         self,
@@ -95,20 +68,20 @@ class NGramIndex:
         m_start: int,
         min_m: int = 1,
         max_matches: int = 2,
-    ) -> tuple[MatchResult, int]:
+    ) -> tuple[list[list[int]], int]:
         """Query the last m_start tokens of suffix, shortening the query
         one token at a time down to min_m until something matches.
 
         Returns the first non-empty result and the gram length used, or
-        (empty, 0) when every length misses.
+        ([], 0) when every length misses.
         """
         if not 1 <= m_start <= len(suffix):
             raise ValueError(f"m_start {m_start} outside [1, {len(suffix)}]")
         for m in range(m_start, min_m - 1, -1):
-            result = self.match(suffix[len(suffix) - m :], max_matches=max_matches)
-            if result:
-                return result, m
-        return MatchResult(), 0
+            found = self.match(suffix[len(suffix) - m :], max_matches=max_matches)
+            if found:
+                return found, m
+        return [], 0
 
     def match_candidates(
         self,
@@ -123,9 +96,9 @@ class NGramIndex:
 
         The m_start - min_m + 1 query prefixes are built once; each
         candidate then costs one probe of prefix + (cand,) per gram
-        length tried, counted in probe_count as match() counts them.
-        Candidates are probed lazily, so a caller that stops iterating
-        probes no further. Do not extend the index while iterating.
+        length tried. Candidates are probed lazily, so a caller that
+        stops iterating probes no further. Do not extend the index while
+        iterating.
         """
         if not 1 <= min_m <= m_start <= min(self.m_max, len(suffix) + 1):
             raise ValueError(
@@ -135,29 +108,32 @@ class NGramIndex:
         prefixes = [
             tuple(suffix[len(suffix) - m + 1 :]) for m in range(m_start, min_m - 1, -1)
         ]
-        return self._candidate_continuations(prefixes, candidates)
 
-    def _candidate_continuations(
-        self, prefixes: list[tuple[int, ...]], candidates: Iterable[int]
-    ) -> Iterator[list[int]]:
-        table, source, value_len = self.table, self.source, self.value_len
-        for cand in candidates:
-            cont: list[int] = []
+        def first(cand: int) -> list[int]:
             for prefix in prefixes:
-                self.probe_count += 1
-                offsets = table.get(prefix + (cand,))
-                if not offsets:
-                    continue
-                off = offsets[-1]
-                # offsets ascend, so only the latest occurrence can end
-                # the source and leave no continuation
-                if off == len(source):
-                    if len(offsets) == 1:
-                        continue
-                    off = offsets[-2]
-                cont = source[off : off + value_len]
-                break
-            yield cont
+                found = self._continuations(prefix + (cand,), 1)
+                if found:
+                    return found[0]
+            return []
+
+        return map(first, candidates)
+
+    def _continuations(self, key: tuple[int, ...], max_matches: int) -> list[list[int]]:
+        """One probe: up to max_matches distinct non-empty continuations
+        (up to value_len tokens) after the occurrences of key, most recent
+        first."""
+        self.probe_count += 1
+        offsets = self.table.get(key)
+        if not offsets:
+            return []
+        found: list[list[int]] = []
+        for off in reversed(offsets):
+            cont = self.source[off : off + self.value_len]
+            if cont and cont not in found:
+                found.append(cont)
+                if len(found) >= max_matches:
+                    break
+        return found
 
     def dump(self) -> str:
         """Debug dump, one key per line: "k1 k2 .. km | off1,off2,..."."""

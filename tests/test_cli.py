@@ -205,7 +205,9 @@ def test_run_parse_failure_exit_2(tmp_path):
     assert main(["run", "--model", str(tmp_path / "missing"), "--corpus", str(corpus)]) == 2
 
 
-@pytest.mark.parametrize("line", ["1 2 -> -1:5", "1 -> 9:1", "2 3 -> 4:-3", "1 2 3 -> 4:1"])
+@pytest.mark.parametrize(
+    "line", ["1 2 -> -1:5", "1 -> 9:1", "2 3 -> 4:-3", "1 2 3 -> 4:1", "1 x -> 2:1", "1 -> 2:1.5"]
+)
 def test_run_invalid_model_counts_exit_2(tmp_path, capsys, line):
     model = tmp_path / "model.txt"
     model.write_text(f"vocab_size 8\neos 7\norder 2\ncounts\n{line}\n")
@@ -213,6 +215,26 @@ def test_run_invalid_model_counts_exit_2(tmp_path, capsys, line):
     corpus.write_text("1 2 3\n")
     assert main(["run", "--model", str(model), "--corpus", str(corpus)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {model}:5: ")
+
+
+@pytest.mark.parametrize(
+    "header, where",
+    [
+        ("vocab_size 64.0\neos 7\n", ":1: invalid literal"),
+        ("vocab_size 8\neos 7\nalpha nan\n", ": alpha must be finite"),
+        ("vocab_size 8\neos 7\nalpha inf\n", ": alpha must be finite"),
+    ],
+    ids=["vocab_size-not-int", "alpha-nan", "alpha-inf"],
+)
+def test_run_invalid_model_header_exit_2(tmp_path, capsys, header, where):
+    model = tmp_path / "model.txt"
+    model.write_text(f"{header}counts\n1 -> 2:1\n")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("1 2 3\n")
+    for temperature in ("0", "1"):
+        assert main(["run", "--model", str(model), "--corpus", str(corpus),
+                     "--temperature", temperature]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {model}{where}")
 
 
 @pytest.mark.parametrize(
@@ -225,6 +247,8 @@ def test_run_invalid_model_counts_exit_2(tmp_path, capsys, line):
         ["gen-model", "--vocab", "1"],
         ["gen-model", "--order", "0"],
         ["gen-model", "--alpha", "0"],
+        ["gen-model", "--alpha", "nan"],
+        ["gen-model", "--alpha", "inf"],
         ["gen-model", "--vocab", "8"],  # the corpus holds tokens >= 8
     ],
     ids=lambda command: " ".join(command),

@@ -292,12 +292,36 @@ def test_model_file_parse_errors(tmp_path):
         ("8 -> 1:1", "token id 8 out of range"),
         ("2 3 -> 4:-3", "negative count"),
         ("1 2 3 -> 4:1", "context of 3 tokens exceeds order 2"),
+        ("1 x -> 2:1", "invalid literal for int()"),
+        ("1 -> 2:1.5", "invalid literal for int()"),
     ],
     ids=["negative-token", "token-past-vocab", "context-token-past-vocab",
-         "negative-count", "context-past-order"],
+         "negative-count", "context-past-order", "context-not-int", "count-not-int"],
 )
 def test_model_file_rejects_invalid_counts_line(tmp_path, line, message):
     bad = tmp_path / "bad.txt"
     bad.write_text(f"vocab_size 8\neos 7\norder 2\ncounts\n1 2 -> 3:2\n{line}\n")
     with pytest.raises(ValueError, match=re.escape(f"{bad}:6: {message}")):
+        load_model_file(bad)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_markov_rejects_alpha_outside_positive_finite(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        MarkovTableModel(VocabSpec(8, 7), alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("vocab_size 64.0\neos 7\n", ":1: invalid literal for int()"),
+        ("vocab_size 8\neos 7\nalpha nan\n", ": alpha must be finite and > 0"),
+        ("vocab_size 8\neos 7\nalpha inf\n", ": alpha must be finite and > 0"),
+    ],
+    ids=["vocab_size-not-int", "alpha-nan", "alpha-inf"],
+)
+def test_model_file_rejects_invalid_header(tmp_path, header, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"{header}counts\n1 -> 2:1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}{message}")):
         load_model_file(bad)

@@ -53,10 +53,7 @@ def test_extend_random_vs_rebuild_oracle():
             incremental.extend(chunk)
         rebuilt = NGramIndex.build(sum(chunks, []), m_max=3, value_len=4)
         query = rng.integers(0, 8, size=rng.integers(1, 4)).tolist()
-        assert (
-            incremental.match(query).continuations
-            == rebuilt.match(query).continuations
-        )
+        assert incremental.match(query) == rebuilt.match(query)
 
 
 def test_match_figure_scenario_next_token_only():
@@ -64,17 +61,17 @@ def test_match_figure_scenario_next_token_only():
     index = NGramIndex.build([2, 3, 4, 2, 5], m_max=2)
     result = index.match([2])
     # most recent occurrence first: "triangle", then "area of the triangle"
-    assert result.continuations == [[5], [3, 4, 2, 5]]
+    assert result == [[5], [3, 4, 2, 5]]
 
 
 def test_match_figure_scenario_two_gram():
     index = NGramIndex.build([2, 3, 4, 2, 5], m_max=2)
-    assert index.match([2, 3]).continuations == [[4, 2, 5]]
+    assert index.match([2, 3]) == [[4, 2, 5]]
 
 
 def test_match_absent_query():
     index = NGramIndex.build([A, B, C], m_max=2)
-    assert index.match([D]).continuations == []
+    assert index.match([D]) == []
 
 
 def test_match_query_too_long():
@@ -88,7 +85,7 @@ def test_fallback_decrements_m():
     index = NGramIndex.build([2, 3, 0, 1, 2, 3], m_max=3)
     result, used_m = index.match_with_fallback([1, 2, 3], 3)
     assert used_m == 2
-    assert result.continuations == [[0, 1, 2, 3]]
+    assert result == [[0, 1, 2, 3]]
 
 
 def test_fallback_all_misses():
@@ -102,7 +99,7 @@ def test_fallback_direct_hit_keeps_m_start():
     index = NGramIndex.build([1, 2, 3, 4, 1, 2, 3], m_max=3)
     result, used_m = index.match_with_fallback([0, 1, 2, 3], 3)
     assert used_m == 3
-    assert result.continuations == [[4, 1, 2, 3]]
+    assert result == [[4, 1, 2, 3]]
 
 
 def test_oracle_equivalence_random():
@@ -111,11 +108,11 @@ def test_oracle_equivalence_random():
         source = rng.integers(0, 16, size=rng.integers(0, 201)).tolist()
         index = NGramIndex.build(source, m_max=3, value_len=5)
         query = rng.integers(0, 16, size=rng.integers(1, 4)).tolist()
-        assert index.match(query).continuations == naive_match(source, query, 5)
+        assert index.match(query) == naive_match(source, query, 5)
         suffix = rng.integers(0, 16, size=rng.integers(3, 8)).tolist()
         got, got_m = index.match_with_fallback(suffix, 3)
         want, want_m = naive_fallback(source, suffix, 3, 5)
-        assert (got.continuations, got_m) == (want, want_m)
+        assert (got, got_m) == (want, want_m)
 
 
 def test_continuations_are_verbatim_substrings():
@@ -124,7 +121,7 @@ def test_continuations_are_verbatim_substrings():
         source = rng.integers(0, 6, size=50).tolist()
         index = NGramIndex.build(source, m_max=2, value_len=4)
         query = rng.integers(0, 6, size=2).tolist()
-        for cont in index.match(query, max_matches=10).continuations:
+        for cont in index.match(query, max_matches=10):
             joined = query + cont
             assert any(
                 source[i : i + len(joined)] == joined
@@ -181,7 +178,7 @@ def test_match_candidates_equals_per_candidate_fallback_random():
             result, _ = index.match_with_fallback(
                 suffix + [cand], m_start, min_m=min_m, max_matches=1
             )
-            assert got.pop(0) == (result.continuations[0] if result else [])
+            assert got.pop(0) == (result[0] if result else [])
         assert batched_probes == index.probe_count
 
 
