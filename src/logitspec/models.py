@@ -10,7 +10,7 @@ tests.
 
 from __future__ import annotations
 
-import collections
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,12 +71,14 @@ class ModelState:
 class Model:
     """Base class for target models.
 
-    Subclasses implement `context_dist`; `forward` and `forward_tree` are
-    derived from it, and `forward_tree` follows the draft tree's parent
-    array. A backend that evaluates the tree with tree attention
-    overrides `forward_tree` and reads `tree.mask` and
-    `tree.position_ids` instead. Models are immutable after construction
-    and shareable across sessions.
+    Subclasses implement `context_dist`. `forward` and `forward_tree`
+    check their inputs and hand the rows to one hook, `_row_dists`,
+    which by default calls `context_dist` on each row's full context. A
+    model with a faster way to evaluate rows overrides `_row_dists`,
+    never `forward` or `forward_tree`, so every model keeps the same
+    checks (and perfbench/spans.py, which wraps both by name, sees every
+    call). Models are immutable after construction and shareable across
+    sessions.
     """
 
     vocab: VocabSpec
@@ -100,12 +102,9 @@ class Model:
         if not new_tokens:
             raise ValueError("forward requires at least one new token")
         self._check_tokens(new_tokens)
-        dists = []
-        ctx = list(state.committed)
-        for t in new_tokens:
-            ctx.append(t)
-            dists.append(self.context_dist(tuple(ctx)))
-        state.committed = ctx
+        chain = [-1, *range(len(new_tokens) - 1)]
+        dists = self._row_dists(state.committed, new_tokens, chain)
+        state.committed = [*state.committed, *new_tokens]
         return dists
 
     def forward_tree(self, state: ModelState, tree: DraftTree) -> list[np.ndarray]:
@@ -113,12 +112,11 @@ class Model:
 
         The distribution at each row equals sequential `forward` along
         that row's ancestor path. The reference models read the paths
-        from `tree.parents`, extending each row's context from its parent
-        row's; a backend that consumes attention inputs reads
-        `tree.mask` and `tree.position_ids`, which are derived from the
-        same parents. The state is not advanced; the caller commits the
-        accepted path by appending its tokens to `state.committed`, with
-        no further model call.
+        from `tree.parents`; a backend that consumes attention inputs
+        reads `tree.mask` and `tree.position_ids`, which are derived from
+        the same parents. The state is not advanced; the caller commits
+        the accepted path by appending its tokens to `state.committed`,
+        with no further model call.
 
         Raises TreeStructureError when a row's parent is not an earlier
         row (or row 0 is not the root).
@@ -134,12 +132,21 @@ class Model:
             raise TreeStructureError("parents length != draft_ids length")
         if parents[0] != -1:
             raise TreeStructureError(f"row 0 has parent {parents[0]}, not -1")
-        contexts = [tuple(state.committed) + (ids[0],)]
         for r in range(1, len(ids)):
-            p = parents[r]
-            if not 0 <= p < r:
-                raise TreeStructureError(f"row {r} has parent {p}, not an earlier row")
-            contexts.append(contexts[p] + (ids[r],))
+            if not 0 <= parents[r] < r:
+                raise TreeStructureError(f"row {r} has parent {parents[r]}, not an earlier row")
+        return self._row_dists(state.committed, ids, parents)
+
+    def _row_dists(
+        self, committed: list[int], ids: list[int], parents: list[int]
+    ) -> list[np.ndarray]:
+        """Next-token distribution after each row of a checked tree: row
+        r's context is `committed` followed by the tokens on the path
+        from row 0 to row r (`parents[0]` is -1, every other parent an
+        earlier row)."""
+        contexts = [(*committed, ids[0])]
+        for r in range(1, len(ids)):
+            contexts.append(contexts[parents[r]] + (ids[r],))
         return [self.context_dist(ctx) for ctx in contexts]
 
 
@@ -151,6 +158,15 @@ class MarkovTableModel(Model):
     with ctx the last min(o, len) committed tokens. Low-entropy training
     corpora make the model reproduce phrases, which gives the retrieval
     index signal.
+
+    The model is a dense table: one row of counts and one read-only row
+    of probabilities per observed context, and one shared probability
+    row (zero counts, so 1/V) for every unseen context. A context's key
+    is the context padded on the left with the sentinel V to o tokens,
+    read as base-(V+1) digits, so contexts shorter than o (at the start
+    of a sequence) get keys of their own. A child's key drops its
+    parent key's top digit and appends its token, so a draft tree's row
+    keys follow its parent array with one multiply-add per row.
     """
 
     def __init__(
@@ -169,29 +185,109 @@ class MarkovTableModel(Model):
         self.order = order
         self.alpha = alpha
         self.seed = seed
-        self.counts: dict[tuple[int, ...], dict[int, int]] = counts or {}
-        self._dist_cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._base = vocab.size + 1
+        # a child key keeps its parent key modulo _wrap (the low o-1 digits)
+        self._wrap = self._base ** (order - 1)
+        self._empty_key = self._base**order - 1  # o sentinels
+        # int64 keys while the largest key fits, Python ints past that
+        fits = self._empty_key <= np.iinfo(np.int64).max
+        self._key_dtype = np.int64 if fits else object
+        self._keys = np.zeros(0, self._key_dtype)  # observed context keys, sorted
+        self._counts = np.zeros((1, vocab.size), np.int64)  # see _add
+        self._add(self._keys, np.zeros(0, np.intp), np.zeros(0, np.int64))
+        if counts:
+            self._add_counts(counts)
 
     def train(self, sequences: list[list[int]]) -> "MarkovTableModel":
-        for seq in sequences:
-            self._check_tokens(seq)
-            for i, tok in enumerate(seq):
-                ctx = tuple(seq[max(0, i - self.order) : i])
-                self.counts.setdefault(ctx, collections.Counter())[tok] += 1
-        self._dist_cache.clear()
+        """Add one count per position of every sequence, under the key of
+        the (up to o) tokens before it."""
+        lens = [len(seq) for seq in sequences]
+        tokens = np.fromiter(itertools.chain.from_iterable(sequences), np.int64, sum(lens))
+        bad = tokens[(tokens < 0) | (tokens >= self.vocab.size)]
+        if bad.size:
+            raise ValueError(f"token id {bad[0]} out of range [0, {self.vocab.size})")
+        # every sequence behind its own o sentinels: a position's context
+        # is the o padded tokens before it
+        order = self.order
+        pos = np.arange(len(tokens)) + np.repeat(order * np.arange(1, len(lens) + 1), lens)
+        padded = np.full(len(tokens) + order * len(lens), self.vocab.size, np.int64)
+        padded[pos] = tokens
+        keys = np.zeros(len(tokens), self._key_dtype)
+        for back in range(order, 0, -1):
+            keys = keys * self._base + padded[pos - back].astype(self._key_dtype)
+        self._add(keys, tokens, np.ones(len(tokens), np.int64))
         return self
 
+    def _add_counts(self, counts: dict[tuple[int, ...], dict[int, int]]) -> None:
+        """Add explicit {context: {token: count}} counts."""
+        keys, tokens, weights = [], [], []
+        for ctx, per_tok in counts.items():
+            if len(ctx) > self.order:
+                raise ValueError(f"context of {len(ctx)} tokens exceeds order {self.order}")
+            self._check_tokens([*ctx, *per_tok])
+            key = self._context_key(ctx)
+            for tok, cnt in per_tok.items():
+                keys.append(key)
+                tokens.append(tok)
+                weights.append(cnt)
+        self._add(
+            np.array(keys, self._key_dtype), np.array(tokens, np.intp), np.array(weights, np.int64)
+        )
+
+    def _add(self, keys: np.ndarray, tokens: np.ndarray, weights: np.ndarray) -> None:
+        """Add weights[i] to count(keys[i], tokens[i]) and rebuild the
+        probability table."""
+        vocab_size = self.vocab.size
+        n_old = len(self._keys)
+        self._keys, rows = np.unique(np.concatenate([self._keys, keys]), return_inverse=True)
+        # one row per key, and a last row with no counts that serves
+        # every unseen context
+        counts = np.zeros((len(self._keys) + 1, vocab_size), np.int64)
+        counts[rows[:n_old]] = self._counts[:-1]
+        np.add.at(counts.reshape(-1), rows[n_old:] * vocab_size + tokens, weights)
+        self._counts = counts
+        table = counts + self.alpha
+        table /= table.sum(axis=1, keepdims=True)
+        table.flags.writeable = False
+        self._unseen = table[-1]
+        self._dist_of = dict(zip(self._keys.tolist(), table))
+
+    def _context_key(self, context: tuple[int, ...] | list[int]) -> int:
+        key = self._empty_key
+        for t in context[-self.order :]:
+            key = key % self._wrap * self._base + t
+        return key
+
+    def _key_context(self, key: int) -> tuple[int, ...]:
+        ctx = []
+        for _ in range(self.order):
+            key, digit = divmod(key, self._base)
+            if digit == self.vocab.size:  # sentinels pad only the left
+                break
+            ctx.append(digit)
+        return tuple(reversed(ctx))
+
+    def observed_counts(self) -> dict[tuple[int, ...], dict[int, int]]:
+        """The nonzero counts of every observed context, in context order."""
+        out = {}
+        for key, row in zip(self._keys.tolist(), self._counts):
+            toks = np.flatnonzero(row)
+            out[self._key_context(key)] = dict(zip(toks.tolist(), row[toks].tolist()))
+        return dict(sorted(out.items()))
+
     def context_dist(self, context: tuple[int, ...]) -> np.ndarray:
-        ctx = context[-self.order :] if len(context) > self.order else context
-        cached = self._dist_cache.get(ctx)
-        if cached is not None:
-            return cached
-        probs = np.full(self.vocab.size, self.alpha, dtype=np.float64)
-        for tok, cnt in self.counts.get(ctx, {}).items():
-            probs[tok] += cnt
-        probs /= probs.sum()
-        self._dist_cache[ctx] = probs
-        return probs
+        self._check_tokens(context[-self.order :])
+        return self._dist_of.get(self._context_key(context), self._unseen)
+
+    def _row_dists(
+        self, committed: list[int], ids: list[int], parents: list[int]
+    ) -> list[np.ndarray]:
+        base, wrap = self._base, self._wrap
+        keys = [self._context_key(committed) % wrap * base + ids[0]]
+        for r in range(1, len(ids)):
+            keys.append(keys[parents[r]] % wrap * base + ids[r])
+        dist_of, unseen = self._dist_of, self._unseen
+        return [dist_of.get(k, unseen) for k in keys]
 
 
 class ScriptedModel(Model):
@@ -243,15 +339,14 @@ def save_model_file(path: str | Path, model: MarkovTableModel) -> None:
         f"seed {model.seed}",
         "counts",
     ]
-    for ctx in sorted(model.counts):
-        pairs = ",".join(
-            f"{tok}:{cnt}" for tok, cnt in sorted(model.counts[ctx].items())
-        )
+    for ctx, per_tok in model.observed_counts().items():
+        pairs = ",".join(f"{tok}:{cnt}" for tok, cnt in per_tok.items())
         lines.append(f"{' '.join(map(str, ctx))} -> {pairs}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# header fields and their parsers; any other header key is ignored
+# header fields and their parsers; `train_corpus_path` is the one other
+# header key
 _HEADER_FIELDS = {"vocab_size": int, "eos": int, "order": int, "alpha": float, "seed": int}
 
 
@@ -261,13 +356,15 @@ def load_model_file(path: str | Path) -> MarkovTableModel:
     Header fields: vocab_size, eos, order, alpha, seed. Then either a
     `train_corpus_path <relative path>` line or a `counts` section with
     one line per context: "ctx_tokens -> token:count,...". A malformed
-    number, or a counts line with a token id outside the vocab, a
-    negative count or a context longer than the order, raises ValueError
+    number, an unknown header key, or a counts line with a token id
+    outside the vocab, a negative count, a context longer than the order
+    or a context that an earlier line already gave raises ValueError
     naming its path:line.
     """
     path = Path(path)
     header: dict[str, int | float] = {}
     model: MarkovTableModel | None = None
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
     corpus_path: Path | None = None
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -278,7 +375,7 @@ def load_model_file(path: str | Path) -> MarkovTableModel:
             continue
         try:
             if model is not None:
-                _add_counts_line(model, line)
+                _add_counts_line(model, line, counts)
                 continue
             key, _, value = line.partition(" ")
             if not value:
@@ -287,10 +384,13 @@ def load_model_file(path: str | Path) -> MarkovTableModel:
                 corpus_path = path.parent / value.strip()
             elif key in _HEADER_FIELDS:
                 header[key] = _HEADER_FIELDS[key](value)
+            else:
+                raise ValueError(f"unknown header key {key!r}")
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if model is None:
         model = _header_model(path, header)
+    model._add_counts(counts)
     if corpus_path is not None:
         from .corpus import load_corpus
 
@@ -312,8 +412,11 @@ def _header_model(path: Path, header: dict[str, int | float]) -> MarkovTableMode
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _add_counts_line(model: MarkovTableModel, line: str) -> None:
-    """Parse and check one "ctx_tokens -> token:count,..." line."""
+def _add_counts_line(
+    model: MarkovTableModel, line: str, counts: dict[tuple[int, ...], dict[int, int]]
+) -> None:
+    """Parse and check one "ctx_tokens -> token:count,..." line into
+    counts."""
     ctx_part, arrow, val_part = line.partition("->")
     if not arrow:
         raise ValueError("malformed counts line")
@@ -330,4 +433,6 @@ def _add_counts_line(model: MarkovTableModel, line: str) -> None:
             raise ValueError(f"token id {tok} out of range [0, {model.vocab.size})")
     if any(cnt < 0 for cnt in per_tok.values()):
         raise ValueError("negative count")
-    model.counts[ctx] = per_tok
+    if ctx in counts:
+        raise ValueError(f"counts context {' '.join(map(str, ctx)) or '(empty)'} repeated")
+    counts[ctx] = per_tok

@@ -218,6 +218,23 @@ def test_run_invalid_model_counts_exit_2(tmp_path, capsys, line):
 
 
 @pytest.mark.parametrize(
+    "text, where",
+    [
+        ("vocab_size 8\neos 7\nalpah 0.5\ncounts\n", ":3: unknown header key 'alpah'"),
+        ("vocab_size 8\neos 7\ncounts\n1 -> 2:1\n1 -> 3:4\n", ":5: counts context 1 repeated"),
+    ],
+    ids=["unknown-header-key", "repeated-context"],
+)
+def test_run_model_file_typo_or_repeat_exit_2(tmp_path, capsys, text, where):
+    model = tmp_path / "model.txt"
+    model.write_text(text)
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("1 2 3\n")
+    assert main(["run", "--model", str(model), "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {model}{where}")
+
+
+@pytest.mark.parametrize(
     "header, where",
     [
         ("vocab_size 64.0\neos 7\n", ":1: invalid literal"),

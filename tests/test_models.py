@@ -251,17 +251,126 @@ def test_sample_rejects_bad_temperature(temperature):
         sample(np.array([0.0, 1.0, 0.0, 0.0]), temperature, np.random.default_rng(0))
 
 
+def _hand_counts(sequences, order):
+    """The dict-of-counters training loop the table replaced."""
+    counts: dict[tuple[int, ...], dict[int, int]] = {}
+    for seq in sequences:
+        for i, tok in enumerate(seq):
+            per_tok = counts.setdefault(tuple(seq[max(0, i - order) : i]), {})
+            per_tok[tok] = per_tok.get(tok, 0) + 1
+    return counts
+
+
+def _hand_dist(counts, context, order, vocab_size, alpha):
+    """The add-alpha formula as evaluated per context before the table."""
+    probs = np.full(vocab_size, alpha, dtype=np.float64)
+    for tok, cnt in counts.get(tuple(context[-order:]), {}).items():
+        probs[tok] += cnt
+    probs /= probs.sum()
+    return probs
+
+
+def _random_sequences(rng, vocab_size, n=8):
+    # a few hot tokens, so contexts repeat and rows get several counts
+    hot = rng.integers(0, vocab_size, size=min(vocab_size, 4))
+    return [
+        [int(rng.choice(hot)) if rng.random() < 0.7 else int(rng.integers(0, vocab_size))
+         for _ in range(rng.integers(0, 25))]
+        for _ in range(n)
+    ]
+
+
+# (vocab size, order); the last pair's keys exceed int64
+TABLE_SHAPES = [(v, o) for v in (2, 7, 64) for o in (1, 2, 3)] + [(64, 12)]
+
+
+@pytest.mark.parametrize("vocab_size, order", TABLE_SHAPES)
+def test_markov_table_equals_hand_formula(vocab_size, order):
+    rng = np.random.default_rng(vocab_size * 10 + order)
+    alpha = 0.1
+    seqs = _random_sequences(rng, vocab_size)
+    counts = _hand_counts(seqs, order)
+    vocab = VocabSpec(vocab_size, vocab_size - 1)
+    trained = MarkovTableModel(vocab, order=order, alpha=alpha).train(seqs)
+    given = MarkovTableModel(vocab, order=order, alpha=alpha, counts=counts)
+    assert trained.observed_counts() == given.observed_counts() == dict(sorted(counts.items()))
+    unseen = [
+        tuple(rng.integers(0, vocab_size, size=rng.integers(0, order + 3)).tolist())
+        for _ in range(200)
+    ]
+    for ctx in [(), *counts, *unseen]:
+        want = _hand_dist(counts, ctx, order, vocab_size, alpha)
+        np.testing.assert_array_equal(trained.context_dist(ctx), want)
+        np.testing.assert_array_equal(given.context_dist(ctx), want)
+
+
+@pytest.mark.parametrize("vocab_size, order", TABLE_SHAPES)
+def test_markov_forward_tree_equals_context_dist_under_short_prompts(vocab_size, order):
+    rng = np.random.default_rng(vocab_size * 100 + order)
+    seqs = _random_sequences(rng, vocab_size)
+    counts = _hand_counts(seqs, order)
+    model = MarkovTableModel(VocabSpec(vocab_size, vocab_size - 1), order=order).train(seqs)
+    for _ in range(40):
+        # prompts shorter than the order (empty: no prefill), trees deeper
+        prompt = rng.integers(0, vocab_size, size=rng.integers(0, order)).tolist()
+        state = model.new_state()
+        if prompt:
+            model.forward(state, prompt)
+        drafts = [
+            (seqs[rng.integers(len(seqs))] + [0])[: order + 3]
+            if rng.random() < 0.5
+            else rng.integers(0, vocab_size, size=rng.integers(1, order + 4)).tolist()
+            for _ in range(rng.integers(1, 5))
+        ]
+        root = int(rng.integers(0, vocab_size))
+        tree = prepare_attention_inputs(len(prompt), root, drafts)
+        dists = model.forward_tree(state, tree)
+        paths = [(*prompt, root)]
+        for r in range(1, tree.seq_len):
+            paths.append(paths[tree.parents[r]] + (tree.draft_ids[r],))
+        for d, path in zip(dists, paths, strict=True):
+            np.testing.assert_array_equal(d, model.context_dist(path))
+            np.testing.assert_array_equal(
+                d, _hand_dist(counts, path, order, vocab_size, model.alpha)
+            )
+
+
+def test_markov_train_twice_equals_train_once(small_markov):
+    first = [[1, 2, 3, 1, 2, 3, 4, 1, 2, 3], [2, 3, 4, 2, 3, 4]]
+    second = [[3, 4, 5, 6], [], [1, 2, 6, 6, 6]]
+    twice = MarkovTableModel(small_markov.vocab, order=2).train(first).train(second)
+    once = MarkovTableModel(small_markov.vocab, order=2).train(first + second)
+    assert twice.observed_counts() == once.observed_counts()
+    for ctx in [(), (7,), *once.observed_counts()]:
+        np.testing.assert_array_equal(twice.context_dist(ctx), once.context_dist(ctx))
+
+
+def test_markov_dists_are_read_only(small_markov):
+    state = small_markov.new_state()
+    dists = small_markov.forward(state, [1, 2])
+    dists += small_markov.forward_tree(state, prepare_attention_inputs(2, 3, [[1]]))
+    dists.append(small_markov.context_dist((7, 7)))  # unseen
+    for d in dists:
+        with pytest.raises(ValueError, match="read-only"):
+            d[0] = 1.0
+
+
 def test_model_file_round_trip(tmp_path, small_markov):
-    path = tmp_path / "model.txt"
-    save_model_file(path, small_markov)
-    loaded = load_model_file(path)
-    assert loaded.vocab == small_markov.vocab
-    assert loaded.order == small_markov.order
-    assert loaded.alpha == small_markov.alpha
-    for ctx in small_markov.counts:
-        np.testing.assert_array_equal(
-            loaded.context_dist(ctx), small_markov.context_dist(ctx)
-        )
+    given = MarkovTableModel(
+        small_markov.vocab, order=2, alpha=0.25, seed=4,
+        counts={(): {3: 5}, (1,): {2: 1, 6: 2}, (4, 1): {0: 7}},
+    )
+    for model in (small_markov, given):  # built by train and by counts=
+        path = tmp_path / "model.txt"
+        save_model_file(path, model)
+        loaded = load_model_file(path)
+        assert loaded.vocab == model.vocab
+        assert loaded.order == model.order
+        assert loaded.alpha == model.alpha
+        assert loaded.seed == model.seed
+        assert loaded.observed_counts() == model.observed_counts()
+        for ctx in [*model.observed_counts(), (5, 5)]:
+            np.testing.assert_array_equal(loaded.context_dist(ctx), model.context_dist(ctx))
 
 
 def test_model_file_train_corpus_path(tmp_path):
@@ -294,9 +403,11 @@ def test_model_file_parse_errors(tmp_path):
         ("1 2 3 -> 4:1", "context of 3 tokens exceeds order 2"),
         ("1 x -> 2:1", "invalid literal for int()"),
         ("1 -> 2:1.5", "invalid literal for int()"),
+        ("1 2 -> 4:1", "counts context 1 2 repeated"),
     ],
     ids=["negative-token", "token-past-vocab", "context-token-past-vocab",
-         "negative-count", "context-past-order", "context-not-int", "count-not-int"],
+         "negative-count", "context-past-order", "context-not-int", "count-not-int",
+         "context-repeated"],
 )
 def test_model_file_rejects_invalid_counts_line(tmp_path, line, message):
     bad = tmp_path / "bad.txt"
@@ -317,8 +428,9 @@ def test_markov_rejects_alpha_outside_positive_finite(alpha):
         ("vocab_size 64.0\neos 7\n", ":1: invalid literal for int()"),
         ("vocab_size 8\neos 7\nalpha nan\n", ": alpha must be finite and > 0"),
         ("vocab_size 8\neos 7\nalpha inf\n", ": alpha must be finite and > 0"),
+        ("vocab_size 8\neos 7\nalpah 0.5\n", ":3: unknown header key 'alpah'"),
     ],
-    ids=["vocab_size-not-int", "alpha-nan", "alpha-inf"],
+    ids=["vocab_size-not-int", "alpha-nan", "alpha-inf", "unknown-key"],
 )
 def test_model_file_rejects_invalid_header(tmp_path, header, message):
     bad = tmp_path / "bad.txt"
