@@ -5,9 +5,12 @@ logit (minus the already-sampled next token), retrieves continuations for
 the next token (one match_with_fallback query) and for every candidate
 (one NGramIndex.match_candidates call per step), and assembles the
 proposed sequences, overlaps included (the draft tree merges them), under
-a fixed token budget with a rank-tiered per-candidate cap. Proposals are
-produced lazily and assembled by one capacity loop, so candidates past an
-exhausted budget are never speculated or probed.
+a fixed token budget with a rank-tiered per-candidate cap. One plain
+loop assembles the draft: the next-token sequences, then each candidate
+as match_candidates yields its continuation, so candidates past an
+exhausted budget are never speculated or probed. A DraftSet records how
+many sequences came from the next-token query (n_next) and derives each
+sequence's origin from that count.
 
 At temperature 0, a next-token query that hits at its full starting
 length ends the draft, so such steps speculate and probe no candidates.
@@ -15,7 +18,6 @@ length ends the draft, so such steps speculate and probe no candidates.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,16 +56,23 @@ class DraftConfig:
 class DraftSet:
     """Draft sequences to merge under the pending next token.
 
-    Origins are "next" for next-token retrievals and "cand:<rank>" for
-    candidate-rooted sequences. Query bookkeeping feeds the per-step
-    retrieval-hit metric.
+    The first n_next sequences are next-token retrievals; the rest are
+    candidate-rooted, one per candidate in rank order. Query bookkeeping
+    feeds the per-step retrieval-hit metric.
     """
 
     sequences: list[list[int]] = field(default_factory=list)
-    origins: list[str] = field(default_factory=list)
+    n_next: int = 0
     queries: int = 0
     hits: int = 0
     used_m: int = 0
+
+    @property
+    def origins(self) -> list[str]:
+        """Per sequence, "next" for a next-token retrieval and
+        "cand:<rank>" for a candidate-rooted sequence."""
+        n_cand = len(self.sequences) - self.n_next
+        return ["next"] * self.n_next + [f"cand:{rank}" for rank in range(n_cand)]
 
 
 def speculate_next_next(last_dist: np.ndarray, next_token: int, k: int) -> list[int]:
@@ -113,53 +122,45 @@ def build_draft(
     at its starting length min(m_start, len(context) + 1) drafts its
     continuations only: no candidate is speculated, probed or counted.
     """
-    draft = DraftSet()
     # queries read at most m_start tokens back, so only the context's
     # tail is copied
     suffix = context[-cfg.m_start :] + [next_token]
-    total = 0
-    for seq, origin in _proposals(index, suffix, last_dist, cfg, draft, greedy):
-        seq = seq[: cfg.capacity - total]
-        draft.sequences.append(seq)
-        draft.origins.append(origin)
-        total += len(seq)
-        if total >= cfg.capacity:
-            break
-    return draft
-
-
-def _proposals(
-    index: NGramIndex,
-    suffix: list[int],
-    last_dist: np.ndarray,
-    cfg: DraftConfig,
-    draft: DraftSet,
-    greedy: bool,
-) -> Iterator[tuple[list[int], str]]:
-    """Yield (sequence, origin) in draft order for suffix (the context
-    tail plus the next token), recording each query's bookkeeping in
-    draft as it runs."""
     m_next = min(cfg.m_start, len(suffix))
-    found, draft.used_m = index.match_with_fallback(suffix, m_next)
-    draft.queries += 1
-    draft.hits += bool(found)
+    found, used_m = index.match_with_fallback(suffix, m_next)
+    draft = DraftSet(queries=1, hits=int(bool(found)), used_m=used_m)
+    sequences = draft.sequences
+    room = cfg.capacity
     for cont in found:
-        yield cont, "next"
+        sequences.append(cont[:room])
+        draft.n_next += 1
+        room -= len(cont)
+        if room <= 0:
+            return draft
     # a full-length greedy hit rarely loses to a candidate, and greedy
     # verification emits the same tokens whatever the draft holds
-    if greedy and draft.used_m == m_next:
-        return
+    if greedy and used_m == m_next:
+        return draft
 
-    candidates = speculate_next_next(last_dist, suffix[-1], cfg.top_k)
+    candidates = speculate_next_next(last_dist, next_token, cfg.top_k)
     if not candidates:
-        return
+        return draft
     # one index call serves every candidate query suffix + [cand],
     # floored at CANDIDATE_MIN_M
     m_start = min(cfg.m_start, len(suffix) + 1)
     continuations = index.match_candidates(
         suffix, candidates, m_start, min_m=min(CANDIDATE_MIN_M, m_start)
     )
-    for rank, (cand, cont) in enumerate(zip(candidates, continuations)):
-        draft.queries += 1
-        draft.hits += bool(cont)
-        yield [cand] + cont[: prune_budget(rank) - 1], f"cand:{rank}"
+    hits = 0
+    for rank, cont in enumerate(continuations):
+        if cont:
+            hits += 1
+            seq = [candidates[rank], *cont[: min(prune_budget(rank), room) - 1]]
+        else:
+            seq = [candidates[rank]]
+        sequences.append(seq)
+        room -= len(seq)
+        if room <= 0:
+            break
+    draft.queries += len(sequences) - draft.n_next
+    draft.hits += hits
+    return draft

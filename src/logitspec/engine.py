@@ -135,10 +135,7 @@ def _build_step_draft(
         return DraftSet()
     if cfg.mode == "last_logit":
         cands = speculate_next_next(last_dist, pending, cfg.last_logit_k)
-        return DraftSet(
-            sequences=[[tok] for tok in cands],
-            origins=[f"cand:{rank}" for rank in range(len(cands))],
-        )
+        return DraftSet(sequences=[[tok] for tok in cands])
     assert index is not None
     return build_draft(
         index, context, pending, last_dist, cfg.draft, greedy=cfg.temperature == 0

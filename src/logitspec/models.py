@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tree import DraftTree, TreeStructureError
+from .tree import DraftTree
 from .tree import ancestor_rows  # noqa: F401  (perfbench/spans.py wraps models.ancestor_rows)
 
 __all__ = [
@@ -118,24 +118,17 @@ class Model:
         the accepted path by appending its tokens to `state.committed`,
         with no further model call.
 
-        Raises TreeStructureError when a row's parent is not an earlier
-        row (or row 0 is not the root).
+        Raises TreeStructureError (`DraftTree.check`) when a row's parent
+        is not an earlier row (or row 0 is not the root).
         """
         ids = tree.draft_ids
-        parents = tree.parents
         self._check_tokens(ids)
         if tree.past_len != len(state.committed):
             raise ValueError(
                 f"tree past_len {tree.past_len} != committed length {len(state.committed)}"
             )
-        if len(parents) != len(ids):
-            raise TreeStructureError("parents length != draft_ids length")
-        if parents[0] != -1:
-            raise TreeStructureError(f"row 0 has parent {parents[0]}, not -1")
-        for r in range(1, len(ids)):
-            if not 0 <= parents[r] < r:
-                raise TreeStructureError(f"row {r} has parent {parents[r]}, not an earlier row")
-        return self._row_dists(state.committed, ids, parents)
+        tree.check()
+        return self._row_dists(state.committed, ids, tree.parents)
 
     def _row_dists(
         self, committed: list[int], ids: list[int], parents: list[int]

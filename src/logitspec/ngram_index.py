@@ -1,17 +1,19 @@
 """Hash-table n-gram retrieval over the session's prompt + decoded tokens.
 
-Every gram of length 1..m_max is a key mapping to the offsets just past
-its occurrences, so a lookup is a bounded number of hash probes
+The table is keyed by gram prefix: every prefix of 0..m_max-1 tokens
+maps to its successors, each next token to the offsets just past the
+occurrences of prefix + (token,). A gram of length 1..m_max is found by
+one successor lookup of its prefix and one int lookup of its last token,
 regardless of source length. The index grows incrementally as tokens are
 decoded; extend() is equivalent to a rebuild as far as match() output is
 concerned.
 
-Every query reads the table through one lookup, _continuations(): one
-probe returning the most recent distinct continuations of a gram.
-match_with_fallback() serves one suffix (the next-token query), and
-match_candidates() serves every next-next candidate of a step in one
-call, so its cost is also a bounded number of probes per candidate
-regardless of source length.
+match() and match_with_fallback() (the next-token query) count one probe
+per gram looked up. match_candidates() serves every next-next candidate
+of a step in one call: it fetches the successors of each query prefix
+once, then answers each candidate with one int lookup per gram length
+tried, counted as one probe. Every query reads its continuations through
+_continuations().
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ from collections.abc import Iterable, Iterator
 
 __all__ = ["NGramIndex"]
 
+# the successors of a prefix that never occurs
+_NO_SUCCESSORS: dict[int, list[int]] = {}
+
 
 class NGramIndex:
-    """Retrieval model: key grams (length 1..m_max) -> occurrence offsets."""
+    """Retrieval model: gram prefix (0..m_max-1 tokens) -> next token ->
+    occurrence offsets of the gram."""
 
     def __init__(self, m_max: int = 3, value_len: int = 8):
         if m_max < 1:
@@ -32,9 +38,9 @@ class NGramIndex:
         self.m_max = m_max
         self.value_len = value_len
         self.source: list[int] = []
-        # offsets in ascending source order; each points just past a key
+        # offsets in ascending source order; each points just past a gram
         # occurrence, i.e. at the first continuation token
-        self.table: dict[tuple[int, ...], list[int]] = {}
+        self.table: dict[tuple[int, ...], dict[int, list[int]]] = {}
         self.probe_count = 0
 
     @classmethod
@@ -45,12 +51,22 @@ class NGramIndex:
 
     def extend(self, new_tokens: list[int]) -> "NGramIndex":
         """Index the grams ending at each newly appended position."""
+        source = self.source
+        table = self.table
         for tok in new_tokens:
-            self.source.append(tok)
-            end = len(self.source)
+            source.append(tok)
+            end = len(source)
             for m in range(1, min(self.m_max, end) + 1):
-                key = tuple(self.source[end - m : end])
-                self.table.setdefault(key, []).append(end)
+                prefix = tuple(source[end - m : end - 1])
+                successors = table.get(prefix)
+                if successors is None:
+                    table[prefix] = {tok: [end]}
+                    continue
+                offsets = successors.get(tok)
+                if offsets is None:
+                    successors[tok] = [end]
+                else:
+                    offsets.append(end)
         return self
 
     def match(self, query: list[int], max_matches: int = 2) -> list[list[int]]:
@@ -60,7 +76,9 @@ class NGramIndex:
             raise ValueError(
                 f"query length {len(query)} outside [1, {self.m_max}]"
             )
-        return self._continuations(tuple(query), max_matches)
+        self.probe_count += 1
+        offsets = self.table.get(tuple(query[:-1]), _NO_SUCCESSORS).get(query[-1])
+        return self._continuations(offsets, max_matches) if offsets else []
 
     def match_with_fallback(
         self,
@@ -94,8 +112,10 @@ class NGramIndex:
         match_with_fallback(suffix + [cand], m_start, min_m, max_matches=1)
         returns, or [] when every gram length misses.
 
-        The m_start - min_m + 1 query prefixes are built once; each
-        candidate then costs one probe of prefix + (cand,) per gram
+        The successors of the m_start - min_m + 1 query prefixes (the
+        last m - 1 tokens of suffix, for m from m_start down to min_m)
+        are fetched once, when called; each candidate then costs one
+        probe, a lookup of the candidate in those successors, per gram
         length tried. Candidates are probed lazily, so a caller that
         stops iterating probes no further. Do not extend the index while
         iterating.
@@ -105,27 +125,34 @@ class NGramIndex:
                 f"need 1 <= min_m {min_m} <= m_start {m_start} <= "
                 f"min(m_max {self.m_max}, len(suffix) + 1 = {len(suffix) + 1})"
             )
-        prefixes = [
-            tuple(suffix[len(suffix) - m + 1 :]) for m in range(m_start, min_m - 1, -1)
+        n = len(suffix)
+        successors = [
+            self.table.get(tuple(suffix[n - m + 1 :]), _NO_SUCCESSORS)
+            for m in range(m_start, min_m - 1, -1)
         ]
+        return self._first_continuations(successors, candidates)
 
-        def first(cand: int) -> list[int]:
-            for prefix in prefixes:
-                found = self._continuations(prefix + (cand,), 1)
-                if found:
-                    return found[0]
-            return []
+    def _first_continuations(
+        self, successors: list[dict[int, list[int]]], candidates: Iterable[int]
+    ) -> Iterator[list[int]]:
+        """Per candidate, the most recent continuation from the first
+        successor dict whose gram for it has one, or []."""
+        for cand in candidates:
+            cont: list[int] = []
+            for succ in successors:
+                self.probe_count += 1
+                offsets = succ.get(cand)
+                if offsets:
+                    found = self._continuations(offsets, 1)
+                    if found:
+                        cont = found[0]
+                        break
+            yield cont
 
-        return map(first, candidates)
-
-    def _continuations(self, key: tuple[int, ...], max_matches: int) -> list[list[int]]:
-        """One probe: up to max_matches distinct non-empty continuations
-        (up to value_len tokens) after the occurrences of key, most recent
-        first."""
-        self.probe_count += 1
-        offsets = self.table.get(key)
-        if not offsets:
-            return []
+    def _continuations(self, offsets: list[int], max_matches: int) -> list[list[int]]:
+        """Up to max_matches distinct non-empty continuations (up to
+        value_len tokens) after the occurrences at offsets (those of one
+        gram), most recent first."""
         found: list[list[int]] = []
         for off in reversed(offsets):
             cont = self.source[off : off + self.value_len]
@@ -136,9 +163,14 @@ class NGramIndex:
         return found
 
     def dump(self) -> str:
-        """Debug dump, one key per line: "k1 k2 .. km | off1,off2,..."."""
-        lines = []
-        for key in sorted(self.table):
-            offs = ",".join(map(str, self.table[key]))
-            lines.append(f"{' '.join(map(str, key))} | {offs}")
-        return "\n".join(lines)
+        """Debug dump, one gram per line in sorted order:
+        "k1 k2 .. km | off1,off2,..."."""
+        grams = sorted(
+            (prefix + (tok,), offsets)
+            for prefix, successors in self.table.items()
+            for tok, offsets in successors.items()
+        )
+        return "\n".join(
+            f"{' '.join(map(str, gram))} | {','.join(map(str, offsets))}"
+            for gram, offsets in grams
+        )

@@ -10,7 +10,9 @@ every parent before its children. The reference models and verification
 read the parents directly. The dense attention mask (each row sees the
 past context, its ancestors and itself) and the position ids (past_len +
 depth) are derived from the parents on first access, for mask-consuming
-backends and debug dumps.
+backends and debug dumps. `DraftTree.check` validates the parent array
+for them and for `Model.forward_tree`; the mask is built one byte row per
+tree row, each a copy of its parent's row with its own column set.
 """
 
 from __future__ import annotations
@@ -54,33 +56,39 @@ class DraftTree:
     def draft_count(self) -> int:
         return len(self.draft_ids) - 1
 
+    def check(self) -> None:
+        """Raise TreeStructureError unless parents is a parent array for
+        draft_ids: one entry per row, -1 for row 0 (the root), an earlier
+        row for every other row."""
+        parents = self.parents
+        if len(parents) != len(self.draft_ids):
+            raise TreeStructureError("parents length != draft_ids length")
+        if not parents or parents[0] != -1:
+            raise TreeStructureError(f"row 0 has parents {parents[:1]}, not [-1]")
+        for r in range(1, len(parents)):
+            if not 0 <= parents[r] < r:
+                raise TreeStructureError(f"row {r} has parent {parents[r]}, not an earlier row")
+
     @cached_property
     def mask(self) -> np.ndarray:
         """(seq_len, past_len + seq_len) int8 visibility: every row sees
         the past context and the root, plus its draft ancestors and
         itself."""
+        self.check()
         parents = self.parents
         past = self.past_len
         n = len(parents)
-        # path[r]: mask columns of row r's draft ancestors (root excluded)
-        # and of itself
-        path: list[list[int]] = [[]]
-        rows: list[int] = []
-        cols: list[int] = []
+        rows = [bytearray(b"\x01" * (past + 1) + b"\x00" * (n - 1))]
         for r in range(1, n):
-            own = path[parents[r]] + [past + r]
-            path.append(own)
-            rows += [r] * len(own)
-            cols += own
-        mask = np.zeros((n, past + n), dtype=np.int8)
-        mask[:, : past + 1] = 1
-        if rows:
-            mask[rows, cols] = 1
-        return mask
+            row = rows[parents[r]][:]
+            row[past + r] = 1
+            rows.append(row)
+        return np.ndarray((n, past + n), np.int8, bytearray().join(rows))
 
     @cached_property
     def position_ids(self) -> np.ndarray:
         """past_len + depth of each row (the root has depth 0)."""
+        self.check()
         parents = self.parents
         depth = [0] * len(parents)
         for r in range(1, len(parents)):

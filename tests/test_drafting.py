@@ -5,6 +5,7 @@ import pytest
 
 from logitspec import DraftConfig, NGramIndex, build_draft, prune_budget, speculate_next_next
 from logitspec.drafting import CANDIDATE_MIN_M
+from logitspec.engine import DecodeConfig, _build_step_draft
 
 from conftest import naive_fallback
 
@@ -293,3 +294,45 @@ def test_build_draft_probe_count_flat_in_source_length():
         # at most the cost of one fallback query per candidate
         min_m = min(CANDIDATE_MIN_M, cfg.m_start)
         assert probes[0] <= cfg.m_start + cfg.top_k * (cfg.m_start - min_m + 1)
+
+
+def test_origins_derived_from_next_count_random():
+    # the first n_next sequences are the next-token continuations, the
+    # rest one per candidate in rank order, so a sequence's origin
+    # follows from its index and n_next alone
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        vocab = int(rng.integers(3, 10))
+        cfg = DraftConfig(
+            top_k=int(rng.integers(0, 9)),
+            capacity=int(rng.integers(1, 30)),
+            m_start=int(rng.integers(1, 4)),
+        )
+        context = rng.integers(0, vocab, size=rng.integers(0, 25)).tolist()
+        next_token = int(rng.integers(0, vocab))
+        last_dist = rng.random(vocab)
+        index = NGramIndex.build(context, m_max=cfg.m_start)
+        draft = build_draft(
+            index, context, next_token, last_dist, cfg, greedy=bool(rng.integers(0, 2))
+        )
+        n_cand = len(draft.sequences) - draft.n_next
+        assert draft.origins == ["next"] * draft.n_next + [f"cand:{r}" for r in range(n_cand)]
+        found, _ = NGramIndex.build(context, m_max=cfg.m_start).match_with_fallback(
+            context[-cfg.m_start :] + [next_token], min(cfg.m_start, len(context) + 1)
+        )
+        assert draft.n_next <= len(found)
+        for seq, cont in zip(draft.sequences, found[: draft.n_next]):
+            assert cont[: len(seq)] == seq
+        cands = speculate_next_next(last_dist, next_token, cfg.top_k)
+        assert [seq[0] for seq in draft.sequences[draft.n_next :]] == cands[:n_cand]
+
+
+def test_last_logit_draft_origins_are_candidates():
+    rng = np.random.default_rng(53)
+    last_dist = rng.random(16)
+    cfg = DecodeConfig(mode="last_logit", last_logit_k=6)
+    draft = _build_step_draft(cfg, None, [1, 2], 4, last_dist)
+    cands = speculate_next_next(last_dist, 4, 6)
+    assert draft.n_next == 0
+    assert draft.sequences == [[tok] for tok in cands]
+    assert draft.origins == [f"cand:{r}" for r in range(6)]

@@ -12,8 +12,10 @@ A, B, C, D = 0, 1, 2, 3
 
 def test_build_records_offsets_past_occurrences():
     index = NGramIndex.build([A, B, C, A, B, D], m_max=2)
-    assert index.table[(A, B)] == [2, 5]
-    assert index.table[(C,)] == [3]
+    # prefix -> next token -> offsets just past each gram occurrence
+    assert index.table[(A,)] == {B: [2, 5]}
+    assert index.table[()][C] == [3]
+    assert index.table[(B,)] == {C: [3], D: [6]}
 
 
 def test_build_empty_source():
@@ -23,7 +25,7 @@ def test_build_empty_source():
 
 def test_build_single_token_no_continuation():
     index = NGramIndex.build([A], m_max=3)
-    assert index.table[(A,)] == [1]
+    assert index.table == {(): {A: [1]}}
     assert not index.match([A])  # offset points past the end
 
 
@@ -224,3 +226,28 @@ def test_dump_format():
     assert "0 | 1,3" in lines
     assert "0 1 | 2,4" in lines
     assert "1 0 | 3" in lines
+
+
+def naive_dump(source: list[int], m_max: int) -> str:
+    """Every gram of length 1..m_max in source, sorted, with the offsets
+    just past its occurrences in ascending order."""
+    grams: dict[tuple[int, ...], list[int]] = {}
+    for end in range(1, len(source) + 1):
+        for m in range(1, min(m_max, end) + 1):
+            grams.setdefault(tuple(source[end - m : end]), []).append(end)
+    return "\n".join(
+        f"{' '.join(map(str, gram))} | {','.join(map(str, grams[gram]))}"
+        for gram in sorted(grams)
+    )
+
+
+def test_dump_lists_every_gram_random():
+    rng = np.random.default_rng(43)
+    for _ in range(300):
+        m_max = int(rng.integers(1, 5))
+        source = rng.integers(0, int(rng.integers(1, 12)), size=rng.integers(0, 40)).tolist()
+        index = NGramIndex(m_max=m_max)
+        for cut in sorted(rng.integers(0, len(source) + 1, size=2).tolist()):
+            index.extend(source[len(index.source) : cut])
+        index.extend(source[len(index.source) :])
+        assert index.dump() == naive_dump(source, m_max)

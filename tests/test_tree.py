@@ -118,6 +118,7 @@ def test_round_trip_and_mask_fuzz():
         assert tree.draft_ids == [root] + [path[-1] for path in paths[1:]]
         assert all(0 <= p < r for r, p in enumerate(tree.parents) if r)
         np.testing.assert_array_equal(tree.mask, mask)
+        assert tree.mask.dtype == np.int8
         # position ids: past_len + path length (root depth 0)
         assert tree.position_ids.tolist() == [past_len + len(path) for path in paths]
 
@@ -138,6 +139,22 @@ def test_ancestor_rows_equal_parent_paths_fuzz():
         for r in range(1, tree.seq_len):
             want.append(want[tree.parents[r]] + [r])
         assert ancestor_rows(tree.mask) == want
+
+
+def test_second_root_rejected_by_mask_and_position_ids():
+    # row 1 is a second root
+    for attr in ("mask", "position_ids"):
+        tree = DraftTree(2, [5, 6, 7], [-1, -1, 0])
+        with pytest.raises(TreeStructureError):
+            getattr(tree, attr)
+
+
+def test_later_row_parent_rejected_by_mask_and_position_ids():
+    for parents in ([-1, 2, 0], [-1, 0, 2]):  # a later row, or itself
+        for attr in ("mask", "position_ids"):
+            tree = DraftTree(2, [5, 6, 7], parents)
+            with pytest.raises(TreeStructureError):
+                getattr(tree, attr)
 
 
 def test_ancestor_rows_traced_example():
