@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes for run, gen-corpus and gen-model: 0 success, 2 bad input
 (unreadable or invalid file, empty corpus, token outside the vocab, no
-mode or out-of-range option), 3 losslessness mismatch under run --compare.
+or a repeated mode, or out-of-range option), 3 losslessness mismatch
+under run --compare.
 check-report: 0 consistent, 1 mismatch, 2 unreadable or malformed report.
 Any command: 141 when stdout closes early (e.g. piped into head).
 """
@@ -141,9 +142,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     modes = [m.strip() for m in args.mode.split(",") if m.strip()]
     if not modes:
         return _bad_input(f"--mode {args.mode!r} names no mode")
-    for mode in modes:
+    for i, mode in enumerate(modes):
         if mode not in MODES:
             return _bad_input(f"unknown mode {mode!r}")
+        if mode in modes[:i]:
+            return _bad_input(f"mode {mode!r} listed twice")
     for i, seq in enumerate(corpus.sequences):
         for tok in seq:
             if not 0 <= tok < model.vocab.size:

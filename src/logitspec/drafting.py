@@ -3,14 +3,13 @@
 The drafter speculates next-next candidates from the top of the last
 logit (minus the already-sampled next token), retrieves continuations for
 the next token (one match_with_fallback query) and for every candidate
-(one NGramIndex.match_candidates call per step), and assembles the
-proposed sequences, overlaps included (the draft tree merges them), under
-a fixed token budget with a rank-tiered per-candidate cap. One plain
-loop assembles the draft: the next-token sequences, then each candidate
-as match_candidates yields its continuation, so candidates past an
-exhausted budget are never speculated or probed. A DraftSet records how
-many sequences came from the next-token query (n_next) and derives each
-sequence's origin from that count.
+(one NGramIndex.match_candidates call per step), and builds the draft
+tree directly: one plain loop inserts the next-token continuations, then
+each candidate path as match_candidates yields its continuation, into a
+token trie under the pending next token, under a fixed token budget with
+a rank-tiered per-candidate cap. Candidates past an exhausted budget are
+never speculated or probed. Rows keep the order in which their paths
+first appear, so next-token rows precede candidate rows.
 
 At temperature 0, a next-token query that hits at its full starting
 length ends the draft, so such steps speculate and probe no candidates.
@@ -18,15 +17,15 @@ length ends the draft, so such steps speculate and probe no candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ngram_index import NGramIndex
+from .tree import DraftTree
 
 __all__ = [
     "DraftConfig",
-    "DraftSet",
     "speculate_next_next",
     "prune_budget",
     "build_draft",
@@ -50,29 +49,6 @@ class DraftConfig:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
         if self.m_start < 1:
             raise ValueError(f"m_start must be >= 1, got {self.m_start}")
-
-
-@dataclass
-class DraftSet:
-    """Draft sequences to merge under the pending next token.
-
-    The first n_next sequences are next-token retrievals; the rest are
-    candidate-rooted, one per candidate in rank order. Query bookkeeping
-    feeds the per-step retrieval-hit metric.
-    """
-
-    sequences: list[list[int]] = field(default_factory=list)
-    n_next: int = 0
-    queries: int = 0
-    hits: int = 0
-    used_m: int = 0
-
-    @property
-    def origins(self) -> list[str]:
-        """Per sequence, "next" for a next-token retrieval and
-        "cand:<rank>" for a candidate-rooted sequence."""
-        n_cand = len(self.sequences) - self.n_next
-        return ["next"] * self.n_next + [f"cand:{rank}" for rank in range(n_cand)]
 
 
 def speculate_next_next(last_dist: np.ndarray, next_token: int, k: int) -> list[int]:
@@ -107,16 +83,18 @@ def build_draft(
     cfg: DraftConfig,
     *,
     greedy: bool = False,
-) -> DraftSet:
-    """Assemble the draft set for one decode step.
+) -> DraftTree:
+    """Build the draft tree for one decode step.
 
-    Next-token retrieval sequences come first, then one sequence per
+    The proposed paths are the next-token retrievals, then one path per
     candidate in rank order (candidate token followed by its most recent
     retrieved continuation, capped by prune_budget; the bare candidate
-    when nothing matches). Accumulation truncates the final sequence to
-    the remaining capacity and stops, so capacity bounds the proposed
-    tokens, repeats included. Candidates past that stop are neither
-    probed nor counted in queries.
+    when nothing matches). Each path descends through the rows that
+    already carry its prefix and adds a row per token from where it
+    diverges. Accumulation truncates the final path to the remaining
+    capacity and stops, so capacity bounds the proposed tokens, repeats
+    included. Candidates past that stop are neither probed nor counted
+    in the tree's queries.
 
     With greedy (temperature-0 decoding), a next-token query that hits
     at its starting length min(m_start, len(context) + 1) drafts its
@@ -127,40 +105,47 @@ def build_draft(
     suffix = context[-cfg.m_start :] + [next_token]
     m_next = min(cfg.m_start, len(suffix))
     found, used_m = index.match_with_fallback(suffix, m_next)
-    draft = DraftSet(queries=1, hits=int(bool(found)), used_m=used_m)
-    sequences = draft.sequences
+    tree = DraftTree(len(context), [next_token], [-1], queries=1, hits=int(bool(found)))
+    draft_ids, parents = tree.draft_ids, tree.parents
+    rows: dict[tuple[int, int], int] = {}  # (parent row, token) -> row
+
+    def insert(path: list[int]) -> None:
+        row = 0
+        for tok in path:
+            child = rows.setdefault((row, tok), len(draft_ids))
+            if child == len(draft_ids):
+                draft_ids.append(tok)
+                parents.append(row)
+            row = child
+
     room = cfg.capacity
     for cont in found:
-        sequences.append(cont[:room])
-        draft.n_next += 1
+        insert(cont[:room])
         room -= len(cont)
         if room <= 0:
-            return draft
+            return tree
     # a full-length greedy hit rarely loses to a candidate, and greedy
     # verification emits the same tokens whatever the draft holds
     if greedy and used_m == m_next:
-        return draft
+        return tree
 
     candidates = speculate_next_next(last_dist, next_token, cfg.top_k)
     if not candidates:
-        return draft
+        return tree
     # one index call serves every candidate query suffix + [cand],
     # floored at CANDIDATE_MIN_M
     m_start = min(cfg.m_start, len(suffix) + 1)
     continuations = index.match_candidates(
         suffix, candidates, m_start, min_m=min(CANDIDATE_MIN_M, m_start)
     )
-    hits = 0
     for rank, cont in enumerate(continuations):
+        tree.queries += 1
+        path = [candidates[rank]]
         if cont:
-            hits += 1
-            seq = [candidates[rank], *cont[: min(prune_budget(rank), room) - 1]]
-        else:
-            seq = [candidates[rank]]
-        sequences.append(seq)
-        room -= len(seq)
+            tree.hits += 1
+            path += cont[: min(prune_budget(rank), room) - 1]
+        insert(path)
+        room -= len(path)
         if room <= 0:
             break
-    draft.queries += len(sequences) - draft.n_next
-    draft.hits += hits
-    return draft
+    return tree

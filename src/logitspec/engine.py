@@ -1,12 +1,13 @@
 """The decode loop and its metrics.
 
-Per step: build drafts around the pending next token, evaluate the draft
-tree in one model call, verify, commit the pending token plus accepted
-drafts, update the retrieval index, and carry the bonus token (with the
-distribution that produced it) into the next step as the new pending
-token / last logit. Committing appends to the model state's tokens, the
-decode's one token history: the tree pass already evaluated them, so the
-model runs once per step after the prefill.
+Per step: build the draft tree under the pending next token in one pass
+(whatever the mode), evaluate it in one model call, verify, commit the
+pending token plus accepted drafts, update the retrieval index, and
+carry the bonus token (with the distribution that produced it) into the
+next step as the new pending token / last logit. Committing appends to
+the model state's tokens, the decode's one token history: the tree pass
+already evaluated them, so the model runs once per step after the
+prefill.
 
 Every emitted token is one draw on the target model's dist at its
 context: argmax at temperature 0, `models.sample` at the configured
@@ -16,10 +17,11 @@ seed every mode emits exactly the autoregressive tokens.
 
 Modes:
   autoregressive  no drafts; one token per forward (the baseline).
-  last_logit      top-k last-logit entries as single-token sibling
-                  guesses at the next-next token (accepted length 0 or 1
-                  per step, so at most 2 tokens per forward).
-  retrieval_only  next-token retrieval sequences only.
+  last_logit      the top last_logit_k last-logit entries as single-token
+                  sibling guesses at the next-next token, whatever the
+                  capacity (accepted length 0 or 1 per step, so at most
+                  2 tokens per forward).
+  retrieval_only  next-token retrieval continuations only.
   logitspec       retrieval for the next token and for each speculated
                   next-next candidate; at temperature 0 the candidates
                   are skipped on steps whose next-token query hits at
@@ -33,10 +35,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .drafting import DraftConfig, DraftSet, build_draft, speculate_next_next
+from .drafting import DraftConfig, build_draft, speculate_next_next
 from .models import Model, sample
 from .ngram_index import NGramIndex
-from .tree import prepare_attention_inputs
+from .tree import DraftTree
+from .tree import prepare_attention_inputs  # noqa: F401  (perfbench/spans.py wraps engine.prepare_attention_inputs)
 from .verify import verify_greedy, verify_stochastic
 
 __all__ = [
@@ -130,12 +133,13 @@ def _build_step_draft(
     context: list[int],
     pending: int,
     last_dist: np.ndarray,
-) -> DraftSet:
+) -> DraftTree:
     if cfg.mode == "autoregressive":
-        return DraftSet()
+        return DraftTree(len(context), [pending], [-1])
     if cfg.mode == "last_logit":
+        # distinct tokens, none of them pending: a star of root children
         cands = speculate_next_next(last_dist, pending, cfg.last_logit_k)
-        return DraftSet(sequences=[[tok] for tok in cands])
+        return DraftTree(len(context), [pending, *cands], [-1, *[0] * len(cands)])
     assert index is not None
     return build_draft(
         index, context, pending, last_dist, cfg.draft, greedy=cfg.temperature == 0
@@ -172,8 +176,7 @@ def decode(
     end = len(prompt) + cfg.max_new_tokens
     records: list[StepRecord] = []
     while True:
-        draft = _build_step_draft(cfg, index, state.committed, pending, last_dist)
-        tree = prepare_attention_inputs(len(state), pending, draft.sequences)
+        tree = _build_step_draft(cfg, index, state.committed, pending, last_dist)
         if tree_observer is not None:
             tree_observer(tree)
         dists = model.forward_tree(state, tree)
@@ -197,10 +200,10 @@ def decode(
             StepRecord(
                 accepted_len=len(emitted) - 1,
                 draft_size=tree.draft_count,
-                retrieval_hit=draft.hits > 0,
+                retrieval_hit=tree.hits > 0,
                 next_next_rank=_token_rank(last_dist, realized_next_next),
                 phase_counters={
-                    "retrieve": draft.queries,
+                    "retrieve": tree.queries,
                     "prepare": 1,
                     "forward": tree.seq_len,
                     "verify": len(outcome.accepted) + 1,

@@ -1,18 +1,19 @@
 """Draft tree: a token trie held as flattened ids and a parent array,
 with the attention inputs derived from them.
 
-Row 0 is the pending next token. Draft sequences are merged into a trie
-under it: a sequence descends through the rows that already carry its
-tokens and adds rows only where it diverges, so every row's token path
-(from the root) is unique. `parents[r]` is the row of row r's parent
-(-1 for the root), always an earlier row, so one pass in row order meets
-every parent before its children. The reference models and verification
-read the parents directly. The dense attention mask (each row sees the
-past context, its ancestors and itself) and the position ids (past_len +
-depth) are derived from the parents on first access, for mask-consuming
-backends and debug dumps. `DraftTree.check` validates the parent array
-for them and for `Model.forward_tree`; the mask is built one byte row per
-tree row, each a copy of its parent's row with its own column set.
+Row 0 is the pending next token; the draft paths form a trie under it,
+so every row's token path (from the root) is unique. `drafting.build_draft`
+inserts its paths as it drafts; `prepare_attention_inputs` merges a
+finished sequence list the same way. `parents[r]` is the row of row r's
+parent (-1 for the root), always an earlier row, so one pass in row order
+meets every parent before its children. The reference models and
+verification read the parents directly. The dense attention mask (each
+row sees the past context, its ancestors and itself) and the position
+ids (past_len + depth) are derived from the parents on first access, for
+mask-consuming backends and debug dumps. `DraftTree.check` validates the
+parent array for them and for `Model.forward_tree`; the mask is built one
+byte row per tree row, each a copy of its parent's row with its own
+column set.
 """
 
 from __future__ import annotations
@@ -40,13 +41,17 @@ class DraftTree:
     """Verification payload for one decode step.
 
     draft_ids[0] is the pending next token; the remaining rows hold the
-    trie of the draft sequences, one row per distinct token path.
-    parents[r] is the row of row r's parent, -1 for the root.
+    trie of the draft paths, one row per distinct token path.
+    parents[r] is the row of row r's parent, -1 for the root. queries
+    and hits count the retrieval queries the drafter made for this tree
+    and those that found a continuation.
     """
 
     past_len: int
     draft_ids: list[int]
     parents: list[int]
+    queries: int = 0
+    hits: int = 0
 
     @property
     def seq_len(self) -> int:

@@ -2,6 +2,8 @@
 the seed-0 corpus hash to digests recorded from the dense-mask
 implementation. Any change to drafting, the tree, the model contract or
 verification (including the order of RNG draws at T=1) shows up here.
+A second digest per setting and mode hashes every step's draft tree row
+for row, which the draft sizes alone cannot pin.
 
 The T=0 logitspec digest was re-recorded when greedy steps whose
 next-token query hits at full length stopped drafting candidates: its
@@ -32,6 +34,7 @@ from logitspec import DecodeConfig, DecodeResult, MarkovTableModel, VocabSpec, d
 from logitspec.cli import prompt_seed
 from logitspec.corpus import gen_corpus
 from logitspec.engine import MODES
+from logitspec.tree import DraftTree
 
 # (temperature, repetitiveness) -> mode -> sha256 over 40 prompts x 128 tokens
 DIGESTS = {
@@ -73,15 +76,65 @@ DIGESTS = {
     },
 }
 
+# (temperature, repetitiveness) -> mode -> sha256 over every step's draft
+# tree, recorded while decode still merged a sequence list into the trie
+TREE_DIGESTS = {
+    (0.0, 0.7): {
+        "autoregressive": (
+            "155c421734bc1d70ed0327224fc3b017"
+            "3c9ea5bea48213d6ec490f9d050e47ac"
+        ),
+        "last_logit": (
+            "5f3fc7686a0760d2fc197e2d7d7d58b7"
+            "09052dbf6ba5e4fd76c6e34a09a6f496"
+        ),
+        "retrieval_only": (
+            "7a1edcd0aec856c7412f628f8cfcf495"
+            "80e31a55d0cdac87e9f7c354a46fc665"
+        ),
+        "logitspec": (
+            "c49be339d4b3dbd6da07fd51e7cf79d9"
+            "bf4090d327dc60fa6b5fd97e9c67f95c"
+        ),
+    },
+    (1.0, 0.2): {
+        "autoregressive": (
+            "40ce588a501106e30a865e74f6a13f62"
+            "ce8f74e74d285c8f651687a543caebaa"
+        ),
+        "last_logit": (
+            "a20f613585227a8e59388991b6bca860"
+            "6ad59e41ad19ad3bef9cf143e0cd8d39"
+        ),
+        "retrieval_only": (
+            "2d96628a429e3fc9378c62f0ffc210fc"
+            "fb465a65bb2f3267e7a14ab1ffe0a5dc"
+        ),
+        "logitspec": (
+            "fe3403123e7740b54bca92106b183ae3"
+            "59b022392fb5566c115af7ac1fbe7383"
+        ),
+    },
+}
+
 
 @functools.cache
-def decode_corpus(temperature: float, repetitiveness: float, mode: str) -> list[DecodeResult]:
+def decode_corpus(
+    temperature: float, repetitiveness: float, mode: str
+) -> tuple[list[DecodeResult], str]:
+    """The decodes of the 40 prompts, and a sha256 over every step's
+    draft tree in order (past length, row tokens, parent rows)."""
     corpus = gen_corpus(
         seed=0, vocab_size=64, count=40, length=32, repetitiveness=repetitiveness
     )
     model = MarkovTableModel(VocabSpec(64, 63), order=2, alpha=0.1, seed=0)
     model.train(corpus.sequences)
-    return [
+    trees = hashlib.sha256()
+
+    def observe(tree: DraftTree) -> None:
+        trees.update(f"{tree.past_len} {tree.draft_ids} {tree.parents}\n".encode())
+
+    results = [
         decode(
             model,
             prompt,
@@ -91,14 +144,16 @@ def decode_corpus(temperature: float, repetitiveness: float, mode: str) -> list[
                 temperature=temperature,
                 seed=prompt_seed(0, i),
             ),
+            tree_observer=observe,
         )
         for i, prompt in enumerate(corpus.sequences)
     ]
+    return results, trees.hexdigest()
 
 
 def decode_digest(temperature: float, repetitiveness: float, mode: str) -> str:
     h = hashlib.sha256()
-    for i, result in enumerate(decode_corpus(temperature, repetitiveness, mode)):
+    for i, result in enumerate(decode_corpus(temperature, repetitiveness, mode)[0]):
         h.update(f"prompt {i} tokens {result.tokens}\n".encode())
         for rec in result.step_records:
             h.update(
@@ -114,11 +169,18 @@ def test_decode_bit_identical_to_reference(setting, mode):
     assert decode_digest(temperature, repetitiveness, mode) == DIGESTS[setting][mode]
 
 
+@pytest.mark.parametrize("setting", sorted(TREE_DIGESTS), ids=lambda s: f"T{s[0]:g}-rep{s[1]:g}")
+@pytest.mark.parametrize("mode", MODES)
+def test_draft_trees_identical_to_reference(setting, mode):
+    # draft_size alone cannot see a reordered or re-parented row
+    assert decode_corpus(*setting, mode)[1] == TREE_DIGESTS[setting][mode]
+
+
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0], ids=lambda t: f"T{t:g}")
 @pytest.mark.parametrize("mode", [m for m in MODES if m != "autoregressive"])
 def test_sampled_tokens_equal_autoregressive(temperature, mode):
     # every emitted token is one draw on the dist autoregressive decoding
     # draws it from, so a seed gives the same tokens in every mode
-    reference = decode_corpus(temperature, 0.7, "autoregressive")
-    for i, result in enumerate(decode_corpus(temperature, 0.7, mode)):
+    reference = decode_corpus(temperature, 0.7, "autoregressive")[0]
+    for i, result in enumerate(decode_corpus(temperature, 0.7, mode)[0]):
         assert result.tokens == reference[i].tokens, i

@@ -293,6 +293,17 @@ def test_run_unknown_mode_exit_2(tmp_path, bench_files):
                  "--mode", "bogus"]) == 2
 
 
+def test_run_repeated_mode_exit_2(tmp_path, bench_files, capsys):
+    model, corpus = bench_files
+    code, out = run_report(tmp_path, model, corpus, "--mode", "logitspec, logitspec",
+                           "--dump-index")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mode 'logitspec' listed twice\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "option",
     [

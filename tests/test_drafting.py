@@ -3,7 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from logitspec import DraftConfig, NGramIndex, build_draft, prune_budget, speculate_next_next
+from logitspec import (
+    DraftConfig,
+    NGramIndex,
+    build_draft,
+    prepare_attention_inputs,
+    prune_budget,
+    speculate_next_next,
+)
 from logitspec.drafting import CANDIDATE_MIN_M
 from logitspec.engine import DecodeConfig, _build_step_draft
 
@@ -18,6 +25,15 @@ def make_dist(order: list[int], vocab: int = 16) -> np.ndarray:
         p[tok] = weight
         weight /= 2
     return p / p.sum()
+
+
+def rows(tree):
+    return tree.past_len, tree.draft_ids, tree.parents
+
+
+def merged(context, next_token, sequences):
+    """Rows of the reference trie merge of sequences under next_token."""
+    return rows(prepare_attention_inputs(len(context), next_token, sequences))
 
 
 def test_speculate_excludes_next_token():
@@ -57,17 +73,19 @@ def test_prune_budget_boundaries_and_monotone():
 def test_build_draft_figure_scenario():
     # "what is the area of the triangle": what=0 is=1 the=2 area=3 of=4
     # triangle=5. Pending next token "the"=2: next-token-only retrieval
-    # surfaces the wrong reference "triangle ..."; the rank-0 candidate
-    # "area"=3 makes the (the, area) query retrieve "of the ..." instead.
+    # surfaces the wrong reference "triangle ..." first; the rank-0
+    # candidate "area"=3 makes the (the, area) query retrieve "of the ..."
+    # instead, which the second (older) next-token continuation holds too.
     context = [0, 1, 2, 3, 4, 2, 5]
     index = NGramIndex.build(context + [2], m_max=3)
     last_dist = make_dist([2, 3], vocab=8)
     cfg = DraftConfig(top_k=1, capacity=16, m_start=3)
     draft = build_draft(index, context, 2, last_dist, cfg)
-    assert draft.sequences[0] == [5, 2]  # most recent "the" -> "triangle the"
-    assert draft.origins[0] == "next"
-    i = draft.sequences.index([3, 4, 2, 5])  # "area of the triangle", budget 4
-    assert draft.origins[i] == "cand:0"
+    # most recent "the" -> "triangle the", then "area of the triangle the";
+    # the candidate path "area of the triangle" (budget 4) adds no row
+    assert rows(draft) == merged(context, 2, [[5, 2], [3, 4, 2, 5, 2], [3, 4, 2, 5]])
+    assert draft.draft_ids == [2, 5, 2, 3, 4, 2, 5, 2]
+    assert (draft.queries, draft.hits) == (2, 2)
 
 
 def test_build_draft_empty_index_candidates_alone():
@@ -75,9 +93,21 @@ def test_build_draft_empty_index_candidates_alone():
     last_dist = make_dist([0, 4, 6], vocab=8)
     cfg = DraftConfig(top_k=2, capacity=16)
     draft = build_draft(index, [1, 2, 3], 0, last_dist, cfg)
-    assert draft.sequences == [[4], [6]]
-    assert draft.origins == ["cand:0", "cand:1"]
-    assert draft.hits == 0
+    assert rows(draft) == (3, [0, 4, 6], [-1, 0, 0])
+    assert (draft.queries, draft.hits) == (3, 0)
+
+
+def test_build_draft_bare_candidate_shares_a_next_token_row():
+    # next token 1: "1" is followed by 2 only at the end of the source, so
+    # the next-token continuation is [2] while candidate 2's query "1 2"
+    # has no continuation; the bare candidate lies on the row that the
+    # next-token continuation already drafted
+    index = NGramIndex.build([7, 1, 2], m_max=3)
+    cfg = DraftConfig(top_k=2, capacity=60, m_start=3)
+    draft = build_draft(index, [7, 1, 2], 1, make_dist([1, 2, 5], vocab=8), cfg)
+    assert rows(draft) == merged([7, 1, 2], 1, [[2], [2], [5]])
+    assert rows(draft) == (3, [1, 2, 5], [-1, 0, 0])
+    assert (draft.queries, draft.hits) == (3, 1)
 
 
 def test_build_draft_capacity_truncates():
@@ -86,8 +116,8 @@ def test_build_draft_capacity_truncates():
     index = NGramIndex.build(source, m_max=3, value_len=8)
     cfg = DraftConfig(top_k=4, capacity=3, m_start=2)
     draft = build_draft(index, source[:-1], 2, make_dist([2, 5], vocab=16), cfg)
-    assert sum(map(len, draft.sequences)) <= 3
-    assert draft.sequences[0] == [3, 4, 5]
+    assert rows(draft) == merged(source[:-1], 2, [[3, 4, 5]])
+    assert draft.draft_count == 3
 
 
 def test_build_draft_short_context_queries_whole_context():
@@ -98,11 +128,13 @@ def test_build_draft_short_context_queries_whole_context():
     cfg = DraftConfig(top_k=0, m_start=3)
     dist = make_dist([3], vocab=16)
     draft = build_draft(index, [1, 2], 3, dist, cfg)
-    assert draft.used_m == 3
-    assert draft.sequences == [[4, 9, 2, 3, 5]]
+    # a hit at length u after starting at length m costs m - u + 1 probes
+    assert index.probe_count == 3 - 3 + 1
+    assert rows(draft) == merged([1, 2], 3, [[4, 9, 2, 3, 5]])
+    index = NGramIndex.build([1, 2, 3, 4, 9, 2, 3, 5], m_max=3)
     draft = build_draft(index, [2], 3, dist, cfg)
-    assert draft.used_m == 2
-    assert draft.sequences == [[5], [4, 9, 2, 3, 5]]
+    assert index.probe_count == 2 - 2 + 1
+    assert rows(draft) == merged([2], 3, [[5], [4, 9, 2, 3, 5]])
 
 
 def test_build_draft_invariants_fuzz():
@@ -121,25 +153,32 @@ def test_build_draft_invariants_fuzz():
         dist /= dist.sum()
         draft = build_draft(index, source, next_token, dist, cfg)
 
-        assert sum(map(len, draft.sequences)) <= cfg.capacity
-        assert all(draft.sequences)
-        # next-token sequences precede candidates; candidate ranks
-        # non-decreasing; candidate sequences start with their candidate
-        # and respect the rank budget
+        draft.check()
+        assert draft.past_len == len(source)
+        assert draft.draft_ids[0] == next_token
+        assert draft.draft_count <= cfg.capacity
+        # one row per distinct token path
+        assert len(set(zip(draft.parents, draft.draft_ids))) == draft.seq_len
+        # a root child that no next-token continuation starts with is a
+        # candidate: such rows come in rank order, and each subtree
+        # respects its candidate's rank budget
+        found, _ = NGramIndex.build(source, m_max=3).match_with_fallback(
+            source[-3:] + [next_token], 3
+        )
         cands = speculate_next_next(dist, next_token, cfg.top_k)
-        rank_by_tok = {tok: rank for rank, tok in enumerate(cands)}
-        seen_cand = False
-        prev_rank = -1
-        for seq, origin in zip(draft.sequences, draft.origins):
-            if origin == "next":
-                assert not seen_cand
-            else:
-                seen_cand = True
-                rank = int(origin.split(":")[1])
-                assert rank > prev_rank
-                prev_rank = rank
-                assert rank_by_tok[seq[0]] == rank
-                assert len(seq) <= prune_budget(rank)
+        top, depth = [0] * draft.seq_len, [0] * draft.seq_len
+        for r in range(1, draft.seq_len):
+            p = draft.parents[r]
+            top[r] = r if p == 0 else top[p]
+            depth[r] = depth[p] + 1
+        cand_rows = [
+            r for r in range(1, draft.seq_len)
+            if draft.parents[r] == 0 and all(cont[0] != draft.draft_ids[r] for cont in found)
+        ]
+        ranks = [cands.index(draft.draft_ids[r]) for r in cand_rows]
+        assert ranks == sorted(ranks)
+        for r, rank in zip(cand_rows, ranks):
+            assert max(d for d, t in zip(depth, top) if t == r) <= prune_budget(rank)
 
 
 @pytest.mark.parametrize(
@@ -156,34 +195,40 @@ def test_build_draft_greedy_full_length_hit_skips_candidates(context, m_start):
     last_dist = make_dist([3, 5, 6, 7, 4], vocab=8)
     index = NGramIndex.build(source, m_max=m_start)
     draft = build_draft(index, context, 3, last_dist, cfg, greedy=True)
-    assert draft.used_m == min(m_start, len(context) + 1)
-    assert draft.sequences and set(draft.origins) == {"next"}
+    # one probe: the query hit at its starting length
     assert (draft.queries, draft.hits, index.probe_count) == (1, 1, 1)
-    # the same step drafts candidates when sampling
+    assert rows(draft) == merged(context, 3, [[4, 1, 2]])
+    # the same step drafts candidates when sampling, in rows after the
+    # next-token rows
     index = NGramIndex.build(source, m_max=m_start)
     sampled = build_draft(index, context, 3, last_dist, cfg, greedy=False)
-    assert sampled.sequences[: len(draft.sequences)] == draft.sequences
+    assert sampled.draft_ids[: draft.seq_len] == draft.draft_ids
+    assert sampled.parents[: draft.seq_len] == draft.parents
+    assert sampled.seq_len > draft.seq_len
     assert sampled.queries == 1 + cfg.top_k
     assert index.probe_count > 1
 
 
 @pytest.mark.parametrize(
-    "next_token, used_m",
-    [(3, 2), (5, 0)],
+    "next_token, next_probes",
+    [(3, 2), (5, 3)],
     ids=["fallback-hit", "miss"],
 )
-def test_build_draft_greedy_without_full_length_hit_drafts_candidates(next_token, used_m):
+def test_build_draft_greedy_without_full_length_hit_drafts_candidates(next_token, next_probes):
     # context ends "9 2": "9 2 3" never occurs but "2 3" does (a
-    # shorter hit); 5 never occurs at all (a miss)
+    # shorter hit, 3 - 2 + 1 probes); 5 never occurs at all (a miss
+    # probes every length from 3 down to 1)
     source = [0, 1, 2, 3, 4, 9, 2]
     cfg = DraftConfig(top_k=4, capacity=60, m_start=3)
     last_dist = make_dist([next_token, 1, 6, 7, 4], vocab=10)
+    index = NGramIndex.build(source, m_max=3)
+    build_draft(index, source, next_token, last_dist, DraftConfig(top_k=0, m_start=3))
+    assert index.probe_count == next_probes
     drafts, probes = [], []
     for greedy in (True, False):
         index = NGramIndex.build(source, m_max=3)
         drafts.append(build_draft(index, source, next_token, last_dist, cfg, greedy=greedy))
         probes.append(index.probe_count)
-    assert drafts[0].used_m == used_m
     assert drafts[0] == drafts[1]
     assert drafts[0].queries == 1 + cfg.top_k
     assert probes[0] == probes[1]
@@ -202,13 +247,12 @@ def naive_build_draft(source, context, next_token, last_dist, cfg, value_len, gr
     greedy rule (a next-token hit at full length ends the draft). Probes
     count one index lookup per gram length tried."""
     suffix = list(context) + [next_token]
-    sequences, origins = [], []
+    sequences = []
     counts = {"queries": 0, "hits": 0, "total": 0, "probes": 0}
 
-    def add(seq, origin):
+    def add(seq):
         seq = seq[: cfg.capacity - counts["total"]]
         sequences.append(seq)
-        origins.append(origin)
         counts["total"] += len(seq)
         return counts["total"] < cfg.capacity
 
@@ -221,24 +265,24 @@ def naive_build_draft(source, context, next_token, last_dist, cfg, value_len, gr
         counts["probes"] += m_start - (used_m if conts else min_m) + 1
         return conts, used_m
 
-    def result(used_m):
-        return sequences, origins, counts["queries"], counts["hits"], used_m, counts["probes"]
+    def result():
+        return sequences, counts["queries"], counts["hits"], counts["probes"]
 
     # up to 2 next-token continuations: match_with_fallback's default
     m_next = min(cfg.m_start, len(suffix))
     conts, used_m = query(suffix, m_next, 1, 2)
     for cont in conts:
-        if not add(cont, "next"):
-            return result(used_m)
+        if not add(cont):
+            return result()
     if greedy and used_m == m_next:
-        return result(used_m)
+        return result()
     for rank, cand in enumerate(speculate_next_next(last_dist, next_token, cfg.top_k)):
         m_start = min(cfg.m_start, len(suffix) + 1)
         conts, _ = query(suffix + [cand], m_start, min(CANDIDATE_MIN_M, m_start), 1)
         seq = [cand] + (conts[0][: prune_budget(rank) - 1] if conts else [])
-        if not add(seq, f"cand:{rank}"):
-            return result(used_m)
-    return result(used_m)
+        if not add(seq):
+            return result()
+    return result()
 
 
 def test_build_draft_equals_per_candidate_reference_random():
@@ -262,13 +306,11 @@ def test_build_draft_equals_per_candidate_reference_random():
         greedy = bool(rng.integers(0, 2))
 
         draft = build_draft(index, context, next_token, last_dist, cfg, greedy=greedy)
-        want = naive_build_draft(
+        sequences, queries, hits, probes = naive_build_draft(
             source, context, next_token, last_dist, cfg, value_len, greedy
         )
-        assert (
-            draft.sequences, draft.origins, draft.queries, draft.hits, draft.used_m,
-            index.probe_count,
-        ) == want
+        assert rows(draft) == merged(context, next_token, sequences)
+        assert (draft.queries, draft.hits, index.probe_count) == (queries, hits, probes)
 
 
 def test_build_draft_probe_count_flat_in_source_length():
@@ -296,43 +338,11 @@ def test_build_draft_probe_count_flat_in_source_length():
         assert probes[0] <= cfg.m_start + cfg.top_k * (cfg.m_start - min_m + 1)
 
 
-def test_origins_derived_from_next_count_random():
-    # the first n_next sequences are the next-token continuations, the
-    # rest one per candidate in rank order, so a sequence's origin
-    # follows from its index and n_next alone
-    rng = np.random.default_rng(47)
-    for _ in range(300):
-        vocab = int(rng.integers(3, 10))
-        cfg = DraftConfig(
-            top_k=int(rng.integers(0, 9)),
-            capacity=int(rng.integers(1, 30)),
-            m_start=int(rng.integers(1, 4)),
-        )
-        context = rng.integers(0, vocab, size=rng.integers(0, 25)).tolist()
-        next_token = int(rng.integers(0, vocab))
-        last_dist = rng.random(vocab)
-        index = NGramIndex.build(context, m_max=cfg.m_start)
-        draft = build_draft(
-            index, context, next_token, last_dist, cfg, greedy=bool(rng.integers(0, 2))
-        )
-        n_cand = len(draft.sequences) - draft.n_next
-        assert draft.origins == ["next"] * draft.n_next + [f"cand:{r}" for r in range(n_cand)]
-        found, _ = NGramIndex.build(context, m_max=cfg.m_start).match_with_fallback(
-            context[-cfg.m_start :] + [next_token], min(cfg.m_start, len(context) + 1)
-        )
-        assert draft.n_next <= len(found)
-        for seq, cont in zip(draft.sequences, found[: draft.n_next]):
-            assert cont[: len(seq)] == seq
-        cands = speculate_next_next(last_dist, next_token, cfg.top_k)
-        assert [seq[0] for seq in draft.sequences[draft.n_next :]] == cands[:n_cand]
-
-
-def test_last_logit_draft_origins_are_candidates():
+def test_last_logit_draft_is_a_star_of_candidates():
     rng = np.random.default_rng(53)
     last_dist = rng.random(16)
     cfg = DecodeConfig(mode="last_logit", last_logit_k=6)
     draft = _build_step_draft(cfg, None, [1, 2], 4, last_dist)
     cands = speculate_next_next(last_dist, 4, 6)
-    assert draft.n_next == 0
-    assert draft.sequences == [[tok] for tok in cands]
-    assert draft.origins == [f"cand:{r}" for r in range(6)]
+    assert rows(draft) == merged([1, 2], 4, [[tok] for tok in cands])
+    assert rows(draft) == (2, [4, *cands], [-1] + [0] * 6)

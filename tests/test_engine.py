@@ -5,7 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from logitspec import DecodeConfig, MarkovTableModel, ScriptedModel, VocabSpec, decode
+from logitspec import (
+    DecodeConfig,
+    DraftConfig,
+    MarkovTableModel,
+    ScriptedModel,
+    VocabSpec,
+    decode,
+)
 from logitspec.corpus import gen_corpus
 from logitspec.engine import MODES, PHASES, rank_cdf
 from logitspec.models import Model
@@ -120,6 +127,29 @@ def test_last_logit_mode_bounds():
         result = decode(model, prompt, cfg)
         assert all(rec.accepted_len in (0, 1) for rec in result.step_records)
         assert 1.0 <= result.metrics.mat <= 2.0
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0], ids=lambda t: f"T{t:g}")
+@pytest.mark.parametrize("mode, rows", [("last_logit", 1 + 60), ("autoregressive", 1)])
+def test_non_retrieval_mode_trees(mode, rows, temperature):
+    # last_logit drafts last_logit_k sibling rows under the root, however
+    # small the capacity; autoregressive's tree is the root alone
+    model, prompts = trained_markov(3, vocab=64)
+    cfg = DecodeConfig(
+        mode=mode, max_new_tokens=24, temperature=temperature,
+        draft=DraftConfig(capacity=5), last_logit_k=60,
+    )
+    for prompt in prompts[:3]:
+        trees = []
+        result = decode(model, prompt, cfg, tree_observer=trees.append)
+        assert len(trees) == result.metrics.steps
+        past_len = len(prompt)
+        for tree, rec in zip(trees, result.step_records):
+            assert tree.past_len == past_len
+            assert tree.parents == [-1] + [0] * (rows - 1)
+            assert len(set(tree.draft_ids)) == rows
+            assert rec.draft_size == rows - 1
+            past_len += rec.accepted_len + 1
 
 
 def test_mat_autoregressive_is_one():
