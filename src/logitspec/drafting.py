@@ -4,12 +4,12 @@ The drafter speculates next-next candidates from the top of the last
 logit (minus the already-sampled next token), retrieves continuations for
 the next token (one match_with_fallback query) and for every candidate
 (one NGramIndex.match_candidates call per step), and builds the draft
-tree directly: one plain loop inserts the next-token continuations, then
-each candidate path as match_candidates yields its continuation, into a
-token trie under the pending next token, under a fixed token budget with
-a rank-tiered per-candidate cap. Candidates past an exhausted budget are
-never speculated or probed. Rows keep the order in which their paths
-first appear, so next-token rows precede candidate rows.
+tree directly: one plain loop passes the next-token continuations, then
+each candidate path as match_candidates yields its continuation, to
+`DraftTree.insert`, under a fixed token budget with a rank-tiered
+per-candidate cap. Candidates past an exhausted budget are never
+speculated or probed. Rows keep the order in which their paths first
+appear, so next-token rows precede candidate rows.
 
 At temperature 0, a next-token query that hits at its full starting
 length ends the draft, so such steps speculate and probe no candidates.
@@ -89,12 +89,11 @@ def build_draft(
     The proposed paths are the next-token retrievals, then one path per
     candidate in rank order (candidate token followed by its most recent
     retrieved continuation, capped by prune_budget; the bare candidate
-    when nothing matches). Each path descends through the rows that
-    already carry its prefix and adds a row per token from where it
-    diverges. Accumulation truncates the final path to the remaining
-    capacity and stops, so capacity bounds the proposed tokens, repeats
-    included. Candidates past that stop are neither probed nor counted
-    in the tree's queries.
+    when nothing matches), each added with `DraftTree.insert`.
+    Accumulation truncates the final path to the remaining capacity and
+    stops, so capacity bounds the proposed tokens, repeats included.
+    Candidates past that stop are neither probed nor counted in the
+    tree's queries.
 
     With greedy (temperature-0 decoding), a next-token query that hits
     at its starting length min(m_start, len(context) + 1) drafts its
@@ -106,21 +105,9 @@ def build_draft(
     m_next = min(cfg.m_start, len(suffix))
     found, used_m = index.match_with_fallback(suffix, m_next)
     tree = DraftTree(len(context), [next_token], [-1], queries=1, hits=int(bool(found)))
-    draft_ids, parents = tree.draft_ids, tree.parents
-    rows: dict[tuple[int, int], int] = {}  # (parent row, token) -> row
-
-    def insert(path: list[int]) -> None:
-        row = 0
-        for tok in path:
-            child = rows.setdefault((row, tok), len(draft_ids))
-            if child == len(draft_ids):
-                draft_ids.append(tok)
-                parents.append(row)
-            row = child
-
     room = cfg.capacity
     for cont in found:
-        insert(cont[:room])
+        tree.insert(cont[:room])
         room -= len(cont)
         if room <= 0:
             return tree
@@ -144,7 +131,7 @@ def build_draft(
         if cont:
             tree.hits += 1
             path += cont[: min(prune_budget(rank), room) - 1]
-        insert(path)
+        tree.insert(path)
         room -= len(path)
         if room <= 0:
             break

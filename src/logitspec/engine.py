@@ -79,6 +79,8 @@ class DecodeConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
         if not 0 <= self.temperature < math.inf:
@@ -118,7 +120,6 @@ class DecodeResult:
     tokens: list[int]
     metrics: DecodeMetrics
     step_records: list[StepRecord]
-    mode: str
 
 
 def _token_rank(dist: np.ndarray, token: int) -> int:
@@ -228,7 +229,7 @@ def decode(
         rank_counts=rank_counts,
         phase_counters={p: sum(r.phase_counters[p] for r in records) for p in PHASES},
     )
-    return DecodeResult(tokens=generated, metrics=metrics, step_records=records, mode=cfg.mode)
+    return DecodeResult(tokens=generated, metrics=metrics, step_records=records)
 
 
 def _rank_bucket(rank: int) -> str:

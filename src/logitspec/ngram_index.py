@@ -8,12 +8,14 @@ regardless of source length. The index grows incrementally as tokens are
 decoded; extend() is equivalent to a rebuild as far as match() output is
 concerned.
 
-match() and match_with_fallback() (the next-token query) count one probe
-per gram looked up. match_candidates() serves every next-next candidate
-of a step in one call: it fetches the successors of each query prefix
-once, then answers each candidate with one int lookup per gram length
-tried, counted as one probe. Every query reads its continuations through
-_continuations().
+match_with_fallback() (the next-token query) counts one probe per gram
+looked up; match() is its single-length case, one probe. match_candidates()
+serves every next-next candidate of a step in one call: it fetches the
+successors of each query prefix once, then answers each candidate with
+one int lookup per gram length tried, counted as one probe. Every entry
+point checks its gram lengths with _check_lengths() (1 <= min_m <=
+m_start <= min(m_max, query length), else ValueError) and reads its
+continuations through _continuations().
 """
 
 from __future__ import annotations
@@ -72,13 +74,7 @@ class NGramIndex:
     def match(self, query: list[int], max_matches: int = 2) -> list[list[int]]:
         """Continuations (up to value_len tokens) after each occurrence of
         query, most recent first, distinct, capped at max_matches."""
-        if not 1 <= len(query) <= self.m_max:
-            raise ValueError(
-                f"query length {len(query)} outside [1, {self.m_max}]"
-            )
-        self.probe_count += 1
-        offsets = self.table.get(tuple(query[:-1]), _NO_SUCCESSORS).get(query[-1])
-        return self._continuations(offsets, max_matches) if offsets else []
+        return self.match_with_fallback(query, len(query), len(query), max_matches)[0]
 
     def match_with_fallback(
         self,
@@ -93,12 +89,15 @@ class NGramIndex:
         Returns the first non-empty result and the gram length used, or
         ([], 0) when every length misses.
         """
-        if not 1 <= m_start <= len(suffix):
-            raise ValueError(f"m_start {m_start} outside [1, {len(suffix)}]")
+        self._check_lengths(m_start, min_m, len(suffix))
+        n = len(suffix)
         for m in range(m_start, min_m - 1, -1):
-            found = self.match(suffix[len(suffix) - m :], max_matches=max_matches)
-            if found:
-                return found, m
+            self.probe_count += 1
+            offsets = self.table.get(tuple(suffix[n - m : n - 1]), _NO_SUCCESSORS).get(suffix[-1])
+            if offsets:
+                found = self._continuations(offsets, max_matches)
+                if found:
+                    return found, m
         return [], 0
 
     def match_candidates(
@@ -120,17 +119,23 @@ class NGramIndex:
         stops iterating probes no further. Do not extend the index while
         iterating.
         """
-        if not 1 <= min_m <= m_start <= min(self.m_max, len(suffix) + 1):
-            raise ValueError(
-                f"need 1 <= min_m {min_m} <= m_start {m_start} <= "
-                f"min(m_max {self.m_max}, len(suffix) + 1 = {len(suffix) + 1})"
-            )
+        self._check_lengths(m_start, min_m, len(suffix) + 1)
         n = len(suffix)
         successors = [
             self.table.get(tuple(suffix[n - m + 1 :]), _NO_SUCCESSORS)
             for m in range(m_start, min_m - 1, -1)
         ]
         return self._first_continuations(successors, candidates)
+
+    def _check_lengths(self, m_start: int, min_m: int, query_len: int) -> None:
+        """Raise ValueError unless 1 <= min_m <= m_start <=
+        min(m_max, query_len): the gram lengths tried must fit both the
+        index and the query."""
+        if not 1 <= min_m <= m_start <= min(self.m_max, query_len):
+            raise ValueError(
+                f"need 1 <= min_m {min_m} <= m_start {m_start} <= "
+                f"min(m_max {self.m_max}, query length {query_len})"
+            )
 
     def _first_continuations(
         self, successors: list[dict[int, list[int]]], candidates: Iterable[int]

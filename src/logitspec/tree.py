@@ -2,23 +2,23 @@
 with the attention inputs derived from them.
 
 Row 0 is the pending next token; the draft paths form a trie under it,
-so every row's token path (from the root) is unique. `drafting.build_draft`
-inserts its paths as it drafts; `prepare_attention_inputs` merges a
-finished sequence list the same way. `parents[r]` is the row of row r's
-parent (-1 for the root), always an earlier row, so one pass in row order
-meets every parent before its children. The reference models and
-verification read the parents directly. The dense attention mask (each
-row sees the past context, its ancestors and itself) and the position
-ids (past_len + depth) are derived from the parents on first access, for
-mask-consuming backends and debug dumps. `DraftTree.check` validates the
-parent array for them and for `Model.forward_tree`; the mask is built one
-byte row per tree row, each a copy of its parent's row with its own
-column set.
+so every row's token path (from the root) is unique. `DraftTree.insert`
+is the one trie insert: `drafting.build_draft` calls it for each path as
+it drafts, and `prepare_attention_inputs` for each sequence of a finished
+list. `parents[r]` is the row of row r's parent (-1 for the root), always
+an earlier row, so one pass in row order meets every parent before its
+children. The reference models and verification read the parents
+directly. The dense attention mask (each row sees the past context, its
+ancestors and itself) and the position ids (past_len + depth) are derived
+from the parents on first access, for mask-consuming backends and debug
+dumps. `DraftTree.check` validates the parent array for them and for
+`Model.forward_tree`; the mask is built one byte row per tree row, each a
+copy of its parent's row with its own column set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -52,6 +52,8 @@ class DraftTree:
     parents: list[int]
     queries: int = 0
     hits: int = 0
+    # (parent row, token) -> row, for the rows insert added
+    _rows: dict[tuple[int, int], int] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def seq_len(self) -> int:
@@ -60,6 +62,21 @@ class DraftTree:
     @property
     def draft_count(self) -> int:
         return len(self.draft_ids) - 1
+
+    def insert(self, path: list[int]) -> None:
+        """Add path under the root: descend through the rows that already
+        carry its prefix, then append a row per token from where it
+        diverges, so rows keep the order in which their paths first
+        appear. Only rows added by insert are found again, so insert
+        grows trees built from their root alone."""
+        draft_ids, parents, rows = self.draft_ids, self.parents, self._rows
+        row = 0
+        for tok in path:
+            child = rows.setdefault((row, tok), len(draft_ids))
+            if child == len(draft_ids):
+                draft_ids.append(tok)
+                parents.append(row)
+            row = child
 
     def check(self) -> None:
         """Raise TreeStructureError unless parents is a parent array for
@@ -106,30 +123,18 @@ def prepare_attention_inputs(
     next_token: int,
     sequences: list[list[int]],
 ) -> DraftTree:
-    """Merge draft sequences into a trie under row 0 (the next token).
-
-    Each sequence follows the rows that already carry its prefix and
-    appends a row per token from where it diverges, so rows keep the
-    order in which their paths first appear. An empty sequence list
-    yields the degenerate single-row tree.
+    """Merge draft sequences into a trie under row 0 (the next token),
+    one `DraftTree.insert` per sequence. An empty sequence list yields
+    the degenerate single-row tree.
     """
     if past_len < 0:
         raise ValueError(f"past_len must be >= 0, got {past_len}")
-    draft_ids = [next_token]
-    parents = [-1]
-    # (parent row, token) -> row
-    rows: dict[tuple[int, int], int] = {}
+    tree = DraftTree(past_len, [next_token], [-1])
     for seq in sequences:
         if not seq:
             raise ValueError("draft sequences must be non-empty")
-        row = 0
-        for tok in seq:
-            child = rows.setdefault((row, tok), len(draft_ids))
-            if child == len(draft_ids):
-                draft_ids.append(tok)
-                parents.append(row)
-            row = child
-    return DraftTree(past_len=past_len, draft_ids=draft_ids, parents=parents)
+        tree.insert(seq)
+    return tree
 
 
 def ancestor_rows(mask: np.ndarray) -> list[list[int]]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -174,6 +175,18 @@ def test_check_report_truncated_rank_cdf(tmp_path, bench_files, capsys):
     assert "autoregressive.rank_cdf" in err
 
 
+def test_check_report_nudged_rank_cdf(tmp_path, bench_files, capsys):
+    # JSON round-trips floats exactly, so a share one ulp off was edited
+    model, corpus = bench_files
+    _, out = run_report(tmp_path, model, corpus, "--mode", "logitspec")
+    report = json.loads(out.read_text())
+    entry = report["modes"]["logitspec"]["rank_cdf"][0]
+    entry[1] = math.nextafter(entry[1], 2.0)
+    out.write_text(json.dumps(report))
+    assert main(["check-report", str(out)]) == 1
+    assert "logitspec.rank_cdf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "extra", [(), ("--dump-tree", "--json-out", "report.json")], ids=["report", "dump-tree"]
 )
@@ -315,6 +328,7 @@ def test_run_repeated_mode_exit_2(tmp_path, bench_files, capsys):
         ("--temperature", "nan"),
         ("--temperature", "inf"),
         ("--last-logit-k", "-3"),
+        ("--seed", "-1"),
     ],
     ids=lambda option: " ".join(option),
 )
@@ -325,6 +339,20 @@ def test_run_out_of_range_option_exit_2(tmp_path, bench_files, capsys, option):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_run_json_out_missing_dir_exit_2(tmp_path, bench_files, capsys):
+    # like gen-corpus --out: an unwritable report path is bad input
+    model, corpus = bench_files
+    out = tmp_path / "missing" / "report.json"
+    code = main([
+        "run", "--model", str(model), "--corpus", str(corpus),
+        "--max-new-tokens", "8", "--json-out", str(out),
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_dump_tree_format(tmp_path, bench_files, capsys):

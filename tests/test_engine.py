@@ -339,6 +339,8 @@ def test_decode_rejects_bad_inputs():
         DecodeConfig(mode="nope")
     with pytest.raises(ValueError):
         DecodeConfig(last_logit_k=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        DecodeConfig(seed=-1)
     for temperature in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             DecodeConfig(temperature=temperature)

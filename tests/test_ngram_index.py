@@ -208,16 +208,30 @@ def test_match_candidates_probes_lazily():
     assert index.probe_count == 3
 
 
-def test_match_candidates_rejects_bad_lengths():
+def test_entry_points_reject_bad_lengths():
+    # the gram lengths tried must satisfy 1 <= min_m <= m_start <=
+    # min(m_max, query length); match_candidates's query is suffix +
+    # [candidate], and match(query) tries len(query) alone. A rejected
+    # call probes nothing.
     index = NGramIndex.build([0, 1, 2, 3], m_max=2)
     for suffix, m_start, min_m in (
         ([0, 1], 3, 1),  # beyond m_max
-        ([], 2, 1),  # beyond len(suffix) + 1
+        ([], 2, 1),  # beyond the query length
         ([0, 1], 2, 0),  # empty gram
         ([0, 1], 1, 2),  # min_m above m_start
+        ([0], 2, 0),  # empty gram, though the query (0, 1) hits at m_start
+        ([0], 1, 2),  # min_m above m_start, on the query (0, 1)
     ):
         with pytest.raises(ValueError):
             index.match_candidates(suffix, [1], m_start, min_m)
+        with pytest.raises(ValueError):
+            index.match_with_fallback(suffix + [1], m_start, min_m)
+    for query in ([], [0, 1, 2]):  # empty suffix, and a gram beyond m_max
+        with pytest.raises(ValueError):
+            index.match(query)
+        with pytest.raises(ValueError):
+            index.match_with_fallback(query, len(query), len(query))
+    assert index.probe_count == 0
 
 
 def test_dump_format():

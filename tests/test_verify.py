@@ -50,12 +50,10 @@ def test_residual_degenerate():
 
 def make_dists(tree, table):
     """Distribution per tree row from a {token_path: dist} table."""
-    from logitspec.tree import ancestor_rows
-
-    return [
-        table[tuple(tree.draft_ids[r] for r in rows)]
-        for rows in ancestor_rows(tree.mask)
-    ]
+    paths: list[tuple[int, ...]] = []  # token path per row, root first
+    for tok, parent in zip(tree.draft_ids, tree.parents):
+        paths.append((paths[parent] if parent >= 0 else ()) + (tok,))
+    return [table[path] for path in paths]
 
 
 def test_greedy_full_linear_acceptance():
