@@ -12,6 +12,10 @@ or a repeated mode, or out-of-range option), 3 losslessness mismatch
 under run --compare.
 check-report: 0 consistent, 1 mismatch, 2 unreadable or malformed report.
 Any command: 141 when stdout closes early (e.g. piped into head).
+
+run checks every input and opens --json-out (truncating it) before its
+first decode, so bad input costs no decode; it decodes each distinct
+mode once, the autoregressive --compare baseline included.
 """
 
 from __future__ import annotations
@@ -163,18 +167,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _bad_input(str(exc))
 
-    def run_mode(mode: str, dump_tree: bool) -> list[DecodeResult]:
-        """Decode every prompt; with dump_tree, print prompt 0's first tree."""
-        results = []
-        for i, seq in enumerate(corpus.sequences):
-            cfg = replace(base_cfg, mode=mode, seed=prompt_seed(args.seed, i))
-            trees: list[DraftTree] = []
-            observer = trees.append if dump_tree and i == 0 else None
-            results.append(decode(model, seq, cfg, tree_observer=observer))
-            if trees:
-                print(format_tree(trees[0]))
-        return results
-
     report = {
         "tool_version": __version__,
         "config": {
@@ -192,54 +184,64 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "modes": {},
     }
 
-    # only the first listed mode's run dumps its tree, even when the
-    # --compare baseline runs before it
-    baseline: list[DecodeResult] | None = None
-    if args.compare:
-        baseline = run_mode(
-            "autoregressive", args.dump_tree and modes[0] == "autoregressive"
-        )
+    # open the report before decoding, so an unwritable path costs no work
+    try:
+        out = open(args.json_out, "w", encoding="utf-8") if args.json_out else None
+    except OSError as exc:
+        return _bad_input(str(exc))
+    try:
+        # each distinct mode decodes once; the first listed mode's run
+        # prints the dumps
+        decoded: dict[str, list[DecodeResult]] = {}
+        for mode in dict.fromkeys((["autoregressive"] if args.compare else []) + modes):
+            dump = mode == modes[0]
+            decoded[mode] = []
+            for i, seq in enumerate(corpus.sequences):
+                cfg = replace(base_cfg, mode=mode, seed=prompt_seed(args.seed, i))
+                trees: list[DraftTree] = []
+                observer = trees.append if args.dump_tree and dump and i == 0 else None
+                decoded[mode].append(decode(model, seq, cfg, tree_observer=observer))
+                if trees:
+                    print(format_tree(trees[0]))
+            if args.dump_index and dump and mode in RETRIEVAL_MODES:
+                index = NGramIndex.build(
+                    corpus.sequences[0] + decoded[mode][0].tokens, m_max=args.m_start
+                )
+                print(index.dump())
 
-    exit_code = 0
-    for position, mode in enumerate(modes):
-        if args.compare and mode == "autoregressive":
-            results = baseline
-        else:
-            results = run_mode(mode, args.dump_tree and position == 0)
-        mode_report = _mode_report(results)
-        if args.compare:
-            mismatches = 0
-            for i, (r, base) in enumerate(zip(results, baseline)):
-                if r.tokens != base.tokens:
-                    mismatches += 1
-                    pos = _first_divergence(r.tokens, base.tokens)
-                    print(
-                        f"losslessness mismatch: mode={mode} prompt={i} "
-                        f"first divergence at position {pos}",
-                        file=sys.stderr,
-                    )
-            mode_report["losslessness"] = {"checked": True, "mismatches": mismatches}
-            if mismatches:
-                exit_code = 3
-        report["modes"][mode] = mode_report
+        exit_code = 0
+        for mode in modes:
+            results = decoded[mode]
+            mode_report = _mode_report(results)
+            if args.compare:
+                mismatches = 0
+                for i, (r, base) in enumerate(zip(results, decoded["autoregressive"])):
+                    if r.tokens != base.tokens:
+                        mismatches += 1
+                        pos = _first_divergence(r.tokens, base.tokens)
+                        print(
+                            f"losslessness mismatch: mode={mode} prompt={i} "
+                            f"first divergence at position {pos}",
+                            file=sys.stderr,
+                        )
+                mode_report["losslessness"] = {"checked": True, "mismatches": mismatches}
+                if mismatches:
+                    exit_code = 3
+            report["modes"][mode] = mode_report
 
-        if args.dump_index and mode == modes[0] and mode in RETRIEVAL_MODES:
-            index = NGramIndex.build(
-                corpus.sequences[0] + results[0].tokens,
-                m_max=args.m_start,
-            )
-            print(index.dump())
-
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.json_out:
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if out is None:
+            print(text)
+            return exit_code
         try:
-            with open(args.json_out, "w", encoding="utf-8") as f:
-                f.write(text + "\n")
+            with out:
+                out.write(text + "\n")
         except OSError as exc:
             return _bad_input(str(exc))
-    else:
-        print(text)
-    return exit_code
+        return exit_code
+    finally:
+        if out is not None:  # closed already unless something above raised
+            out.close()
 
 
 def _cmd_gen_corpus(args: argparse.Namespace) -> int:

@@ -77,8 +77,9 @@ class Model:
     model with a faster way to evaluate rows overrides `_row_dists`,
     never `forward` or `forward_tree`, so every model keeps the same
     checks (and perfbench/spans.py, which wraps both by name, sees every
-    call). Models are immutable after construction and shareable across
-    sessions.
+    call). A model is trained before decoding (`MarkovTableModel.train`
+    adds counts in place); from then on it is read-only and shareable
+    across sessions.
     """
 
     vocab: VocabSpec
@@ -215,9 +216,7 @@ class MarkovTableModel(Model):
         """Add explicit {context: {token: count}} counts."""
         keys, tokens, weights = [], [], []
         for ctx, per_tok in counts.items():
-            if len(ctx) > self.order:
-                raise ValueError(f"context of {len(ctx)} tokens exceeds order {self.order}")
-            self._check_tokens([*ctx, *per_tok])
+            self._check_counts(ctx, per_tok)
             key = self._context_key(ctx)
             for tok, cnt in per_tok.items():
                 keys.append(key)
@@ -226,6 +225,14 @@ class MarkovTableModel(Model):
         self._add(
             np.array(keys, self._key_dtype), np.array(tokens, np.intp), np.array(weights, np.int64)
         )
+
+    def _check_counts(self, ctx: tuple[int, ...], per_tok: dict[int, int]) -> None:
+        """Raise ValueError on a context past the order, a bad token or a negative count."""
+        if len(ctx) > self.order:
+            raise ValueError(f"context of {len(ctx)} tokens exceeds order {self.order}")
+        self._check_tokens([*ctx, *per_tok])
+        if any(cnt < 0 for cnt in per_tok.values()):
+            raise ValueError("negative count")
 
     def _add(self, keys: np.ndarray, tokens: np.ndarray, weights: np.ndarray) -> None:
         """Add weights[i] to count(keys[i], tokens[i]) and rebuild the
@@ -419,13 +426,7 @@ def _add_counts_line(
         if pair:
             tok, _, cnt = pair.partition(":")
             per_tok[int(tok)] = int(cnt)
-    if len(ctx) > model.order:
-        raise ValueError(f"context of {len(ctx)} tokens exceeds order {model.order}")
-    for tok in (*ctx, *per_tok):
-        if not 0 <= tok < model.vocab.size:
-            raise ValueError(f"token id {tok} out of range [0, {model.vocab.size})")
-    if any(cnt < 0 for cnt in per_tok.values()):
-        raise ValueError("negative count")
+    model._check_counts(ctx, per_tok)
     if ctx in counts:
         raise ValueError(f"counts context {' '.join(map(str, ctx)) or '(empty)'} repeated")
     counts[ctx] = per_tok

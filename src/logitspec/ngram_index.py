@@ -60,15 +60,7 @@ class NGramIndex:
             end = len(source)
             for m in range(1, min(self.m_max, end) + 1):
                 prefix = tuple(source[end - m : end - 1])
-                successors = table.get(prefix)
-                if successors is None:
-                    table[prefix] = {tok: [end]}
-                    continue
-                offsets = successors.get(tok)
-                if offsets is None:
-                    successors[tok] = [end]
-                else:
-                    offsets.append(end)
+                table.setdefault(prefix, {}).setdefault(tok, []).append(end)
         return self
 
     def match(self, query: list[int], max_matches: int = 2) -> list[list[int]]:

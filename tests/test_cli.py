@@ -13,6 +13,7 @@ import pytest
 import logitspec
 from logitspec.cli import main
 from logitspec.corpus import gen_corpus, load_corpus
+from logitspec.engine import decode
 
 
 @pytest.fixture
@@ -29,6 +30,19 @@ def bench_files(tmp_path):
         "--vocab", "32", "--order", "2", "--alpha", "0.1", "--seed", "7",
     ]) == 0
     return model_path, corpus_path
+
+
+@pytest.fixture
+def decoded_modes(monkeypatch):
+    """The mode of every decode call that `run` makes, in call order."""
+    modes = []
+
+    def counting_decode(model, prompt, cfg, **kwargs):
+        modes.append(cfg.mode)
+        return decode(model, prompt, cfg, **kwargs)
+
+    monkeypatch.setattr("logitspec.cli.decode", counting_decode)
+    return modes
 
 
 def run_report(tmp_path, model, corpus, *extra):
@@ -341,18 +355,45 @@ def test_run_out_of_range_option_exit_2(tmp_path, bench_files, capsys, option):
     assert not out.exists()
 
 
-def test_run_json_out_missing_dir_exit_2(tmp_path, bench_files, capsys):
-    # like gen-corpus --out: an unwritable report path is bad input
+def test_run_json_out_missing_dir_exit_2(tmp_path, bench_files, capsys, decoded_modes):
+    # like gen-corpus --out: an unwritable report path is bad input, found
+    # before any decode (so before --dump-tree prints anything)
     model, corpus = bench_files
     out = tmp_path / "missing" / "report.json"
     code = main([
         "run", "--model", str(model), "--corpus", str(corpus),
-        "--max-new-tokens", "8", "--json-out", str(out),
+        "--max-new-tokens", "8", "--json-out", str(out), "--dump-tree",
     ])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert decoded_modes == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+def test_run_json_out_disk_full_exit_2(tmp_path, bench_files, capsys):
+    # opening succeeds; the write fails at the end, which is still bad input
+    model, corpus = bench_files
+    code = main([
+        "run", "--model", str(model), "--corpus", str(corpus),
+        "--max-new-tokens", "8", "--json-out", "/dev/full",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "modes", ["autoregressive,logitspec", "logitspec,autoregressive", "logitspec"]
+)
+def test_run_compare_decodes_each_mode_once(tmp_path, bench_files, decoded_modes, modes):
+    # the --compare baseline is the autoregressive run, listed or not
+    model, corpus = bench_files
+    code, _ = run_report(tmp_path, model, corpus, "--mode", modes, "--compare")
+    assert code == 0
+    prompts = len(load_corpus(corpus).sequences)
+    assert len(decoded_modes) == 2 * prompts
+    assert decoded_modes.count("autoregressive") == decoded_modes.count("logitspec") == prompts
 
 
 def test_dump_tree_format(tmp_path, bench_files, capsys):
@@ -385,7 +426,7 @@ def test_dump_tree_same_with_compare(tmp_path, bench_files, capsys, modes):
 
 
 def test_dump_tree_autoregressive_first_with_compare(tmp_path, bench_files, capsys):
-    # listed first, autoregressive reuses the baseline run, which dumps once
+    # listed first, autoregressive is also the baseline: decoded once, dumped once
     model, corpus = bench_files
     code, _ = run_report(
         tmp_path, model, corpus, "--mode", "autoregressive,logitspec", "--dump-tree", "--compare"

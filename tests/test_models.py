@@ -416,6 +416,21 @@ def test_model_file_rejects_invalid_counts_line(tmp_path, line, message):
         load_model_file(bad)
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({(): {1: -5}}, "negative count"),
+        ({(2,): {4: 1}}, "token id 4 out of range"),
+        ({(1, 2): {1: 1}}, "context of 2 tokens exceeds order 1"),
+    ],
+    ids=["negative-count", "token-past-vocab", "context-past-order"],
+)
+def test_markov_counts_rejects_invalid(counts, message):
+    # the constructor runs the model file's counts-line checks
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MarkovTableModel(VocabSpec(4, 3), order=1, alpha=0.1, counts=counts)
+
+
 @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
 def test_markov_rejects_alpha_outside_positive_finite(alpha):
     with pytest.raises(ValueError, match="alpha must be finite and > 0"):
