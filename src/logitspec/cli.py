@@ -7,8 +7,9 @@ Subcommands:
   check-report verify that a report's aggregates match its per-prompt rows
 
 Exit codes for run, gen-corpus and gen-model: 0 success, 2 bad input
-(unreadable or invalid file, empty corpus, token outside the vocab, no
-or a repeated mode, or out-of-range option), 3 losslessness mismatch
+(unreadable or invalid file, empty corpus, token outside the vocab, an
+unknown, missing or repeated mode, --dump-index under a first mode that
+does not retrieve, or out-of-range option), 3 losslessness mismatch
 under run --compare.
 check-report: 0 consistent, 1 mismatch, 2 unreadable or malformed report.
 Any command: 141 when stdout closes early (e.g. piped into head).
@@ -29,7 +30,7 @@ from dataclasses import asdict, replace
 from . import __version__
 from .corpus import gen_corpus, load_corpus, save_corpus
 from .drafting import DraftConfig
-from .engine import MODES, PHASES, RETRIEVAL_MODES, DecodeConfig, DecodeResult, decode, rank_cdf
+from .engine import PHASES, RETRIEVAL_MODES, DecodeConfig, DecodeResult, decode, rank_cdf
 from .models import MarkovTableModel, VocabSpec, load_model_file, save_model_file
 from .ngram_index import NGramIndex
 from .tree import DraftTree, format_tree
@@ -52,17 +53,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="logitspec-bench")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every run knob defaults to DecodeConfig's (and its DraftConfig's) value
+    defaults = DecodeConfig()
     run = sub.add_parser("run", help="decode a corpus and report metrics")
     run.add_argument("--model", required=True)
     run.add_argument("--corpus", required=True)
-    run.add_argument("--mode", default="logitspec", help="comma-separated list of modes")
-    run.add_argument("--max-new-tokens", type=int, default=128)
-    run.add_argument("--temperature", type=float, default=0.0)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--top-k", type=int, default=16)
-    run.add_argument("--capacity", type=int, default=60)
-    run.add_argument("--m-start", type=int, default=3)
-    run.add_argument("--last-logit-k", type=int, default=60)
+    run.add_argument("--mode", default=defaults.mode, help="comma-separated list of modes")
+    run.add_argument("--max-new-tokens", type=int, default=defaults.max_new_tokens)
+    run.add_argument("--temperature", type=float, default=defaults.temperature)
+    run.add_argument("--seed", type=int, default=defaults.seed)
+    run.add_argument("--top-k", type=int, default=defaults.draft.top_k)
+    run.add_argument("--capacity", type=int, default=defaults.draft.capacity)
+    run.add_argument("--m-start", type=int, default=defaults.draft.m_start)
+    run.add_argument("--last-logit-k", type=int, default=defaults.last_logit_k)
     run.add_argument("--json-out", default=None, help="report path (default: stdout)")
     run.add_argument(
         "--compare",
@@ -77,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--dump-index",
         action="store_true",
-        help="print the final retrieval index of the first prompt and mode",
+        help="print the final retrieval index of the first prompt and mode "
+        f"(the first mode must be one of {', '.join(RETRIEVAL_MODES)})",
     )
 
     gen = sub.add_parser("gen-corpus", help="write a synthetic token corpus")
@@ -93,9 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
     genm.add_argument("--corpus", required=True)
     genm.add_argument("--vocab", type=int, default=64)
     genm.add_argument("--eos", type=int, default=None, help="default: vocab-1")
-    genm.add_argument("--order", type=int, default=2)
-    genm.add_argument("--alpha", type=float, default=0.1)
-    genm.add_argument("--seed", type=int, default=0)
+    # unset, these take MarkovTableModel's defaults
+    genm.add_argument("--order", type=int, default=argparse.SUPPRESS)
+    genm.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
+    genm.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     check = sub.add_parser("check-report", help="verify report aggregates")
     check.add_argument("report")
@@ -147,8 +152,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not modes:
         return _bad_input(f"--mode {args.mode!r} names no mode")
     for i, mode in enumerate(modes):
-        if mode not in MODES:
-            return _bad_input(f"unknown mode {mode!r}")
         if mode in modes[:i]:
             return _bad_input(f"mode {mode!r} listed twice")
     for i, seq in enumerate(corpus.sequences):
@@ -156,33 +159,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if not 0 <= tok < model.vocab.size:
                 return _bad_input(f"prompt {i} token {tok} out of vocab")
 
+    # one config per decoded mode; the --compare baseline decodes first
     try:
-        base_cfg = DecodeConfig(
-            max_new_tokens=args.max_new_tokens,
-            temperature=args.temperature,
-            seed=args.seed,
-            draft=DraftConfig(top_k=args.top_k, capacity=args.capacity, m_start=args.m_start),
-            last_logit_k=args.last_logit_k,
-        )
+        draft = DraftConfig(top_k=args.top_k, capacity=args.capacity, m_start=args.m_start)
+        configs = {
+            mode: DecodeConfig(
+                mode=mode,
+                max_new_tokens=args.max_new_tokens,
+                temperature=args.temperature,
+                seed=args.seed,
+                draft=draft,
+                last_logit_k=args.last_logit_k,
+            )
+            for mode in dict.fromkeys((["autoregressive"] if args.compare else []) + modes)
+        }
     except ValueError as exc:
         return _bad_input(str(exc))
-
-    report = {
-        "tool_version": __version__,
-        "config": {
-            "model": args.model,
-            "corpus": args.corpus,
-            "modes": modes,
-            "max_new_tokens": args.max_new_tokens,
-            "temperature": args.temperature,
-            "seed": args.seed,
-            "top_k": args.top_k,
-            "capacity": args.capacity,
-            "m_start": args.m_start,
-            "last_logit_k": args.last_logit_k,
-        },
-        "modes": {},
-    }
+    if args.dump_index and modes[0] not in RETRIEVAL_MODES:
+        return _bad_input(f"--dump-index needs a first mode in {RETRIEVAL_MODES}, got {modes[0]!r}")
+    # the report's config: the inputs plus the decode settings, flat
+    config = asdict(configs[modes[0]])
+    config.update(config.pop("draft"), model=args.model, corpus=args.corpus, modes=modes)
+    del config["mode"]
+    report = {"tool_version": __version__, "config": config, "modes": {}}
 
     # open the report before decoding, so an unwritable path costs no work
     try:
@@ -193,19 +192,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # each distinct mode decodes once; the first listed mode's run
         # prints the dumps
         decoded: dict[str, list[DecodeResult]] = {}
-        for mode in dict.fromkeys((["autoregressive"] if args.compare else []) + modes):
+        for mode, mode_cfg in configs.items():
             dump = mode == modes[0]
             decoded[mode] = []
             for i, seq in enumerate(corpus.sequences):
-                cfg = replace(base_cfg, mode=mode, seed=prompt_seed(args.seed, i))
+                cfg = replace(mode_cfg, seed=prompt_seed(args.seed, i))
                 trees: list[DraftTree] = []
                 observer = trees.append if args.dump_tree and dump and i == 0 else None
                 decoded[mode].append(decode(model, seq, cfg, tree_observer=observer))
                 if trees:
                     print(format_tree(trees[0]))
-            if args.dump_index and dump and mode in RETRIEVAL_MODES:
+            if args.dump_index and dump:
                 index = NGramIndex.build(
-                    corpus.sequences[0] + decoded[mode][0].tokens, m_max=args.m_start
+                    corpus.sequences[0] + decoded[mode][0].tokens, m_max=mode_cfg.draft.m_start
                 )
                 print(index.dump())
 
@@ -261,11 +260,10 @@ def _cmd_gen_corpus(args: argparse.Namespace) -> int:
 
 def _cmd_gen_model(args: argparse.Namespace) -> int:
     eos = args.eos if args.eos is not None else args.vocab - 1
+    given = {k: v for k, v in vars(args).items() if k in ("order", "alpha", "seed")}
     try:
         corpus = load_corpus(args.corpus)
-        model = MarkovTableModel(
-            VocabSpec(args.vocab, eos), order=args.order, alpha=args.alpha, seed=args.seed
-        )
+        model = MarkovTableModel(VocabSpec(args.vocab, eos), **given)
         model.train(corpus.sequences)
         save_model_file(args.out, model)
     except (OSError, ValueError) as exc:

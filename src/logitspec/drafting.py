@@ -65,7 +65,7 @@ def speculate_next_next(last_dist: np.ndarray, next_token: int, k: int) -> list[
 
 def prune_budget(rank: int) -> int:
     """Token budget for one candidate sequence (candidate included) as a
-    function of its rank in the last logit."""
+    function of its candidate rank (`speculate_next_next` order)."""
     if rank < 0:
         raise ValueError(f"rank must be >= 0, got {rank}")
     if rank < 8:

@@ -5,9 +5,9 @@ Per step: build the draft tree under the pending next token in one pass
 pending token plus accepted drafts, update the retrieval index, and
 carry the bonus token (with the distribution that produced it) into the
 next step as the new pending token / last logit. Committing appends to
-the model state's tokens, the decode's one token history: the tree pass
-already evaluated them, so the model runs once per step after the
-prefill.
+the model state's tokens with no model call (the tree pass already
+evaluated them), so the model runs once per step after the prefill; the
+retrieval index keeps its own copy of the prompt and emitted tokens.
 
 Every emitted token is one draw on the target model's dist at its
 context: argmax at temperature 0, `models.sample` at the configured
@@ -58,8 +58,8 @@ RETRIEVAL_MODES = ("retrieval_only", "logitspec")
 
 # rank buckets for the next-next-token statistic, name -> exclusive bound:
 # a step falls in the first bucket whose bound exceeds the realized
-# token's 0-based rank in the last logit; "rest" catches everything
-# beyond the top-60 window
+# token's 0-based rank among all V last-logit tokens, the pending token
+# included (a candidate's rank skips it); "rest" is past the top-60 window
 RANK_BUCKETS = {
     "1": 1, "2": 2, "4": 4, "8": 8, "16": 16, "32": 32, "60": 60, "rest": math.inf,
 }
@@ -239,8 +239,8 @@ def _rank_bucket(rank: int) -> str:
 def rank_cdf(rank_counts: list[dict[str, int]]) -> list[tuple[str, int]]:
     """Cumulative next-next-token rank counts summed over per-decode
     bucket counts (`DecodeMetrics.rank_counts`): the entry for bucket b
-    counts the steps ranked below b's bound, and "rest" counts every
-    step."""
+    counts the steps ranked below b's bound (`RANK_BUCKETS`: pending token
+    included, so not candidate ranks), and "rest" counts every step."""
     cumulative: list[tuple[str, int]] = []
     running = 0
     for b in RANK_BUCKETS:

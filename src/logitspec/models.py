@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import load_corpus
 from .tree import DraftTree
 from .tree import ancestor_rows  # noqa: F401  (perfbench/spans.py wraps models.ancestor_rows)
 
@@ -345,27 +346,29 @@ def save_model_file(path: str | Path, model: MarkovTableModel) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# header fields and their parsers; `train_corpus_path` is the one other
-# header key
-_HEADER_FIELDS = {"vocab_size": int, "eos": int, "order": int, "alpha": float, "seed": int}
+# header keys and their parsers: the vocab, the constructor arguments
+# and the training corpus
+_HEADER_FIELDS = dict(
+    vocab_size=int, eos=int, order=int, alpha=float, seed=int, train_corpus_path=str.strip
+)
 
 
 def load_model_file(path: str | Path) -> MarkovTableModel:
     """Parse a model file.
 
-    Header fields: vocab_size, eos, order, alpha, seed. Then either a
+    Header fields: vocab_size, eos, and optionally order, alpha and seed
+    (unset, they take MarkovTableModel's defaults). Then either a
     `train_corpus_path <relative path>` line or a `counts` section with
     one line per context: "ctx_tokens -> token:count,...". A malformed
-    number, an unknown header key, or a counts line with a token id
-    outside the vocab, a negative count, a context longer than the order
-    or a context that an earlier line already gave raises ValueError
-    naming its path:line.
+    number, an unknown or repeated header key, or a counts line with a
+    token id outside the vocab, a negative count, a context longer than
+    the order or a context that an earlier line already gave raises
+    ValueError naming its path:line.
     """
     path = Path(path)
-    header: dict[str, int | float] = {}
+    header: dict[str, int | float | str] = {}
     model: MarkovTableModel | None = None
     counts: dict[tuple[int, ...], dict[int, int]] = {}
-    corpus_path: Path | None = None
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -380,32 +383,27 @@ def load_model_file(path: str | Path) -> MarkovTableModel:
             key, _, value = line.partition(" ")
             if not value:
                 raise ValueError(f"malformed header line {line!r}")
-            if key == "train_corpus_path":
-                corpus_path = path.parent / value.strip()
-            elif key in _HEADER_FIELDS:
-                header[key] = _HEADER_FIELDS[key](value)
-            else:
+            if key not in _HEADER_FIELDS:
                 raise ValueError(f"unknown header key {key!r}")
+            if key in header:
+                raise ValueError(f"header key {key!r} repeated")
+            header[key] = _HEADER_FIELDS[key](value)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if model is None:
         model = _header_model(path, header)
     model._add_counts(counts)
-    if corpus_path is not None:
-        from .corpus import load_corpus
-
-        model.train(load_corpus(corpus_path).sequences)
+    if "train_corpus_path" in header:
+        model.train(load_corpus(path.parent / header["train_corpus_path"]).sequences)
     return model
 
 
-def _header_model(path: Path, header: dict[str, int | float]) -> MarkovTableModel:
+def _header_model(path: Path, header: dict[str, int | float | str]) -> MarkovTableModel:
+    """The model the header describes, passing on only the constructor
+    arguments the header gives."""
+    given = {k: v for k, v in header.items() if k in ("order", "alpha", "seed")}
     try:
-        return MarkovTableModel(
-            VocabSpec(int(header["vocab_size"]), int(header["eos"])),
-            order=int(header.get("order", 2)),
-            alpha=header.get("alpha", 0.1),
-            seed=int(header.get("seed", 0)),
-        )
+        return MarkovTableModel(VocabSpec(header["vocab_size"], header["eos"]), **given)
     except KeyError as exc:
         raise ValueError(f"{path}: missing model header field {exc}") from exc
     except ValueError as exc:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,9 @@ import pytest
 import logitspec
 from logitspec.cli import main
 from logitspec.corpus import gen_corpus, load_corpus
-from logitspec.engine import decode
+from logitspec.drafting import DraftConfig
+from logitspec.engine import DecodeConfig, decode
+from logitspec.models import MarkovTableModel, load_model_file
 
 
 @pytest.fixture
@@ -249,8 +252,9 @@ def test_run_invalid_model_counts_exit_2(tmp_path, capsys, line):
     [
         ("vocab_size 8\neos 7\nalpah 0.5\ncounts\n", ":3: unknown header key 'alpah'"),
         ("vocab_size 8\neos 7\ncounts\n1 -> 2:1\n1 -> 3:4\n", ":5: counts context 1 repeated"),
+        ("vocab_size 8\neos 7\norder 2\norder 3\ncounts\n", ":4: header key 'order' repeated"),
     ],
-    ids=["unknown-header-key", "repeated-context"],
+    ids=["unknown-header-key", "repeated-context", "repeated-header-key"],
 )
 def test_run_model_file_typo_or_repeat_exit_2(tmp_path, capsys, text, where):
     model = tmp_path / "model.txt"
@@ -314,10 +318,14 @@ def test_run_out_of_vocab_prompt_exit_2(tmp_path, bench_files):
     assert main(["run", "--model", str(model), "--corpus", str(corpus)]) == 2
 
 
-def test_run_unknown_mode_exit_2(tmp_path, bench_files):
+def test_run_unknown_mode_exit_2(tmp_path, bench_files, capsys):
+    # DecodeConfig rejects the mode, and its message lists the valid ones
     model, corpus = bench_files
     assert main(["run", "--model", str(model), "--corpus", str(corpus),
                  "--mode", "bogus"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: unknown mode 'bogus'; expected one of ('autoregressive', "
+    )
 
 
 def test_run_repeated_mode_exit_2(tmp_path, bench_files, capsys):
@@ -479,3 +487,53 @@ def test_dump_index_output(tmp_path, bench_files, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert " | " in out.splitlines()[0]
+
+
+@pytest.mark.parametrize("modes", ["autoregressive,logitspec", "last_logit"])
+def test_dump_index_needs_retrieval_first_mode(tmp_path, bench_files, capsys, decoded_modes, modes):
+    # the dump comes from the first mode's index, so a first mode without
+    # one is bad input, found before any decode
+    model, corpus = bench_files
+    code, out = run_report(tmp_path, model, corpus, "--mode", modes, "--dump-index")
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --dump-index needs a first mode in ")
+    assert decoded_modes == []
+    assert not out.exists()
+
+
+def test_run_defaults_are_decode_config_defaults(tmp_path, bench_files, monkeypatch):
+    # run's knobs default to whatever DecodeConfig and DraftConfig say
+    @dataclass(frozen=True)
+    class OtherDefaults(DecodeConfig):
+        max_new_tokens: int = 5
+        draft: DraftConfig = field(default_factory=lambda: DraftConfig(capacity=7))
+
+    monkeypatch.setattr("logitspec.cli.DecodeConfig", OtherDefaults)
+    model, corpus = bench_files
+    out = tmp_path / "report.json"
+    assert main(["run", "--model", str(model), "--corpus", str(corpus),
+                 "--json-out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["max_new_tokens"] == 5
+    assert report["config"]["capacity"] == 7
+    assert report["config"]["top_k"] == DraftConfig().top_k
+    rows = report["modes"][DecodeConfig().mode]["per_prompt"]
+    assert len(rows) == len(load_corpus(corpus).sequences)
+    assert all(0 < row["tokens"] <= 5 for row in rows)
+
+
+def test_model_defaults_are_markov_constructor_defaults(tmp_path, bench_files, monkeypatch):
+    # a model file or gen-model call without order, alpha or seed takes
+    # MarkovTableModel's defaults
+    monkeypatch.setattr(MarkovTableModel.__init__, "__defaults__", (3, 0.5, 9, None))
+    given = tmp_path / "given.txt"
+    given.write_text("vocab_size 8\neos 7\ncounts\n1 2 3 -> 4:1\n")
+    _, corpus = bench_files
+    written = tmp_path / "written.txt"
+    assert main(["gen-model", "--out", str(written), "--corpus", str(corpus),
+                 "--vocab", "32"]) == 0
+    for path in (given, written):
+        model = load_model_file(path)
+        assert (model.order, model.alpha, model.seed) == (3, 0.5, 9)

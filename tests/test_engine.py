@@ -12,6 +12,8 @@ from logitspec import (
     ScriptedModel,
     VocabSpec,
     decode,
+    prune_budget,
+    speculate_next_next,
 )
 from logitspec.corpus import gen_corpus
 from logitspec.engine import MODES, PHASES, rank_cdf
@@ -209,6 +211,26 @@ def test_rank_histogram_second_entry_case():
     assert hist["1"] == 0
     assert hist["2"] == result.metrics.steps
     assert hist["rest"] == result.metrics.steps
+
+
+def test_rank_bucket_counts_pending_token_but_candidate_rank_skips_it():
+    # the pending token 0 tops the last logit and token 16 follows it:
+    # 16 is candidate rank 15 (inside top_k 16, budget tier 3) but ranks
+    # 16 among all V tokens, so its step lands in bucket "32", not "16"
+    vocab = VocabSpec(20, 19)
+    last = np.arange(20, 0, -1, dtype=float) / sum(range(1, 21))
+    after = np.full(20, 0.1 / 19)
+    after[16] = 0.9
+    model = ScriptedModel(vocab, {(5, 0): after}, last)
+    assert speculate_next_next(last, 0, 16).index(16) == 15
+    assert prune_budget(15) == 3
+    cfg = DecodeConfig(mode="last_logit", max_new_tokens=2, last_logit_k=16)
+    result = decode(model, [5], cfg)
+    assert result.tokens == [0, 16]
+    assert result.step_records[0].accepted_len == 1
+    assert result.step_records[0].next_next_rank == 16
+    hist = dict(rank_cdf([result.metrics.rank_counts]))
+    assert (hist["16"], hist["32"]) == (0, 1)
 
 
 def test_rank_histogram_conservation_and_replay_oracle():

@@ -444,8 +444,13 @@ def test_markov_rejects_alpha_outside_positive_finite(alpha):
         ("vocab_size 8\neos 7\nalpha nan\n", ": alpha must be finite and > 0"),
         ("vocab_size 8\neos 7\nalpha inf\n", ": alpha must be finite and > 0"),
         ("vocab_size 8\neos 7\nalpah 0.5\n", ":3: unknown header key 'alpah'"),
+        ("vocab_size 8\neos 7\nalpha 0.1\nalpha 0.5\n", ":4: header key 'alpha' repeated"),
+        # neither corpus exists: the repeat is found before either is read
+        ("vocab_size 8\neos 7\ntrain_corpus_path a.txt\ntrain_corpus_path b.txt\n",
+         ":4: header key 'train_corpus_path' repeated"),
     ],
-    ids=["vocab_size-not-int", "alpha-nan", "alpha-inf", "unknown-key"],
+    ids=["vocab_size-not-int", "alpha-nan", "alpha-inf", "unknown-key", "repeated-key",
+         "repeated-corpus-path"],
 )
 def test_model_file_rejects_invalid_header(tmp_path, header, message):
     bad = tmp_path / "bad.txt"
