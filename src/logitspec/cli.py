@@ -23,20 +23,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, replace
+from itertools import accumulate
 
 from . import __version__
 from .corpus import gen_corpus, load_corpus, save_corpus
 from .drafting import DraftConfig
-from .engine import PHASES, RETRIEVAL_MODES, DecodeConfig, DecodeResult, decode, rank_cdf
+from .engine import PHASES, RETRIEVAL_MODES, DecodeConfig, DecodeResult, decode
 from .models import MarkovTableModel, VocabSpec, load_model_file, save_model_file
 from .ngram_index import NGramIndex
 from .tree import DraftTree, format_tree
 
 # spread per-prompt seeds apart so decode rngs never overlap
 PROMPT_SEED_STRIDE = 1_000_003
+
+# rank buckets for the next-next-token statistic, name -> exclusive bound:
+# a step falls in the first bucket whose bound exceeds the realized
+# token's 0-based rank among all V last-logit tokens, the pending token
+# included (a candidate's rank skips it); "rest" is past the top-60 window
+RANK_BUCKETS = {
+    "1": 1, "2": 2, "4": 4, "8": 8, "16": 16, "32": 32, "60": 60, "rest": math.inf,
+}
 
 
 def prompt_seed(base_seed: int, prompt_index: int) -> int:
@@ -108,24 +118,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def prompt_row(prompt_index: int, result: DecodeResult) -> dict:
+    """A decode's per-prompt report row: its totals, its MAT (tokens per
+    step), its steps counted per `RANK_BUCKETS` bucket and its summed
+    `StepRecord.phase_counters`."""
+    records = result.step_records
+    rank_counts = dict.fromkeys(RANK_BUCKETS, 0)
+    for rec in records:
+        bucket = next(b for b, bound in RANK_BUCKETS.items() if rec.next_next_rank < bound)
+        rank_counts[bucket] += 1
+    return {
+        "prompt_index": prompt_index,
+        **asdict(result.metrics),
+        "mat": result.metrics.tokens / result.metrics.steps,
+        "rank_counts": rank_counts,
+        "phase_counters": {p: sum(r.phase_counters[p] for r in records) for p in PHASES},
+    }
+
+
 def _summary(rows: list[dict]) -> dict:
-    """A mode's aggregates, derived from its per-prompt rows alone."""
+    """A mode's aggregates, derived from its per-prompt rows alone.
+
+    rank_cdf's entry for bucket b is the share of steps ranked below b's
+    bound."""
     steps = sum(r["steps"] for r in rows)
     tokens = sum(r["tokens"] for r in rows)
-    cdf = rank_cdf([r["rank_counts"] for r in rows])
+    cdf = accumulate(sum(r["rank_counts"][b] for r in rows) for b in RANK_BUCKETS)
     return {
         "prompts": len(rows),
         "steps": steps,
         "tokens": tokens,
         "mat": tokens / steps,
         "retrieval_success_rate": sum(r["retrieval_hit_steps"] for r in rows) / steps,
-        "rank_cdf": [[b, count / steps] for b, count in cdf],
+        "rank_cdf": [[b, count / steps] for b, count in zip(RANK_BUCKETS, cdf)],
         "phase_counters": {p: sum(r["phase_counters"][p] for r in rows) for p in PHASES},
     }
 
 
 def _mode_report(results: list[DecodeResult]) -> dict:
-    rows = [{"prompt_index": i, **asdict(r.metrics)} for i, r in enumerate(results)]
+    rows = [prompt_row(i, r) for i, r in enumerate(results)]
     return {
         **_summary(rows),
         "losslessness": {"checked": False, "mismatches": 0},

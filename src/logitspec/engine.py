@@ -1,4 +1,4 @@
-"""The decode loop and its metrics.
+"""The decode loop, its per-step records and its totals.
 
 Per step: build the draft tree under the pending next token in one pass
 (whatever the mode), evaluate it in one model call, verify, commit the
@@ -49,20 +49,10 @@ __all__ = [
     "DecodeMetrics",
     "DecodeResult",
     "decode",
-    "rank_cdf",
-    "RANK_BUCKETS",
 ]
 
 MODES = ("autoregressive", "last_logit", "retrieval_only", "logitspec")
 RETRIEVAL_MODES = ("retrieval_only", "logitspec")
-
-# rank buckets for the next-next-token statistic, name -> exclusive bound:
-# a step falls in the first bucket whose bound exceeds the realized
-# token's 0-based rank among all V last-logit tokens, the pending token
-# included (a candidate's rank skips it); "rest" is past the top-60 window
-RANK_BUCKETS = {
-    "1": 1, "2": 2, "4": 4, "8": 8, "16": 16, "32": 32, "60": 60, "rest": math.inf,
-}
 
 PHASES = ("retrieve", "prepare", "forward", "verify", "update")
 
@@ -100,19 +90,13 @@ class StepRecord:
 
 @dataclass
 class DecodeMetrics:
-    """Every statistic a decode reports, each computed here once.
-
-    mat is tokens per step (verification forwards, prefill excluded);
-    rank_counts counts the steps per `RANK_BUCKETS` bucket and
-    phase_counters sums the steps' `StepRecord.phase_counters`.
-    """
+    """A decode's totals: steps (verification forwards, prefill
+    excluded), generated tokens and steps whose retrieval hit. Every
+    other statistic derives from `DecodeResult.step_records`."""
 
     steps: int
     tokens: int
-    mat: float
     retrieval_hit_steps: int
-    rank_counts: dict[str, int]
-    phase_counters: dict[str, int]
 
 
 @dataclass
@@ -218,32 +202,10 @@ def decode(
         last_dist = outcome.next_dist
 
     generated = state.committed[len(prompt) :]
-    rank_counts = dict.fromkeys(RANK_BUCKETS, 0)
-    for rec in records:
-        rank_counts[_rank_bucket(rec.next_next_rank)] += 1
     metrics = DecodeMetrics(
         steps=len(records),
         tokens=len(generated),
-        mat=len(generated) / len(records),
         retrieval_hit_steps=sum(1 for r in records if r.retrieval_hit),
-        rank_counts=rank_counts,
-        phase_counters={p: sum(r.phase_counters[p] for r in records) for p in PHASES},
     )
     return DecodeResult(tokens=generated, metrics=metrics, step_records=records)
 
-
-def _rank_bucket(rank: int) -> str:
-    return next(name for name, bound in RANK_BUCKETS.items() if rank < bound)
-
-
-def rank_cdf(rank_counts: list[dict[str, int]]) -> list[tuple[str, int]]:
-    """Cumulative next-next-token rank counts summed over per-decode
-    bucket counts (`DecodeMetrics.rank_counts`): the entry for bucket b
-    counts the steps ranked below b's bound (`RANK_BUCKETS`: pending token
-    included, so not candidate ranks), and "rest" counts every step."""
-    cumulative: list[tuple[str, int]] = []
-    running = 0
-    for b in RANK_BUCKETS:
-        running += sum(counts[b] for counts in rank_counts)
-        cumulative.append((b, running))
-    return cumulative

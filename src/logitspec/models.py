@@ -360,10 +360,11 @@ def load_model_file(path: str | Path) -> MarkovTableModel:
     (unset, they take MarkovTableModel's defaults). Then either a
     `train_corpus_path <relative path>` line or a `counts` section with
     one line per context: "ctx_tokens -> token:count,...". A malformed
-    number, an unknown or repeated header key, or a counts line with a
-    token id outside the vocab, a negative count, a context longer than
-    the order or a context that an earlier line already gave raises
-    ValueError naming its path:line.
+    number, an unknown or repeated header key, a `counts` line after a
+    `train_corpus_path` line, or a counts line with a token id outside
+    the vocab, a negative count, a context longer than the order, a
+    token it already gave or a context that an earlier line already gave
+    raises ValueError naming its path:line.
     """
     path = Path(path)
     header: dict[str, int | float | str] = {}
@@ -374,6 +375,8 @@ def load_model_file(path: str | Path) -> MarkovTableModel:
         if not line or line.startswith("#"):
             continue
         if model is None and line == "counts":
+            if "train_corpus_path" in header:
+                raise ValueError(f"{path}:{lineno}: counts section after train_corpus_path")
             model = _header_model(path, header)
             continue
         try:
@@ -423,7 +426,10 @@ def _add_counts_line(
     for pair in val_part.strip().split(","):
         if pair:
             tok, _, cnt = pair.partition(":")
-            per_tok[int(tok)] = int(cnt)
+            token = int(tok)
+            if token in per_tok:
+                raise ValueError(f"counts token {token} repeated")
+            per_tok[token] = int(cnt)
     model._check_counts(ctx, per_tok)
     if ctx in counts:
         raise ValueError(f"counts context {' '.join(map(str, ctx)) or '(empty)'} repeated")

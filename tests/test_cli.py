@@ -253,8 +253,12 @@ def test_run_invalid_model_counts_exit_2(tmp_path, capsys, line):
         ("vocab_size 8\neos 7\nalpah 0.5\ncounts\n", ":3: unknown header key 'alpah'"),
         ("vocab_size 8\neos 7\ncounts\n1 -> 2:1\n1 -> 3:4\n", ":5: counts context 1 repeated"),
         ("vocab_size 8\neos 7\norder 2\norder 3\ncounts\n", ":4: header key 'order' repeated"),
+        ("vocab_size 8\neos 7\ntrain_corpus_path c.txt\ncounts\n1 2 -> 3:5\n",
+         ":4: counts section after train_corpus_path"),
+        ("vocab_size 8\neos 7\ncounts\n1 2 -> 3:5,3:6\n", ":4: counts token 3 repeated"),
     ],
-    ids=["unknown-header-key", "repeated-context", "repeated-header-key"],
+    ids=["unknown-header-key", "repeated-context", "repeated-header-key", "corpus-and-counts",
+         "repeated-token"],
 )
 def test_run_model_file_typo_or_repeat_exit_2(tmp_path, capsys, text, where):
     model = tmp_path / "model.txt"

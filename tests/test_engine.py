@@ -15,8 +15,9 @@ from logitspec import (
     prune_budget,
     speculate_next_next,
 )
+from logitspec.cli import prompt_row
 from logitspec.corpus import gen_corpus
-from logitspec.engine import MODES, PHASES, rank_cdf
+from logitspec.engine import MODES, PHASES, DecodeMetrics, DecodeResult, StepRecord
 from logitspec.models import Model
 
 # next-next rank bucket -> its range of 0-based ranks [lo, hi)
@@ -119,7 +120,7 @@ def test_retrieval_only_accepts_on_repeating_span():
     )
     assert decode(model, [1, 2, 3, 1], DecodeConfig(mode="autoregressive", max_new_tokens=12)).tokens == result.tokens
     assert any(rec.accepted_len >= 1 for rec in result.step_records)
-    assert result.metrics.mat > 1.0
+    assert result.metrics.tokens / result.metrics.steps > 1.0
 
 
 def test_last_logit_mode_bounds():
@@ -128,7 +129,7 @@ def test_last_logit_mode_bounds():
     for prompt in prompts[:5]:
         result = decode(model, prompt, cfg)
         assert all(rec.accepted_len in (0, 1) for rec in result.step_records)
-        assert 1.0 <= result.metrics.mat <= 2.0
+        assert 1.0 <= result.metrics.tokens / result.metrics.steps <= 2.0
 
 
 @pytest.mark.parametrize("temperature", [0.0, 1.0], ids=lambda t: f"T{t:g}")
@@ -157,29 +158,35 @@ def test_non_retrieval_mode_trees(mode, rows, temperature):
 def test_mat_autoregressive_is_one():
     model, prompts = trained_markov(4)
     result = decode(model, prompts[0], DecodeConfig(mode="autoregressive", max_new_tokens=32))
-    assert result.metrics.mat == 1.0
+    assert result.metrics.tokens / result.metrics.steps == 1.0
     assert result.metrics.steps == result.metrics.tokens
 
 
 def test_decode_metrics_match_step_records():
-    # every DecodeMetrics field, recomputed from the decode's step records
+    # every DecodeMetrics total and report row field, recomputed from
+    # the decode's step records
     model, prompts = trained_markov(7)
     for temperature in (0.0, 1.0):
         for mode in MODES:
             cfg = DecodeConfig(mode=mode, max_new_tokens=48, temperature=temperature, seed=5)
-            for prompt in prompts[:4]:
+            for i, prompt in enumerate(prompts[:4]):
                 result = decode(model, prompt, cfg)
                 records = result.step_records
                 m = result.metrics
                 assert m.steps == len(records)
                 assert m.tokens == sum(r.accepted_len + 1 for r in records) == len(result.tokens)
-                assert m.mat == m.tokens / m.steps
                 assert m.retrieval_hit_steps == sum(r.retrieval_hit for r in records)
-                assert m.rank_counts == {
+                row = prompt_row(i, result)
+                assert row["prompt_index"] == i
+                assert (row["steps"], row["tokens"], row["retrieval_hit_steps"]) == (
+                    m.steps, m.tokens, m.retrieval_hit_steps
+                )
+                assert row["mat"] == m.tokens / m.steps
+                assert row["rank_counts"] == {
                     name: sum(lo <= r.next_next_rank < hi for r in records)
                     for name, (lo, hi) in RANK_RANGES.items()
                 }
-                assert m.phase_counters == {
+                assert row["phase_counters"] == {
                     p: sum(r.phase_counters[p] for r in records) for p in PHASES
                 }
 
@@ -207,10 +214,10 @@ def test_rank_histogram_second_entry_case():
         dists[t] = d / d.sum()
     model = LastTokenModel(VocabSpec(vocab, 4), dists)
     result = decode(model, [0], DecodeConfig(mode="autoregressive", max_new_tokens=20))
-    hist = dict(rank_cdf([result.metrics.rank_counts]))
-    assert hist["1"] == 0
-    assert hist["2"] == result.metrics.steps
-    assert hist["rest"] == result.metrics.steps
+    counts = prompt_row(0, result)["rank_counts"]
+    assert counts["1"] == 0
+    assert counts["2"] == result.metrics.steps
+    assert sum(counts.values()) == result.metrics.steps
 
 
 def test_rank_bucket_counts_pending_token_but_candidate_rank_skips_it():
@@ -229,8 +236,17 @@ def test_rank_bucket_counts_pending_token_but_candidate_rank_skips_it():
     assert result.tokens == [0, 16]
     assert result.step_records[0].accepted_len == 1
     assert result.step_records[0].next_next_rank == 16
-    hist = dict(rank_cdf([result.metrics.rank_counts]))
-    assert (hist["16"], hist["32"]) == (0, 1)
+    counts = prompt_row(0, result)["rank_counts"]
+    assert counts == {**dict.fromkeys(counts, 0), "32": 1}
+
+
+def test_rank_bucket_edges():
+    # each bucket's bound is exclusive: ranks 0, 1, 59 and 60 are the
+    # first rank of "1", of "2", the last of "60" and the first of "rest"
+    records = [StepRecord(0, 0, False, rank, dict.fromkeys(PHASES, 1)) for rank in (0, 1, 59, 60)]
+    result = DecodeResult([1, 2, 3, 4], DecodeMetrics(4, 4, 0), records)
+    counts = prompt_row(0, result)["rank_counts"]
+    assert counts == {**dict.fromkeys(counts, 0), "1": 1, "2": 1, "60": 1, "rest": 1}
 
 
 def test_rank_histogram_conservation_and_replay_oracle():
@@ -245,8 +261,9 @@ def test_rank_histogram_conservation_and_replay_oracle():
         results.append(r)
         total_steps += r.metrics.steps
     assert total_steps >= 500
-    hist = dict(rank_cdf([r.metrics.rank_counts for r in results]))
-    assert hist["rest"] == total_steps  # cumulative tail holds every step
+    rows = [prompt_row(i, r) for i, r in enumerate(results)]
+    # the buckets hold every step
+    assert sum(sum(row["rank_counts"].values()) for row in rows) == total_steps
 
     # brute-force oracle: replay each run with plain forwards and
     # recompute the rank of token i+1 in the distribution that preceded

@@ -404,10 +404,11 @@ def test_model_file_parse_errors(tmp_path):
         ("1 x -> 2:1", "invalid literal for int()"),
         ("1 -> 2:1.5", "invalid literal for int()"),
         ("1 2 -> 4:1", "counts context 1 2 repeated"),
+        ("1 -> 3:5,3:6", "counts token 3 repeated"),
     ],
     ids=["negative-token", "token-past-vocab", "context-token-past-vocab",
          "negative-count", "context-past-order", "context-not-int", "count-not-int",
-         "context-repeated"],
+         "context-repeated", "token-repeated"],
 )
 def test_model_file_rejects_invalid_counts_line(tmp_path, line, message):
     bad = tmp_path / "bad.txt"
@@ -448,9 +449,12 @@ def test_markov_rejects_alpha_outside_positive_finite(alpha):
         # neither corpus exists: the repeat is found before either is read
         ("vocab_size 8\neos 7\ntrain_corpus_path a.txt\ntrain_corpus_path b.txt\n",
          ":4: header key 'train_corpus_path' repeated"),
+        # a file has one source: a corpus or a counts section, never both
+        ("vocab_size 8\neos 7\ntrain_corpus_path a.txt\n",
+         ":4: counts section after train_corpus_path"),
     ],
     ids=["vocab_size-not-int", "alpha-nan", "alpha-inf", "unknown-key", "repeated-key",
-         "repeated-corpus-path"],
+         "repeated-corpus-path", "corpus-and-counts"],
 )
 def test_model_file_rejects_invalid_header(tmp_path, header, message):
     bad = tmp_path / "bad.txt"
