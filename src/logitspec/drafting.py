@@ -11,6 +11,14 @@ per-candidate cap. Candidates past an exhausted budget are never
 speculated or probed. Rows keep the order in which their paths first
 appear, so next-token rows precede candidate rows.
 
+A next-token continuation shorter than the index's value_len ran into
+the end of the source. The text from its occurrence to the pending next
+token is then one period, so the drafter repeats that period up to
+value_len tokens (LZ77's overlapping copy): `cont` becomes
+`((cont + [next_token]) * value_len)[:value_len]`, and the whole length
+counts against capacity. NGramIndex still returns verbatim substrings,
+and candidate paths are not extended.
+
 At temperature 0, a next-token query that hits at its full starting
 length ends the draft, so such steps speculate and probe no candidates.
 """
@@ -95,6 +103,10 @@ def build_draft(
     Candidates past that stop are neither probed nor counted in the
     tree's queries.
 
+    A next-token continuation cut short by the source end is drafted as
+    its period (the continuation, then next_token) repeated to
+    index.value_len tokens, all of them charged to capacity.
+
     With greedy (temperature-0 decoding), a next-token query that hits
     at its starting length min(m_start, len(context) + 1) drafts its
     continuations only: no candidate is speculated, probed or counted.
@@ -107,6 +119,9 @@ def build_draft(
     tree = DraftTree(len(context), [next_token], [-1], queries=1, hits=int(bool(found)))
     room = cfg.capacity
     for cont in found:
+        if len(cont) < index.value_len:
+            # cut by the source end: repeat its period
+            cont = ((cont + [next_token]) * index.value_len)[: index.value_len]
         tree.insert(cont[:room])
         room -= len(cont)
         if room <= 0:

@@ -52,15 +52,34 @@ class NGramIndex:
         return index
 
     def extend(self, new_tokens: list[int]) -> "NGramIndex":
-        """Index the grams ending at each newly appended position."""
+        """Index the grams ending at each newly appended position.
+
+        The last m_max - 1 source tokens are kept as one tuple (fewer
+        while the source is shorter), and each gram prefix is a slice of
+        it, shortest first, so the table's key order is that of a
+        rebuild. A dict or list is created only for a new prefix or gram.
+        """
         source = self.source
         table = self.table
+        keep = self.m_max - 1
+        # source[-0:] would be the whole source
+        tail = tuple(source[-keep:]) if keep else ()
         for tok in new_tokens:
             source.append(tok)
             end = len(source)
-            for m in range(1, min(self.m_max, end) + 1):
-                prefix = tuple(source[end - m : end - 1])
-                table.setdefault(prefix, {}).setdefault(tok, []).append(end)
+            for start in range(len(tail), -1, -1):
+                prefix = tail[start:]
+                successors = table.get(prefix)
+                if successors is None:
+                    table[prefix] = {tok: [end]}
+                    continue
+                offsets = successors.get(tok)
+                if offsets is None:
+                    successors[tok] = [end]
+                else:
+                    offsets.append(end)
+            if keep:
+                tail = (tail + (tok,))[-keep:]
         return self
 
     def match(self, query: list[int], max_matches: int = 2) -> list[list[int]]:

@@ -21,7 +21,22 @@ draft sizes fell, while tokens, accepted lengths and next-next ranks did
 not move. Before -> after: T=0 retrieval_only 25e71235...abf2e8 ->
 5efdf5e0...6bf9359, T=0 logitspec 73e06461...b72f8b -> 4915d7b3...a643b3,
 T=1 retrieval_only 0a224fb1...a335f7 -> 4d0705d5...4f2d06, T=1 logitspec
-42f8d7b1...e9a8a9 -> 537fbe0b...e79d777a."""
+42f8d7b1...e9a8a9 -> 537fbe0b...e79d777a.
+
+The eight retrieval_only and logitspec digests (decode and tree) were
+re-recorded when a next-token continuation that runs into the source end
+began repeating its period up to value_len tokens: tokens and next-next
+ranks did not move, draft sizes grew and accepted lengths rose (T=0
+steps 942 -> 581 for retrieval_only, 934 -> 573 for logitspec; the T=1
+step counts did not change). Decode digests, before -> after: T=0
+retrieval_only 5efdf5e0...6bf9359 -> 82969f5a...85e0c37, T=0 logitspec
+4915d7b3...a643b3 -> 72f7ae22...e33e9889, T=1 retrieval_only
+4d0705d5...4f2d06 -> 63fc6557...5c763e8, T=1 logitspec
+537fbe0b...e79d777a -> 653dd502...3f6f20d. Tree digests: T=0
+retrieval_only 7a1edcd0...46fc665 -> e8aee85e...7ae251e, T=0 logitspec
+c49be339...9c67f95c -> f4495174...7aed6096, T=1 retrieval_only
+2d96628a...e0a5dc -> 80ccaaa0...bdf50e5, T=1 logitspec
+fe340312...1fbe7383 -> 07e44fdd...8b430618."""
 
 from __future__ import annotations
 
@@ -48,12 +63,12 @@ DIGESTS = {
             "aeb045a37346dda6bec50455f4f319bb"
         ),
         "retrieval_only": (
-            "5efdf5e0d9ed16cd20872184867be232"
-            "bed21c78695e2ed3f22bcb0946bf9359"
+            "82969f5a203d6b17c849785db62a0a4b"
+            "07617f664424d787fc7cad44c85e0c37"
         ),
         "logitspec": (
-            "4915d7b39afc3b1adac828bf220c9b43"
-            "b93a6ba84c04529e9fc76795bba643b3"
+            "72f7ae220fb061191d361204928ff4aa"
+            "f44e1230aefc0df4295179bce33e9889"
         ),
     },
     (1.0, 0.2): {
@@ -66,12 +81,12 @@ DIGESTS = {
             "ef927002567556e49299f180260453f7"
         ),
         "retrieval_only": (
-            "4d0705d547027406f9405a22bb81d001"
-            "a64d18669b0c8b06a29321108f4f2d06"
+            "63fc65575509c4d813676d60f99626f2"
+            "035a191a3b3c66b0e0f6f29cb5c763e8"
         ),
         "logitspec": (
-            "537fbe0beeec6d73aaa45bef5eb53f9c"
-            "3fc83b41524f1bf77ccd0510e79d777a"
+            "653dd502b5c27ebda431fcb904285441"
+            "6a30c367b220bcc846654bccf3f6f20d"
         ),
     },
 }
@@ -89,12 +104,12 @@ TREE_DIGESTS = {
             "09052dbf6ba5e4fd76c6e34a09a6f496"
         ),
         "retrieval_only": (
-            "7a1edcd0aec856c7412f628f8cfcf495"
-            "80e31a55d0cdac87e9f7c354a46fc665"
+            "e8aee85e4c89557babae7f5ae27729f6"
+            "b46cce5541dd85d1d3003ff867ae251e"
         ),
         "logitspec": (
-            "c49be339d4b3dbd6da07fd51e7cf79d9"
-            "bf4090d327dc60fa6b5fd97e9c67f95c"
+            "f44951742b0fc9d8fcf1ef7238ff7bc6"
+            "5600e1f278a4f15cd73e0fd07aed6096"
         ),
     },
     (1.0, 0.2): {
@@ -107,12 +122,12 @@ TREE_DIGESTS = {
             "6ad59e41ad19ad3bef9cf143e0cd8d39"
         ),
         "retrieval_only": (
-            "2d96628a429e3fc9378c62f0ffc210fc"
-            "fb465a65bb2f3267e7a14ab1ffe0a5dc"
+            "80ccaaa00e6513c891f0bd71941c1bd5"
+            "5474dba8e2d884863abbeb918bdf50e5"
         ),
         "logitspec": (
-            "fe3403123e7740b54bca92106b183ae3"
-            "59b022392fb5566c115af7ac1fbe7383"
+            "07e44fdd0ff347d0b19b4a7ac6112c1e"
+            "52c88a0aab8d8d74a9e681bb8b430618"
         ),
     },
 }

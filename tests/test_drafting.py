@@ -79,12 +79,16 @@ def test_build_draft_figure_scenario():
     context = [0, 1, 2, 3, 4, 2, 5]
     index = NGramIndex.build(context + [2], m_max=3)
     last_dist = make_dist([2, 3], vocab=8)
-    cfg = DraftConfig(top_k=1, capacity=16, m_start=3)
+    cfg = DraftConfig(top_k=1, capacity=20, m_start=3)
     draft = build_draft(index, context, 2, last_dist, cfg)
-    # most recent "the" -> "triangle the", then "area of the triangle the";
-    # the candidate path "area of the triangle" (budget 4) adds no row
-    assert rows(draft) == merged(context, 2, [[5, 2], [3, 4, 2, 5, 2], [3, 4, 2, 5]])
-    assert draft.draft_ids == [2, 5, 2, 3, 4, 2, 5, 2]
+    # most recent "the" -> "triangle the", then "area of the triangle the",
+    # each run into the source end and so repeated with the pending "the"
+    # up to value_len; the candidate path "area of the triangle" (budget
+    # 4, the capacity left) adds no row
+    assert rows(draft) == merged(
+        context, 2, [[5, 2, 2, 5, 2, 2, 5, 2], [3, 4, 2, 5, 2, 2, 3, 4], [3, 4, 2, 5]]
+    )
+    assert draft.draft_ids == [2, 5, 2, 2, 5, 2, 2, 5, 2, 3, 4, 2, 5, 2, 2, 3, 4]
     assert (draft.queries, draft.hits) == (2, 2)
 
 
@@ -99,14 +103,14 @@ def test_build_draft_empty_index_candidates_alone():
 
 def test_build_draft_bare_candidate_shares_a_next_token_row():
     # next token 1: "1" is followed by 2 only at the end of the source, so
-    # the next-token continuation is [2] while candidate 2's query "1 2"
-    # has no continuation; the bare candidate lies on the row that the
-    # next-token continuation already drafted
+    # the next-token continuation [2] repeats its period "2 1", while
+    # candidate 2's query "1 2" has no continuation; the bare candidate
+    # lies on the row that the next-token continuation already drafted
     index = NGramIndex.build([7, 1, 2], m_max=3)
     cfg = DraftConfig(top_k=2, capacity=60, m_start=3)
     draft = build_draft(index, [7, 1, 2], 1, make_dist([1, 2, 5], vocab=8), cfg)
-    assert rows(draft) == merged([7, 1, 2], 1, [[2], [2], [5]])
-    assert rows(draft) == (3, [1, 2, 5], [-1, 0, 0])
+    assert rows(draft) == merged([7, 1, 2], 1, [[2, 1, 2, 1, 2, 1, 2, 1], [2], [5]])
+    assert rows(draft) == (3, [1, 2, 1, 2, 1, 2, 1, 2, 1, 5], [-1, *range(8), 0])
     assert (draft.queries, draft.hits) == (3, 1)
 
 
@@ -130,11 +134,12 @@ def test_build_draft_short_context_queries_whole_context():
     draft = build_draft(index, [1, 2], 3, dist, cfg)
     # a hit at length u after starting at length m costs m - u + 1 probes
     assert index.probe_count == 3 - 3 + 1
-    assert rows(draft) == merged([1, 2], 3, [[4, 9, 2, 3, 5]])
+    # continuations that reach the source end repeat "cont + [3]"
+    assert rows(draft) == merged([1, 2], 3, [[4, 9, 2, 3, 5, 3, 4, 9]])
     index = NGramIndex.build([1, 2, 3, 4, 9, 2, 3, 5], m_max=3)
     draft = build_draft(index, [2], 3, dist, cfg)
     assert index.probe_count == 2 - 2 + 1
-    assert rows(draft) == merged([2], 3, [[5], [4, 9, 2, 3, 5]])
+    assert rows(draft) == merged([2], 3, [[5, 3, 5, 3, 5, 3, 5, 3], [4, 9, 2, 3, 5, 3, 4, 9]])
 
 
 def test_build_draft_invariants_fuzz():
@@ -181,6 +186,23 @@ def test_build_draft_invariants_fuzz():
             assert max(d for d, t in zip(depth, top) if t == r) <= prune_budget(rank)
 
 
+@pytest.mark.parametrize("capacity", [60, 5])
+def test_build_draft_repeats_a_period_cut_by_the_source_end(capacity):
+    # a b c a b c a b, next token c: the most recent "a b c" is one period
+    # back, so its continuation "a b" stops at the source end and the
+    # draft repeats "a b c" up to value_len, then truncates to capacity
+    a, b, c = 1, 2, 3
+    source = [a, b, c, a, b, c, a, b]
+    index = NGramIndex.build(source, m_max=3, value_len=8)
+    cfg = DraftConfig(top_k=0, capacity=capacity, m_start=3)
+    draft = build_draft(index, source, c, make_dist([c]), cfg)
+    drafted = min(capacity, 8)
+    assert draft.draft_count == drafted
+    assert rows(draft) == (
+        len(source), [c, a, b, c, a, b, c, a, b][: drafted + 1], [-1, *range(drafted)]
+    )
+
+
 @pytest.mark.parametrize(
     "context, m_start",
     [([0, 1, 2, 3, 4, 1, 2], 3), ([2], 3)],
@@ -197,7 +219,8 @@ def test_build_draft_greedy_full_length_hit_skips_candidates(context, m_start):
     draft = build_draft(index, context, 3, last_dist, cfg, greedy=True)
     # one probe: the query hit at its starting length
     assert (draft.queries, draft.hits, index.probe_count) == (1, 1, 1)
-    assert rows(draft) == merged(context, 3, [[4, 1, 2]])
+    # "4 1 2" runs into the source end, so its period "4 1 2 3" repeats
+    assert rows(draft) == merged(context, 3, [[4, 1, 2, 3, 4, 1, 2, 3]])
     # the same step drafts candidates when sampling, in rows after the
     # next-token rows
     index = NGramIndex.build(source, m_max=m_start)
@@ -243,9 +266,11 @@ def test_speculate_returns_at_most_k():
 def naive_build_draft(source, context, next_token, last_dist, cfg, value_len, greedy):
     """Reference drafter: every query runs naive_fallback over the whole
     context, one candidate at a time, with the documented assembly rules
-    (capacity truncation, repeats kept, stop at a full budget) and the
-    greedy rule (a next-token hit at full length ends the draft). Probes
-    count one index lookup per gram length tried."""
+    (capacity truncation, repeats kept, stop at a full budget), the
+    period rule (a next-token continuation cut short by the source end
+    cycles through itself and the next token up to value_len tokens) and
+    the greedy rule (a next-token hit at full length ends the draft).
+    Probes count one index lookup per gram length tried."""
     suffix = list(context) + [next_token]
     sequences = []
     counts = {"queries": 0, "hits": 0, "total": 0, "probes": 0}
@@ -272,6 +297,9 @@ def naive_build_draft(source, context, next_token, last_dist, cfg, value_len, gr
     m_next = min(cfg.m_start, len(suffix))
     conts, used_m = query(suffix, m_next, 1, 2)
     for cont in conts:
+        if len(cont) < value_len:
+            period = cont + [next_token]
+            cont = [period[i % len(period)] for i in range(value_len)]
         if not add(cont):
             return result()
     if greedy and used_m == m_next:

@@ -384,3 +384,16 @@ def test_decode_rejects_bad_inputs():
         with pytest.raises(ValueError):
             DecodeConfig(temperature=temperature)
     assert DecodeConfig(last_logit_k=0).last_logit_k == 0
+
+
+def test_greedy_cycle_accepts_value_len_tokens_every_step():
+    # an order-1 model that cycles 0 1 2 greedily, and a prompt that
+    # already holds the cycle: every retrieved continuation runs into the
+    # source end, and repeating its period drafts value_len (8) tokens,
+    # all of which verify
+    model = MarkovTableModel(VocabSpec(8, 7), order=1, alpha=0.1).train([[0, 1, 2] * 10])
+    prompt = [0, 1, 2, 0, 1, 2]
+    cfg = DecodeConfig(mode="retrieval_only", max_new_tokens=45)
+    result = decode(model, prompt, cfg)
+    assert result.tokens == [0, 1, 2] * 15
+    assert [r.accepted_len for r in result.step_records] == [8] * 5

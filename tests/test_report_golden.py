@@ -13,7 +13,17 @@ trie (one row per distinct token path): only `phase_counters.forward`
 moved, the tree rows evaluated (T0: logitspec 476 -> 421, retrieval_only
 322 -> 271; T1: logitspec 2054 -> 1976). T0 cfbcb634...87058f ->
 d1189cb3...47af0d4, T1 e69f0346...51c8f -> 1ff88905...44ffa8. Both
-dumps are unchanged."""
+dumps are unchanged.
+
+All four digests were re-recorded when a next-token continuation that
+runs into the source end began repeating its period up to value_len
+tokens. Tokens did not move. At T0 the retrieval modes need fewer steps
+(MAT: logitspec 3.696 -> 5.484, retrieval_only 3.617 -> 5.312); at T1
+logitspec keeps its 95 steps and evaluates more tree rows (forward 1976
+-> 2050). Each dump's first logitspec tree grew. Reports: T0
+d1189cb3...47af0d4 -> 907a30c1...a8ff0d4, T1 1ff88905...44ffa8 ->
+3da56d18...bcbc709. Dumps: T0 1563f70d...af77f9d9 -> 7d3e56cd...c10ec88f,
+T1 cd2c3035...c49253 -> 45e436b2...d78398d2."""
 
 from __future__ import annotations
 
@@ -26,12 +36,12 @@ from logitspec.cli import main
 # case -> (report sha256, --dump-tree stdout sha256)
 GOLDEN = {
     "T0-all-modes-compare": (
-        "d1189cb365aea20772ad6193733f21a06690c033dc32b4f2a1b21356f47af0d4",
-        "1563f70dce0edce22f5f275a963f86511165941bd7d4ca82cb3d4d38af77f9d9",
+        "907a30c1c45f889f6c9c96adbe0beb83e17556883ad15bc827de39fb2a8ff0d4",
+        "7d3e56cde4777abb33074d42590cc90464174ca7f527ac045e89e6abc10ec88f",
     ),
     "T1-logitspec-last_logit": (
-        "1ff889058c07aa7dbb74259f06f688483f7ae1e6c4fa55da2de044657244ffa8",
-        "cd2c3035432595f90f37279170507500501c6b710c8f02c6880a7d5c96c49253",
+        "3da56d187c16323850ded5027df293b3268036de56762ec5c2f426530bcbc709",
+        "45e436b2e1e2305055329e9810ff0d973c8cefb9cc6b2ab75f60ca68d78398d2",
     ),
 }
 
