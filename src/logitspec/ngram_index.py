@@ -8,14 +8,15 @@ regardless of source length. The index grows incrementally as tokens are
 decoded; extend() is equivalent to a rebuild as far as match() output is
 concerned.
 
-match_with_fallback() (the next-token query) counts one probe per gram
-looked up; match() is its single-length case, one probe. match_candidates()
-serves every next-next candidate of a step in one call: it fetches the
-successors of each query prefix once, then answers each candidate with
-one int lookup per gram length tried, counted as one probe. Every entry
-point checks its gram lengths with _check_lengths() (1 <= min_m <=
-m_start <= min(m_max, query length), else ValueError) and reads its
-continuations through _continuations().
+Every query follows one rule, prompt lookup with fallback: try the
+longest gram first, then one token shorter down to min_m, and answer
+from the first length whose occurrences give a non-empty continuation.
+_lookup() is that rule, one probe per gram length tried, over the
+successor dicts that _successors() yields. match_with_fallback() (the
+next-token query; match() is its single-length case) fetches them
+lazily; match_candidates() fetches them once for all of a step's
+next-next candidates. Every entry point checks its gram lengths with
+_check_lengths(): 1 <= min_m <= m_start <= min(m_max, query length).
 """
 
 from __future__ import annotations
@@ -101,15 +102,8 @@ class NGramIndex:
         ([], 0) when every length misses.
         """
         self._check_lengths(m_start, min_m, len(suffix))
-        n = len(suffix)
-        for m in range(m_start, min_m - 1, -1):
-            self.probe_count += 1
-            offsets = self.table.get(tuple(suffix[n - m : n - 1]), _NO_SUCCESSORS).get(suffix[-1])
-            if offsets:
-                found = self._continuations(offsets, max_matches)
-                if found:
-                    return found, m
-        return [], 0
+        successors = self._successors(suffix[:-1], m_start, min_m)
+        return self._lookup(successors, suffix[-1], max_matches)
 
     def match_candidates(
         self,
@@ -122,21 +116,15 @@ class NGramIndex:
         match_with_fallback(suffix + [cand], m_start, min_m, max_matches=1)
         returns, or [] when every gram length misses.
 
-        The successors of the m_start - min_m + 1 query prefixes (the
-        last m - 1 tokens of suffix, for m from m_start down to min_m)
-        are fetched once, when called; each candidate then costs one
-        probe, a lookup of the candidate in those successors, per gram
-        length tried. Candidates are probed lazily, so a caller that
-        stops iterating probes no further. Do not extend the index while
-        iterating.
+        Every candidate's query shares the head suffix, so the successor
+        dicts of all its gram lengths are fetched once, when called, and
+        each candidate costs one probe per gram length tried. Candidates
+        are probed lazily, so a caller that stops iterating probes no
+        further. Do not extend the index while iterating.
         """
         self._check_lengths(m_start, min_m, len(suffix) + 1)
-        n = len(suffix)
-        successors = [
-            self.table.get(tuple(suffix[n - m + 1 :]), _NO_SUCCESSORS)
-            for m in range(m_start, min_m - 1, -1)
-        ]
-        return self._first_continuations(successors, candidates)
+        successors = list(self._successors(suffix, m_start, min_m))
+        return ((self._lookup(successors, cand, 1)[0] or [[]])[0] for cand in candidates)
 
     def _check_lengths(self, m_start: int, min_m: int, query_len: int) -> None:
         """Raise ValueError unless 1 <= min_m <= m_start <=
@@ -148,22 +136,32 @@ class NGramIndex:
                 f"min(m_max {self.m_max}, query length {query_len})"
             )
 
-    def _first_continuations(
-        self, successors: list[dict[int, list[int]]], candidates: Iterable[int]
-    ) -> Iterator[list[int]]:
-        """Per candidate, the most recent continuation from the first
-        successor dict whose gram for it has one, or []."""
-        for cand in candidates:
-            cont: list[int] = []
-            for succ in successors:
-                self.probe_count += 1
-                offsets = succ.get(cand)
-                if offsets:
-                    found = self._continuations(offsets, 1)
-                    if found:
-                        cont = found[0]
-                        break
-            yield cont
+    def _successors(
+        self, head: list[int], m_start: int, min_m: int
+    ) -> Iterator[tuple[int, dict[int, list[int]]]]:
+        """(m, successors of head's last m - 1 tokens) for m from m_start
+        down to min_m, each fetched when the caller asks for it."""
+        n = len(head)
+        for m in range(m_start, min_m - 1, -1):
+            yield m, self.table.get(tuple(head[n - m + 1 :]), _NO_SUCCESSORS)
+
+    def _lookup(
+        self,
+        successors: Iterable[tuple[int, dict[int, list[int]]]],
+        token: int,
+        max_matches: int,
+    ) -> tuple[list[list[int]], int]:
+        """The continuations of the first gram length whose successor dict
+        gives token a non-empty one, and that length; ([], 0) if none
+        does. One probe per length tried."""
+        for m, succ in successors:
+            self.probe_count += 1
+            offsets = succ.get(token)
+            if offsets:
+                found = self._continuations(offsets, max_matches)
+                if found:
+                    return found, m
+        return [], 0
 
     def _continuations(self, offsets: list[int], max_matches: int) -> list[list[int]]:
         """Up to max_matches distinct non-empty continuations (up to

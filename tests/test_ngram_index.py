@@ -194,6 +194,19 @@ def test_match_candidates_skips_occurrence_ending_source():
     index = NGramIndex.build([3, 2, 4, 1, 2], m_max=2, value_len=2)
     assert list(index.match_candidates([1], [2], m_start=2, min_m=1)) == [[4, 1]]
     assert list(index.match_candidates([1], [2], m_start=2, min_m=2)) == [[]]
+    # the next-token query suffix + [cand] follows the same rule: it skips
+    # the occurrence ending the source, then falls back to an older
+    # occurrence (m 2) or a shorter gram (m 1)
+    for source, value_len, cand, min_m, want, want_m in (
+        ([1, 2, 5, 6, 1, 2], 3, 2, 1, [5, 6, 1], 2),
+        ([1, 2, 5, 6, 1, 2], 3, 7, 1, [], 0),
+        ([3, 2, 4, 1, 2], 2, 2, 1, [4, 1], 1),
+        ([3, 2, 4, 1, 2], 2, 2, 2, [], 0),
+    ):
+        index = NGramIndex.build(source, m_max=2, value_len=value_len)
+        assert list(index.match_candidates([1], [cand], 2, min_m)) == [want]
+        found, m = index.match_with_fallback([1, cand], 2, min_m, max_matches=1)
+        assert (found, m) == ([want] if want else [], want_m)
 
 
 def test_match_candidates_probes_lazily():
