@@ -73,7 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--temperature", type=float, default=defaults.temperature)
     run.add_argument("--seed", type=int, default=defaults.seed)
     run.add_argument("--top-k", type=int, default=defaults.draft.top_k)
-    run.add_argument("--capacity", type=int, default=defaults.draft.capacity)
+    run.add_argument(
+        "--capacity",
+        type=int,
+        default=defaults.draft.capacity,
+        help="most draft rows per step in the retrieval modes (last_logit uses --last-logit-k)",
+    )
     run.add_argument("--m-start", type=int, default=defaults.draft.m_start)
     run.add_argument("--last-logit-k", type=int, default=defaults.last_logit_k)
     run.add_argument("--json-out", default=None, help="report path (default: stdout)")

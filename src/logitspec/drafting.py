@@ -3,24 +3,16 @@
 The drafter speculates next-next candidates from the top of the last
 logit (minus the already-sampled next token), retrieves continuations for
 the next token (one match_with_fallback query) and for every candidate
-(one NGramIndex.match_candidates call per step), and builds the draft
-tree directly: one plain loop passes the next-token continuations, then
-each candidate path as match_candidates yields its continuation, to
-`DraftTree.insert`, under a fixed token budget with a rank-tiered
-per-candidate cap. Candidates past an exhausted budget are never
-speculated or probed. Rows keep the order in which their paths first
-appear, so next-token rows precede candidate rows.
+(one NGramIndex.match_candidates call per step), and inserts each path
+into the draft tree as it drafts it. The tree is the budget: capacity
+bounds its draft rows, which is what verification pays for, so a path
+costs only the rows it adds.
 
 A next-token continuation shorter than the index's value_len ran into
 the end of the source. The text from its occurrence to the pending next
 token is then one period, so the drafter repeats that period up to
-value_len tokens (LZ77's overlapping copy): `cont` becomes
-`((cont + [next_token]) * value_len)[:value_len]`, and the whole length
-counts against capacity. NGramIndex still returns verbatim substrings,
-and candidate paths are not extended.
-
-At temperature 0, a next-token query that hits at its full starting
-length ends the draft, so such steps speculate and probe no candidates.
+value_len tokens (LZ77's overlapping copy). NGramIndex still returns
+verbatim substrings, and candidate paths are not extended.
 """
 
 from __future__ import annotations
@@ -46,6 +38,9 @@ CANDIDATE_MIN_M = 2
 
 @dataclass(frozen=True)
 class DraftConfig:
+    """Retrieval drafting knobs: top_k candidates, at most capacity draft
+    rows per tree (the root not counted), query grams of <= m_start tokens."""
+
     top_k: int = 16
     capacity: int = 60
     m_start: int = 3
@@ -94,18 +89,17 @@ def build_draft(
 ) -> DraftTree:
     """Build the draft tree for one decode step.
 
-    The proposed paths are the next-token retrievals, then one path per
+    One plain loop passes the next-token retrievals, then one path per
     candidate in rank order (candidate token followed by its most recent
     retrieved continuation, capped by prune_budget; the bare candidate
-    when nothing matches), each added with `DraftTree.insert`.
-    Accumulation truncates the final path to the remaining capacity and
-    stops, so capacity bounds the proposed tokens, repeats included.
-    Candidates past that stop are neither probed nor counted in the
-    tree's queries.
+    when nothing matches), to `DraftTree.insert`, so rows keep the order
+    in which their paths first appear. Each path is cut to the
+    cfg.capacity - tree.draft_count rows still free, and drafting stops
+    once none is. Candidates past that stop are neither probed nor
+    counted in the tree's queries.
 
     A next-token continuation cut short by the source end is drafted as
-    its period (the continuation, then next_token) repeated to
-    index.value_len tokens, all of them charged to capacity.
+    `((cont + [next_token]) * index.value_len)[: index.value_len]`.
 
     With greedy (temperature-0 decoding), a next-token query that hits
     at its starting length min(m_start, len(context) + 1) drafts its
@@ -117,14 +111,14 @@ def build_draft(
     m_next = min(cfg.m_start, len(suffix))
     found, used_m = index.match_with_fallback(suffix, m_next)
     tree = DraftTree(len(context), [next_token], [-1], queries=1, hits=int(bool(found)))
-    room = cfg.capacity
+    # draft_ids holds the root, then one id per draft row
+    ids, full = tree.draft_ids, cfg.capacity + 1
     for cont in found:
         if len(cont) < index.value_len:
             # cut by the source end: repeat its period
             cont = ((cont + [next_token]) * index.value_len)[: index.value_len]
-        tree.insert(cont[:room])
-        room -= len(cont)
-        if room <= 0:
+        tree.insert(cont[: full - len(ids)])
+        if len(ids) >= full:
             return tree
     # a full-length greedy hit rarely loses to a candidate, and greedy
     # verification emits the same tokens whatever the draft holds
@@ -145,9 +139,8 @@ def build_draft(
         path = [candidates[rank]]
         if cont:
             tree.hits += 1
-            path += cont[: min(prune_budget(rank), room) - 1]
-        tree.insert(path)
-        room -= len(path)
-        if room <= 0:
+            path += cont[: prune_budget(rank) - 1]
+        tree.insert(path[: full - len(ids)])
+        if len(ids) >= full:
             break
     return tree

@@ -203,6 +203,26 @@ def test_build_draft_repeats_a_period_cut_by_the_source_end(capacity):
     )
 
 
+def test_build_draft_duplicate_next_token_paths_leave_rows_to_candidates():
+    # a b c a b c a b, next token c: both next-token continuations, "a b"
+    # and "a b c a b", run into the source end and repeat into the same
+    # 8-token path, so the second adds no row and the candidates fill the
+    # rows left under capacity 12. Candidate a's query "b c a" hits and
+    # follows the next-token rows; 5, 2, 4 and 6 miss and take one row
+    # each, which fills the draft, so 7 is never queried.
+    a, b, c = 1, 2, 3
+    source = [a, b, c, a, b, c, a, b]
+    index = NGramIndex.build(source, m_max=3, value_len=8)
+    cfg = DraftConfig(top_k=6, capacity=12, m_start=3)
+    last_dist = make_dist([c, a, 5, b, 4, 6, 7], vocab=8)
+    draft = build_draft(index, source, c, last_dist, cfg, greedy=False)
+    assert rows(draft) == (
+        len(source), [c, a, b, c, a, b, c, a, b, 5, b, 4, 6], [-1, *range(8), 0, 0, 0, 0]
+    )
+    assert (draft.queries, draft.hits) == (6, 2)
+    assert draft.draft_count <= cfg.capacity
+
+
 @pytest.mark.parametrize(
     "context, m_start",
     [([0, 1, 2, 3, 4, 1, 2], 3), ([2], 3)],
@@ -266,20 +286,22 @@ def test_speculate_returns_at_most_k():
 def naive_build_draft(source, context, next_token, last_dist, cfg, value_len, greedy):
     """Reference drafter: every query runs naive_fallback over the whole
     context, one candidate at a time, with the documented assembly rules
-    (capacity truncation, repeats kept, stop at a full budget), the
-    period rule (a next-token continuation cut short by the source end
-    cycles through itself and the next token up to value_len tokens) and
-    the greedy rule (a next-token hit at full length ends the draft).
+    (each path cut to the rows its merged trie has free under capacity,
+    stop once they are all drafted), the period rule (a next-token
+    continuation cut short by the source end cycles through itself and
+    the next token up to value_len tokens) and the greedy rule (a
+    next-token hit at full length ends the draft).
     Probes count one index lookup per gram length tried."""
     suffix = list(context) + [next_token]
     sequences = []
-    counts = {"queries": 0, "hits": 0, "total": 0, "probes": 0}
+    counts = {"queries": 0, "hits": 0, "probes": 0}
+
+    def drafted_rows():
+        return prepare_attention_inputs(len(context), next_token, sequences).draft_count
 
     def add(seq):
-        seq = seq[: cfg.capacity - counts["total"]]
-        sequences.append(seq)
-        counts["total"] += len(seq)
-        return counts["total"] < cfg.capacity
+        sequences.append(seq[: cfg.capacity - drafted_rows()])
+        return drafted_rows() < cfg.capacity
 
     def query(query_suffix, m_start, min_m, max_matches):
         conts, used_m = naive_fallback(
