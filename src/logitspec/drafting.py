@@ -1,12 +1,17 @@
 """Draft construction: next-next-token speculation plus retrieval.
 
-The drafter speculates next-next candidates from the top of the last
-logit (minus the already-sampled next token), retrieves continuations for
-the next token (one match_with_fallback query) and for every candidate
-(one NGramIndex.match_candidates call per step), and inserts each path
-into the draft tree as it drafts it. The tree is the budget: capacity
-bounds its draft rows, which is what verification pays for, so a path
-costs only the rows it adds.
+The drafter speculates next-next candidates from the last logit (minus
+the already-sampled next token): its top-k at temperature 0, and at
+temperature > 0 the tokens whose intervals of the tempered last-logit
+CDF lie nearest the uniform that will draw the next-next token. Should
+the next-next dist equal the last one, the nearest is that token, which
+shared randomness makes a drafter's best guess at a sample (Daliri,
+Musco and Suresh 2024); verification does not change. It retrieves
+continuations for the next token (one match_with_fallback query) and
+for every candidate (one NGramIndex.match_candidates call per step), and
+inserts each path into the draft tree as it drafts it. The tree is the
+budget: capacity bounds its draft rows, which is what verification pays
+for, so a path costs only the rows it adds.
 
 A next-token continuation shorter than the index's value_len ran into
 the end of the source. The text from its occurrence to the pending next
@@ -17,10 +22,13 @@ verbatim substrings, and candidate paths are not extended.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
+from .models import tempered_cdf
 from .ngram_index import NGramIndex
 from .tree import DraftTree
 
@@ -54,16 +62,74 @@ class DraftConfig:
             raise ValueError(f"m_start must be >= 1, got {self.m_start}")
 
 
-def speculate_next_next(last_dist: np.ndarray, next_token: int, k: int) -> list[int]:
-    """Top-k tokens of the last logit excluding the next token, in
-    descending probability (ties broken by lower id); a token's 0-based
-    rank is its position in the list."""
+def speculate_next_next(
+    last_dist: np.ndarray,
+    next_token: int,
+    k: int,
+    u: float | None = None,
+    temperature: float = 1.0,
+) -> list[int]:
+    """Up to k next-next candidates from the last logit, never the next
+    token; a candidate's 0-based rank is its position in the list.
+
+    Without u: the top of last_dist in descending probability, ties to
+    the lower id. With u, the uniform that will draw the next-next token
+    at this temperature (> 0): tokens by the distance from u to their
+    interval of `tempered_cdf(last_dist, temperature)`, nearest first,
+    ties to the lower id. The token whose interval holds u (distance 0)
+    is the draw itself should the next-next dist equal the last one.
+    """
     if k <= 0:
         return []
-    top = np.argsort(-last_dist, kind="stable")[: k + 1].tolist()
-    if next_token in top:
-        top.remove(next_token)
-    return top[:k]
+    if u is None:
+        top = np.argsort(-last_dist, kind="stable")[: k + 1].tolist()
+        if next_token in top:
+            top.remove(next_token)
+        return top[:k]
+    if not 0.0 <= u < 1.0:
+        raise ValueError(f"u must be in [0, 1), got {u}")
+    return _nearest_intervals(tempered_cdf(last_dist, temperature).tolist(), u, next_token, k)
+
+
+def _nearest_intervals(cdf: list[float], u: float, skip: int, k: int) -> list[int]:
+    """The k tokens other than skip whose intervals [cdf[j - 1], cdf[j])
+    lie nearest u, nearest first, ties to the lower id.
+
+    Token j's distance is u - cdf[j] left of the token holding u, 0 for
+    that token and cdf[j - 1] - u right of it, so distances grow on each
+    side and the order is a two-sided merge out from the holder, O(k)
+    after the bisection. A tie across the sides goes left (the lower
+    id), and a run of equal distances on the left comes lowest id first.
+    """
+    n = len(cdf)
+    hi = bisect_right(cdf, u)  # the next right token, the holder first
+    lo = hi - 1  # the next left token
+    d_hi = 0.0 if hi < n else math.inf
+    d_lo = u - cdf[lo] if lo >= 0 else math.inf
+    out: list[int] = []
+    append = out.append
+    # k + 1 tokens, so k remain once skip is dropped
+    for _ in range(k + 1):
+        if d_lo <= d_hi:
+            if lo < 0:  # both sides are exhausted
+                break
+            start = lo
+            d = u - cdf[start - 1] if start else math.inf
+            while d == d_lo:
+                start -= 1
+                d = u - cdf[start - 1] if start else math.inf
+            if start == lo:
+                append(lo)
+            else:
+                out += range(start, lo + 1)
+            lo, d_lo = start - 1, d
+        else:
+            append(hi)
+            hi += 1
+            d_hi = cdf[hi - 1] - u if hi < n else math.inf
+    if skip in out:
+        out.remove(skip)
+    return out[:k]
 
 
 def prune_budget(rank: int) -> int:
@@ -86,6 +152,8 @@ def build_draft(
     cfg: DraftConfig,
     *,
     greedy: bool = False,
+    u: float | None = None,
+    temperature: float = 1.0,
 ) -> DraftTree:
     """Build the draft tree for one decode step.
 
@@ -104,6 +172,9 @@ def build_draft(
     With greedy (temperature-0 decoding), a next-token query that hits
     at its starting length min(m_start, len(context) + 1) drafts its
     continuations only: no candidate is speculated, probed or counted.
+
+    u and temperature pass to `speculate_next_next`: with u, the uniform
+    of position len(context) + 1, candidates come in the coupled order.
     """
     # queries read at most m_start tokens back, so only the context's
     # tail is copied
@@ -125,7 +196,7 @@ def build_draft(
     if greedy and used_m == m_next:
         return tree
 
-    candidates = speculate_next_next(last_dist, next_token, cfg.top_k)
+    candidates = speculate_next_next(last_dist, next_token, cfg.top_k, u, temperature)
     if not candidates:
         return tree
     # one index call serves every candidate query suffix + [cand],
@@ -134,13 +205,21 @@ def build_draft(
     continuations = index.match_candidates(
         suffix, candidates, m_start, min_m=min(CANDIDATE_MIN_M, m_start)
     )
-    for rank, cont in enumerate(continuations):
-        tree.queries += 1
-        path = [candidates[rank]]
+    parents, rows = tree.parents, tree.rows
+    probed = hits = 0
+    for cont in continuations:
+        cand = candidates[probed]
         if cont:
-            tree.hits += 1
-            path += cont[: prune_budget(rank) - 1]
-        tree.insert(path[: full - len(ids)])
+            hits += 1
+            tree.insert(([cand] + cont[: prune_budget(probed) - 1])[: full - len(ids)])
+        elif (0, cand) not in rows:
+            # a bare candidate under the root: one new row, no descent
+            rows[0, cand] = len(ids)
+            ids.append(cand)
+            parents.append(0)
+        probed += 1
         if len(ids) >= full:
             break
+    tree.queries += probed
+    tree.hits += hits
     return tree

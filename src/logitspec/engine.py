@@ -10,17 +10,29 @@ evaluated them), so the model runs once per step after the prefill; the
 retrieval index keeps its own copy of the prompt and emitted tokens.
 
 Every emitted token is one draw on the target model's dist at its
-context: argmax at temperature 0, `models.sample` at the configured
-temperature otherwise, the prefill's pending token included. Drafts
-only decide how many of those draws one forward call serves, so for a
-seed every mode emits exactly the autoregressive tokens.
+context: argmax at temperature 0, and otherwise the inverse-CDF draw
+`models.sample_uniform` of the tempered dist with the uniform of the
+token's position. The prefill's `models.sample` takes the first uniform
+from the decode seed's rng; `models.Uniforms` serves every later
+position, one `rng.random()` per position in position order. Drafts only
+decide how many of those draws one forward call serves, so for a seed
+every mode emits exactly the autoregressive tokens.
+
+At temperature > 0 the drafter reads the uniform of the next-next
+position (past_len + 1) before verification draws with it, and ranks the
+last-logit candidates by the distance from that uniform to their
+intervals of the tempered last-logit CDF (`speculate_next_next`), so the
+candidate first in line is the token the draw picks whenever the
+next-next dist equals the last one. No flag selects it; at temperature 0
+the candidates are the last logit's top-k.
 
 Modes:
   autoregressive  no drafts; one token per forward (the baseline).
-  last_logit      the top last_logit_k last-logit entries as single-token
-                  sibling guesses at the next-next token, whatever the
-                  capacity (accepted length 0 or 1 per step, so at most
-                  2 tokens per forward).
+  last_logit      last_logit_k last-logit candidates (the top-k at
+                  temperature 0, the coupled order otherwise) as
+                  single-token sibling guesses at the next-next token,
+                  whatever the capacity (accepted length 0 or 1 per
+                  step, so at most 2 tokens per forward).
   retrieval_only  next-token retrieval continuations only.
   logitspec       retrieval for the next token and for each speculated
                   next-next candidate; at temperature 0 the candidates
@@ -36,7 +48,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .drafting import DraftConfig, build_draft, speculate_next_next
-from .models import Model, sample
+from .models import Model, Uniforms, sample
 from .ngram_index import NGramIndex
 from .tree import DraftTree
 from .tree import prepare_attention_inputs  # noqa: F401  (perfbench/spans.py wraps engine.prepare_attention_inputs)
@@ -118,16 +130,26 @@ def _build_step_draft(
     context: list[int],
     pending: int,
     last_dist: np.ndarray,
+    u: float | None = None,
 ) -> DraftTree:
+    """The step's draft tree; u is the uniform of the next-next token's
+    position (len(context) + 1) at temperature > 0, None at 0."""
     if cfg.mode == "autoregressive":
         return DraftTree(len(context), [pending], [-1])
     if cfg.mode == "last_logit":
         # distinct tokens, none of them pending: a star of root children
-        cands = speculate_next_next(last_dist, pending, cfg.last_logit_k)
+        cands = speculate_next_next(last_dist, pending, cfg.last_logit_k, u, cfg.temperature)
         return DraftTree(len(context), [pending, *cands], [-1, *[0] * len(cands)])
     assert index is not None
     return build_draft(
-        index, context, pending, last_dist, cfg.draft, greedy=cfg.temperature == 0
+        index,
+        context,
+        pending,
+        last_dist,
+        cfg.draft,
+        greedy=cfg.temperature == 0,
+        u=u,
+        temperature=cfg.temperature,
     )
 
 
@@ -153,6 +175,10 @@ def decode(
     state = model.new_state()
     last_dist = model.forward(state, list(prompt))[-1]
     pending = sample(last_dist, cfg.temperature, rng)
+    # at T > 0 the prefill's draw took position len(prompt)'s uniform;
+    # every later position reads its own from one stream, the drafter
+    # included, so drafting moves no draw
+    uniforms = Uniforms(rng, len(prompt) + 1) if cfg.temperature > 0 else None
 
     index: NGramIndex | None = None
     if cfg.mode in RETRIEVAL_MODES:
@@ -161,14 +187,15 @@ def decode(
     end = len(prompt) + cfg.max_new_tokens
     records: list[StepRecord] = []
     while True:
-        tree = _build_step_draft(cfg, index, state.committed, pending, last_dist)
+        u = None if uniforms is None else uniforms[len(state) + 1]
+        tree = _build_step_draft(cfg, index, state.committed, pending, last_dist, u)
         if tree_observer is not None:
             tree_observer(tree)
         dists = model.forward_tree(state, tree)
-        if cfg.temperature == 0:
+        if uniforms is None:
             outcome = verify_greedy(tree, dists)
         else:
-            outcome = verify_stochastic(tree, dists, rng, cfg.temperature)
+            outcome = verify_stochastic(tree, dists, uniforms, cfg.temperature)
 
         emitted = [pending] + outcome.accepted
         emitted = emitted[: end - len(state)]

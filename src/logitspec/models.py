@@ -28,6 +28,10 @@ __all__ = [
     "MarkovTableModel",
     "ScriptedModel",
     "sample",
+    "sample_uniform",
+    "tempered",
+    "tempered_cdf",
+    "Uniforms",
     "validate_distribution",
     "load_model_file",
     "save_model_file",
@@ -314,20 +318,85 @@ class ScriptedModel(Model):
 
 def sample(dist: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
     """Sample a token id. Temperature 0 is argmax with lowest-id
-    tie-break; temperature 1 is an exact categorical draw from dist.
-    Other temperatures draw from dist ** (1 / temperature), renormalized;
-    dist is scaled by its maximum first, so the tempered sum is at least
-    1 and cannot underflow to 0."""
+    tie-break and draws nothing from rng. Any other temperature draws one
+    uniform, `rng.random()`, and returns `sample_uniform` of it: the same
+    token and the same RNG consumption as
+    `rng.choice(len(p), p=tempered(dist, temperature))`."""
     if not 0 <= temperature < math.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if temperature == 0:
         return int(np.argmax(dist))
-    if temperature != 1.0:
-        scaled = np.power(dist / dist.max(), 1.0 / temperature)
-        scaled /= scaled.sum()
-    else:
-        scaled = dist
-    return int(rng.choice(len(scaled), p=scaled))
+    return sample_uniform(dist, temperature, rng.random())
+
+
+def tempered(dist: np.ndarray, temperature: float) -> np.ndarray:
+    """dist ** (1 / temperature), renormalized; dist itself at
+    temperature 1. dist is scaled by its maximum first, so the tempered
+    sum is at least 1 and cannot underflow to 0."""
+    if temperature == 1.0:
+        return dist
+    scaled = np.power(dist / dist.max(), 1.0 / temperature)
+    scaled /= scaled.sum()
+    return scaled
+
+
+def tempered_cdf(dist: np.ndarray, temperature: float) -> np.ndarray:
+    """The CDF a draw at temperature (> 0) inverts, built as
+    `Generator.choice` builds it: the cumulative sums of
+    `tempered(dist, temperature)` divided by their last entry. Token i's
+    interval is [cdf[i - 1], cdf[i]), with cdf[-1] read as 0."""
+    cdf = tempered(dist, temperature).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+# Generator.choice's tolerance on the sum of float64 probabilities
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def sample_uniform(dist: np.ndarray, temperature: float, u: float) -> int:
+    """The token whose interval of `tempered_cdf(dist, temperature)`
+    holds u, for temperature > 0 and u in [0, 1): the inverse-CDF draw
+    `Generator.choice` makes from one uniform. Keeps choice's checks,
+    each raising ValueError: dist is 1-D with no negative entry, and the
+    tempered dist has no NaN and sums to 1 within sqrt(eps)."""
+    if not 0 < temperature < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.ndim != 1:
+        raise ValueError("probabilities must be 1-dimensional")
+    if (dist < 0).any():
+        raise ValueError("probabilities are not non-negative")
+    cdf = tempered(dist, temperature).cumsum()
+    total = float(cdf[-1])
+    if math.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if abs(total - 1.0) > _SUM_ATOL:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    cdf /= total
+    return int(cdf.searchsorted(u, side="right"))
+
+
+class Uniforms:
+    """One decode's uniforms keyed by sequence position: position
+    start + i reads the i-th `rng.random()` draw. Draws happen lazily
+    and in position order (`rng.random(n)` returns the values of n
+    single draws), so reading a position early, as the drafter does for
+    the next-next token, changes no value and no later draw."""
+
+    def __init__(self, rng: np.random.Generator, start: int):
+        self.rng = rng
+        self.start = start
+        self._values: list[float] = []
+
+    def __getitem__(self, pos: int) -> float:
+        i = pos - self.start
+        if i < 0:
+            raise IndexError(f"position {pos} precedes the stream start {self.start}")
+        values = self._values
+        if i >= len(values):
+            values.extend(self.rng.random(i + 1 - len(values)).tolist())
+        return values[i]
 
 
 def save_model_file(path: str | Path, model: MarkovTableModel) -> None:

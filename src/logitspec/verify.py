@@ -11,10 +11,12 @@ last logit.
 
 Per row, the rule accepts the target mass of the distinct child tokens,
 the most any valid rule can accept (SpecTr, Sun et al. 2023). Greedy
-verification draws the argmax; stochastic verification draws with
-`models.sample`, so every emitted token is one `sample` call on the same
-dist autoregressive decoding would draw from, and a seed gives the same
-tokens in every mode.
+verification draws the argmax. Stochastic verification draws the token
+at position pos with `models.sample_uniform` of the decode's uniform for
+pos: the inverse-CDF draw `models.sample` makes, on the same dist and
+with the same uniform autoregressive decoding would use there, so a seed
+gives the same tokens in every mode. Which drafts a step carries never
+moves a uniform, even a drafter that reads the next uniform first.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import sample
+from .models import Uniforms, sample_uniform
 from .tree import DraftTree
 
 __all__ = [
@@ -68,7 +70,7 @@ def residual(p: np.ndarray, q: np.ndarray) -> np.ndarray | None:
 
 
 def _walk(
-    tree: DraftTree, dists: list[np.ndarray], draw: Callable[[np.ndarray], int]
+    tree: DraftTree, dists: list[np.ndarray], draw: Callable[[np.ndarray, int], int]
 ) -> VerifyOutcome:
     parents = tree.parents
     ids = tree.draft_ids
@@ -76,7 +78,7 @@ def _walk(
     accepted = []
     while True:
         d = dists[row]
-        x = draw(d)
+        x = draw(d, len(accepted))
         # a child is a later row than its parent, and the trie gives the
         # row at most one child carrying x
         for r in range(row + 1, len(ids)):
@@ -90,14 +92,26 @@ def _walk(
 
 def verify_greedy(tree: DraftTree, dists: list[np.ndarray]) -> VerifyOutcome:
     """Accept the longest draft path matching the argmax chain."""
-    return _walk(tree, dists, lambda d: int(d.argmax()))
+    return _walk(tree, dists, lambda d, depth: int(d.argmax()))
 
 
 def verify_stochastic(
     tree: DraftTree,
     dists: list[np.ndarray],
-    rng: np.random.Generator,
+    uniforms: Uniforms | np.random.Generator,
     temperature: float = 1.0,
 ) -> VerifyOutcome:
-    """Lossless verification of one-hot drafts at a sampling temperature."""
-    return _walk(tree, dists, lambda d: sample(d, temperature, rng))
+    """Lossless verification of one-hot drafts at a sampling temperature
+    (> 0).
+
+    The token at depth d (position tree.past_len + d + 1) is
+    `sample_uniform` of that position's uniform. uniforms is the decode's
+    position-keyed stream, or a Generator whose next draws serve depths
+    0, 1, ... in order, as one `sample` call each would.
+    """
+    if isinstance(uniforms, np.random.Generator):
+        uniforms = Uniforms(uniforms, tree.past_len + 1)
+    first = tree.past_len + 1
+    return _walk(
+        tree, dists, lambda d, depth: sample_uniform(d, temperature, uniforms[first + depth])
+    )

@@ -13,6 +13,7 @@ from logitspec import (
 )
 from logitspec.drafting import CANDIDATE_MIN_M
 from logitspec.engine import DecodeConfig, _build_step_draft
+from logitspec.models import sample_uniform, tempered_cdf
 
 from conftest import naive_fallback
 
@@ -52,6 +53,101 @@ def test_speculate_uniform_tie_break_lowest_ids():
     dist = np.full(8, 1.0 / 8)
     cands = speculate_next_next(dist, 0, 2)
     assert cands == [1, 2]
+
+
+# cdf 0.125, 0.375, 0.75, 1.0: every interval edge is exact in binary
+QUARTERS = np.array([0.125, 0.25, 0.375, 0.25])
+
+
+def coupled_order(last_dist, next_token, k, u, temperature=1.0):
+    """Full-sort reference for the coupled order: every token by (distance
+    from u to its interval of the tempered CDF, id), next token dropped."""
+    cdf = tempered_cdf(last_dist, temperature).tolist()
+
+    def distance(j):
+        if cdf[j] <= u:
+            return u - cdf[j]
+        if j and cdf[j - 1] > u:
+            return cdf[j - 1] - u
+        return 0.0
+
+    order = sorted(range(len(cdf)), key=lambda j: (distance(j), j))
+    return [t for t in order if t != next_token][:k]
+
+
+def test_speculate_with_uniform_puts_the_holder_first():
+    # u = 1/16 lies in token 0's interval [0, 0.125); the top-k order
+    # would start with token 2
+    assert speculate_next_next(QUARTERS, 3, 3, u=0.0625) == [0, 1, 2]
+    assert speculate_next_next(QUARTERS, 3, 2, u=0.0625) == [0, 1]
+    assert speculate_next_next(QUARTERS, 3, 3) == [2, 1, 0]
+
+
+def test_speculate_with_uniform_excludes_next_token_and_ties_go_low():
+    # u = 9/16 lies in token 2's interval [0.375, 0.75); tokens 1 and 3
+    # both lie 3/16 from it
+    assert speculate_next_next(QUARTERS, 0, 3, u=0.5625) == [2, 1, 3]
+    assert speculate_next_next(QUARTERS, 2, 3, u=0.5625) == [1, 3, 0]
+    assert speculate_next_next(QUARTERS, 2, 10, u=0.5625) == [1, 3, 0]
+    assert speculate_next_next(QUARTERS, 2, 0, u=0.5625) == []
+
+
+def test_speculate_without_uniform_is_the_top_k():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        dist = rng.random(int(rng.integers(2, 70)))
+        dist[rng.random(len(dist)) < 0.3] = 0.0
+        dist[0] += 0.01
+        dist /= dist.sum()
+        next_token, k = int(rng.integers(0, len(dist))), int(rng.integers(0, 70))
+        top = [t for t in np.argsort(-dist, kind="stable").tolist() if t != next_token]
+        assert speculate_next_next(dist, next_token, k) == top[:k]
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+def test_speculate_coupled_merge_equals_full_sort(temperature):
+    # zero and tiny entries give equal distances on both sides of the
+    # holder; u on an interval edge gives a second distance-0 token
+    rng = np.random.default_rng(int(temperature * 10))
+    for case in range(3000):
+        vocab = int(rng.integers(1, 70))
+        dist = rng.random(vocab)
+        dist[rng.random(vocab) < 0.3] = 0.0
+        if case % 4 == 0:
+            dist[rng.random(vocab) < 0.5] = 1e-18
+        if not dist.any():
+            dist[0] = 1.0
+        dist /= dist.sum()
+        if case % 5 == 0:
+            u = tempered_cdf(dist, temperature)[int(rng.integers(0, vocab))] % 1.0
+        else:
+            u = float(rng.random())
+        next_token, k = int(rng.integers(0, vocab)), int(rng.integers(0, vocab + 2))
+        want = coupled_order(dist, next_token, k, u, temperature)
+        assert speculate_next_next(dist, next_token, k, u, temperature) == want, case
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+def test_speculate_coupled_first_candidate_is_the_draw(temperature):
+    # should the next-next dist equal the last one, the first candidate
+    # is the token sample_uniform draws with the same uniform, unless
+    # that is the next token
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        dist = rng.random(16)
+        dist /= dist.sum()
+        u = float(rng.random())
+        drawn = sample_uniform(dist, temperature, u)
+        next_token = int(rng.integers(0, 16))
+        cands = speculate_next_next(dist, next_token, 4, u, temperature)
+        assert (cands[0] == drawn) == (next_token != drawn)
+        assert next_token not in cands
+
+
+@pytest.mark.parametrize("u", [-0.1, 1.0, float("nan")])
+def test_speculate_rejects_uniform_outside_unit_interval(u):
+    with pytest.raises(ValueError):
+        speculate_next_next(QUARTERS, 0, 2, u=u)
 
 
 def test_prune_budget_tiers():
@@ -283,7 +379,9 @@ def test_speculate_returns_at_most_k():
     assert all(t != 1 for t in speculate_next_next(dist, 1, 10))
 
 
-def naive_build_draft(source, context, next_token, last_dist, cfg, value_len, greedy):
+def naive_build_draft(
+    source, context, next_token, last_dist, cfg, value_len, greedy, u=None, temperature=1.0
+):
     """Reference drafter: every query runs naive_fallback over the whole
     context, one candidate at a time, with the documented assembly rules
     (each path cut to the rows its merged trie has free under capacity,
@@ -326,7 +424,11 @@ def naive_build_draft(source, context, next_token, last_dist, cfg, value_len, gr
             return result()
     if greedy and used_m == m_next:
         return result()
-    for rank, cand in enumerate(speculate_next_next(last_dist, next_token, cfg.top_k)):
+    if u is None:
+        candidates = speculate_next_next(last_dist, next_token, cfg.top_k)
+    else:
+        candidates = coupled_order(last_dist, next_token, cfg.top_k, u, temperature)
+    for rank, cand in enumerate(candidates):
         m_start = min(cfg.m_start, len(suffix) + 1)
         conts, _ = query(suffix + [cand], m_start, min(CANDIDATE_MIN_M, m_start), 1)
         seq = [cand] + (conts[0][: prune_budget(rank) - 1] if conts else [])
@@ -358,6 +460,35 @@ def test_build_draft_equals_per_candidate_reference_random():
         draft = build_draft(index, context, next_token, last_dist, cfg, greedy=greedy)
         sequences, queries, hits, probes = naive_build_draft(
             source, context, next_token, last_dist, cfg, value_len, greedy
+        )
+        assert rows(draft) == merged(context, next_token, sequences)
+        assert (draft.queries, draft.hits, index.probe_count) == (queries, hits, probes)
+
+
+def test_build_draft_coupled_equals_per_candidate_reference_random():
+    # at T > 0 the candidates come in the coupled order; bare candidates
+    # (a miss) often repeat rows, which the small vocabs make common
+    rng = np.random.default_rng(41)
+    for _ in range(600):
+        vocab = int(rng.integers(3, 12))
+        cfg = DraftConfig(
+            top_k=int(rng.integers(0, 13)),
+            capacity=int(rng.integers(1, 41)),
+            m_start=int(rng.integers(1, 6)),
+        )
+        context = rng.integers(0, vocab, size=rng.integers(0, 30)).tolist()
+        next_token = int(rng.integers(0, vocab))
+        value_len = int(rng.integers(1, 9))
+        index = NGramIndex.build(context, m_max=cfg.m_start, value_len=value_len)
+        last_dist = rng.random(vocab + 2)
+        last_dist /= last_dist.sum()
+        u, temperature = float(rng.random()), float(rng.choice([0.5, 1.0, 2.0]))
+
+        draft = build_draft(
+            index, context, next_token, last_dist, cfg, u=u, temperature=temperature
+        )
+        sequences, queries, hits, probes = naive_build_draft(
+            context, context, next_token, last_dist, cfg, value_len, False, u, temperature
         )
         assert rows(draft) == merged(context, next_token, sequences)
         assert (draft.queries, draft.hits, index.probe_count) == (queries, hits, probes)

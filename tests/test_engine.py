@@ -356,6 +356,38 @@ def test_first_three_tokens_follow_tempered_joint(mode, temperature):
     assert tv <= 0.1, tv
 
 
+@pytest.mark.parametrize("mode", ["last_logit", "logitspec"])
+def test_coupled_candidate_accepted_when_next_dist_equals_last(mode):
+    # every context gets one dist (eos unreachable), so the dist after
+    # the pending token is the last dist, and the candidate whose
+    # interval holds the next-next position's uniform is the draw: every
+    # step accepts a depth-1 draft, unless the draw is the pending token
+    # itself, which is never a candidate. Four candidates out of 63
+    # tokens: a top-k draft would miss most draws
+    rng = np.random.default_rng(19)
+    d = np.append(rng.dirichlet(np.ones(63)), 0.0)
+    model = ScriptedModel(VocabSpec(64, 63), {}, d)
+    prompt = rng.integers(0, 63, size=8).tolist()
+    checked = 0
+    for seed in range(20):
+        cfg = DecodeConfig(
+            mode=mode,
+            max_new_tokens=64,
+            temperature=1.0,
+            seed=seed,
+            draft=DraftConfig(top_k=4),
+            last_logit_k=4,
+        )
+        pasts = []
+        result = decode(model, prompt, cfg, tree_observer=lambda t: pasts.append(t.past_len))
+        full = prompt + result.tokens
+        for past, rec in zip(pasts, result.step_records):
+            if past + 1 < len(full) and full[past + 1] != full[past]:
+                assert rec.accepted_len >= 1, (seed, past)
+                checked += 1
+    assert checked > 500
+
+
 def test_eos_truncates_accepted_span():
     # chain 1 -> 2 -> 3 -> eos(0) -> 1; the retrieved span can run past
     # eos but output must stop at the first eos

@@ -12,7 +12,15 @@ from logitspec import (
     prepare_attention_inputs,
     sample,
 )
-from logitspec.models import load_model_file, save_model_file, validate_distribution
+from logitspec.models import (
+    Uniforms,
+    load_model_file,
+    sample_uniform,
+    save_model_file,
+    tempered,
+    tempered_cdf,
+    validate_distribution,
+)
 from logitspec.tree import TreeStructureError
 
 from conftest import dist
@@ -249,6 +257,67 @@ def test_sample_tiny_temperature_does_not_underflow():
 def test_sample_rejects_bad_temperature(temperature):
     with pytest.raises(ValueError):
         sample(np.array([0.0, 1.0, 0.0, 0.0]), temperature, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+def test_sample_equals_choice_on_tempered_dist(temperature):
+    # the same token and the same RNG consumption as Generator.choice on
+    # the tempered dist, zero entries included
+    rng = np.random.default_rng(int(temperature * 4))
+    for case in range(200):
+        d = rng.random(64)
+        d[rng.random(64) < 0.2] = 0.0
+        d /= d.sum()
+        p = tempered(d, temperature)
+        want, got = np.random.default_rng(case), np.random.default_rng(case)
+        for _ in range(20):
+            assert sample(d, temperature, got) == want.choice(64, p=p)
+        assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_sample_keeps_choice_checks():
+    rng = np.random.default_rng(0)
+    eps_root = np.sqrt(np.finfo(np.float64).eps)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample(np.array([0.5, 0.6, -0.1]), 1.0, rng)
+    with pytest.raises(ValueError, match="sum"):
+        sample(np.array([0.5, 0.5 + 2 * eps_root]), 1.0, rng)
+    with pytest.raises(ValueError, match="NaN"):
+        sample(np.array([0.5, float("nan")]), 1.0, rng)
+    with pytest.raises(ValueError, match="1-dimensional"):
+        sample(np.full((2, 2), 0.25), 1.0, rng)
+    # within sqrt(eps) of 1 is accepted, as choice accepts it
+    assert sample(np.array([0.5, 0.5 + eps_root / 2]), 1.0, rng) in (0, 1)
+
+
+def test_sample_draws_no_uniform_at_temperature_zero():
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    assert sample(np.array([0.2, 0.5, 0.3]), 0.0, rng) == 1
+    assert rng.bit_generator.state == state
+
+
+def test_sample_uniform_inverts_the_tempered_cdf():
+    d = np.array([0.125, 0.25, 0.375, 0.25])  # cdf 0.125, 0.375, 0.75, 1
+    assert [sample_uniform(d, 1.0, u) for u in (0.0, 0.124, 0.125, 0.5, 0.75, 0.99)] == [
+        0, 0, 1, 2, 3, 3,
+    ]
+    np.testing.assert_array_equal(tempered_cdf(d, 1.0), [0.125, 0.375, 0.75, 1.0])
+    with pytest.raises(ValueError):
+        sample_uniform(d, 0.0, 0.5)
+
+
+def test_uniforms_are_keyed_by_position():
+    # reading ahead draws the positions in between, in order, and
+    # changes no value: the stream equals one rng.random() per position
+    stream = Uniforms(np.random.default_rng(6), start=10)
+    assert stream[13] == stream[13]
+    got = [stream[pos] for pos in range(10, 20)]
+    plain = np.random.default_rng(6)
+    assert got == [plain.random() for _ in range(10)]
+    assert stream.rng.bit_generator.state == plain.bit_generator.state
+    with pytest.raises(IndexError):
+        stream[9]
 
 
 def _hand_counts(sequences, order):

@@ -23,7 +23,18 @@ logitspec keeps its 95 steps and evaluates more tree rows (forward 1976
 -> 2050). Each dump's first logitspec tree grew. Reports: T0
 d1189cb3...47af0d4 -> 907a30c1...a8ff0d4, T1 1ff88905...44ffa8 ->
 3da56d18...bcbc709. Dumps: T0 1563f70d...af77f9d9 -> 7d3e56cd...c10ec88f,
-T1 cd2c3035...c49253 -> 45e436b2...d78398d2."""
+T1 cd2c3035...c49253 -> 45e436b2...d78398d2.
+
+Both T1 digests were re-recorded when, at T>0, the drafter began
+ordering next-next candidates by the distance from the next-next
+position's uniform to their intervals of the tempered last-logit CDF.
+No token moved. logitspec needs fewer steps (95 -> 73, MAT 1.474 ->
+1.918) and evaluates fewer tree rows (forward 2050 -> 1561). last_logit's
+rows did not move: on a 32-token vocab its 60 candidates are every
+token but the pending one, in whatever order. The dump's first logitspec tree keeps its
+next-token rows and lists its candidates in the new order (3 0 1 2 4 5
+6 ... -> 6 5 4 3 2 1 0 ...). Report 3da56d18...bcbc709 ->
+09e060d1...7529d9ea, dump 45e436b2...d78398d2 -> 380d003b...a0b04bf."""
 
 from __future__ import annotations
 
@@ -40,8 +51,8 @@ GOLDEN = {
         "7d3e56cde4777abb33074d42590cc90464174ca7f527ac045e89e6abc10ec88f",
     ),
     "T1-logitspec-last_logit": (
-        "3da56d187c16323850ded5027df293b3268036de56762ec5c2f426530bcbc709",
-        "45e436b2e1e2305055329e9810ff0d973c8cefb9cc6b2ab75f60ca68d78398d2",
+        "09e060d15d509fce2ff6fd33845291eb7c5a638a210ac27e186e0e367529d9ea",
+        "380d003ba2bafd5b53e085a771168a3be33c3e76a4315be5caaa64ff0a0b04bf",
     ),
 }
 

@@ -14,6 +14,7 @@ from logitspec import (
     verify_stochastic,
 )
 
+from logitspec.models import Uniforms, sample_uniform
 from logitspec.verify import VerifyOutcome
 
 from conftest import dist
@@ -228,3 +229,25 @@ def test_verify_matches_token_path_oracle():
         assert got.bonus == want.bonus, case
         assert got.next_dist is want.next_dist, case
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state, case
+
+
+def test_stochastic_reads_the_uniform_of_each_depths_position():
+    # with a position-keyed stream, depth d draws with the uniform of
+    # position past_len + d + 1, exactly as a Generator drawn in depth
+    # order would
+    rng = np.random.default_rng(23)
+    for case in range(300):
+        vocab = int(rng.integers(2, 6))
+        seqs = [rng.integers(0, vocab, size=rng.integers(1, 4)).tolist() for _ in range(4)]
+        tree = prepare_attention_inputs(int(rng.integers(0, 5)), 0, seqs)
+        dists = [random_dist(rng, vocab) for _ in range(tree.seq_len)]
+        temperature = [0.5, 1.0, 2.0][case % 3]
+        want = verify_stochastic(tree, dists, np.random.default_rng(case), temperature)
+        stream = Uniforms(np.random.default_rng(case), tree.past_len + 1)
+        stream[tree.past_len + 3]  # reading ahead moves nothing
+        got = verify_stochastic(tree, dists, stream, temperature)
+        assert (got.accepted, got.bonus) == (want.accepted, want.bonus), case
+        depth = len(got.accepted)
+        assert got.bonus == sample_uniform(
+            got.next_dist, temperature, stream[tree.past_len + depth + 1]
+        )
