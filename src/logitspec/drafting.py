@@ -67,17 +67,18 @@ def speculate_next_next(
     next_token: int,
     k: int,
     u: float | None = None,
-    temperature: float = 1.0,
+    temperature: float | None = None,
 ) -> list[int]:
     """Up to k next-next candidates from the last logit, never the next
     token; a candidate's 0-based rank is its position in the list.
 
     Without u: the top of last_dist in descending probability, ties to
     the lower id. With u, the uniform that will draw the next-next token
-    at this temperature (> 0): tokens by the distance from u to their
-    interval of `tempered_cdf(last_dist, temperature)`, nearest first,
-    ties to the lower id. The token whose interval holds u (distance 0)
-    is the draw itself should the next-next dist equal the last one.
+    at temperature (> 0, required with u): tokens by the distance from u
+    to their interval of `tempered_cdf(last_dist, temperature)`, nearest
+    first, ties to the lower id. The token whose interval holds u
+    (distance 0) is the draw itself should the next-next dist equal the
+    last one.
     """
     if k <= 0:
         return []
@@ -88,6 +89,8 @@ def speculate_next_next(
         return top[:k]
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must be in [0, 1), got {u}")
+    if temperature is None:
+        raise ValueError("u needs the temperature it draws at")
     return _nearest_intervals(tempered_cdf(last_dist, temperature).tolist(), u, next_token, k)
 
 
@@ -153,7 +156,7 @@ def build_draft(
     *,
     greedy: bool = False,
     u: float | None = None,
-    temperature: float = 1.0,
+    temperature: float | None = None,
 ) -> DraftTree:
     """Build the draft tree for one decode step.
 
@@ -174,7 +177,8 @@ def build_draft(
     continuations only: no candidate is speculated, probed or counted.
 
     u and temperature pass to `speculate_next_next`: with u, the uniform
-    of position len(context) + 1, candidates come in the coupled order.
+    of position len(context) + 1, and the temperature it draws at,
+    candidates come in the coupled order.
     """
     # queries read at most m_start tokens back, so only the context's
     # tail is copied
@@ -205,21 +209,13 @@ def build_draft(
     continuations = index.match_candidates(
         suffix, candidates, m_start, min_m=min(CANDIDATE_MIN_M, m_start)
     )
-    parents, rows = tree.parents, tree.rows
-    probed = hits = 0
-    for cont in continuations:
-        cand = candidates[probed]
+    for rank, cont in enumerate(continuations):
+        tree.queries += 1
+        path = [candidates[rank]]
         if cont:
-            hits += 1
-            tree.insert(([cand] + cont[: prune_budget(probed) - 1])[: full - len(ids)])
-        elif (0, cand) not in rows:
-            # a bare candidate under the root: one new row, no descent
-            rows[0, cand] = len(ids)
-            ids.append(cand)
-            parents.append(0)
-        probed += 1
+            tree.hits += 1
+            path += cont[: prune_budget(rank) - 1]
+        tree.insert(path[: full - len(ids)])
         if len(ids) >= full:
             break
-    tree.queries += probed
-    tree.hits += hits
     return tree

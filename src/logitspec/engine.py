@@ -147,7 +147,7 @@ def _build_step_draft(
         pending,
         last_dist,
         cfg.draft,
-        greedy=cfg.temperature == 0,
+        greedy=u is None,
         u=u,
         temperature=cfg.temperature,
     )

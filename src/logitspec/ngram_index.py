@@ -15,10 +15,8 @@ _lookup() is that rule, one probe per gram length tried, over the
 successor dicts that _successors() yields. match_with_fallback() (the
 next-token query; match() is its single-length case) fetches them
 lazily; match_candidates() fetches them once for all of a step's
-next-next candidates and applies the rule with one continuation per
-candidate inline, in one lazy generator (_probe_candidates()). Every
-entry point checks its gram lengths with _check_lengths(): 1 <= min_m
-<= m_start <= min(m_max, query length).
+next-next candidates. Every entry point checks its gram lengths with
+_check_lengths(): 1 <= min_m <= m_start <= min(m_max, query length).
 """
 
 from __future__ import annotations
@@ -125,32 +123,8 @@ class NGramIndex:
         further. Do not extend the index while iterating.
         """
         self._check_lengths(m_start, min_m, len(suffix) + 1)
-        successors = [succ for _, succ in self._successors(suffix, m_start, min_m)]
-        return self._probe_candidates(successors, candidates)
-
-    def _probe_candidates(
-        self, successors: list[dict[int, list[int]]], candidates: Iterable[int]
-    ) -> Iterator[list[int]]:
-        """match_candidates's generator: `_lookup` with max_matches 1,
-        inline. The most recent non-empty continuation of a gram is its
-        last occurrence's, or the one before when the last occurrence
-        ends the source (offsets ascend, so only the last can)."""
-        source, value_len = self.source, self.value_len
-        for cand in candidates:
-            cont: list[int] = []
-            for succ in successors:
-                self.probe_count += 1
-                offsets = succ.get(cand)
-                if not offsets:
-                    continue
-                off = offsets[-1]
-                if off == len(source):
-                    if len(offsets) == 1:
-                        continue
-                    off = offsets[-2]
-                cont = source[off : off + value_len]
-                break
-            yield cont
+        successors = list(self._successors(suffix, m_start, min_m))
+        return ((self._lookup(successors, cand, 1)[0] or [[]])[0] for cand in candidates)
 
     def _check_lengths(self, m_start: int, min_m: int, query_len: int) -> None:
         """Raise ValueError unless 1 <= min_m <= m_start <=

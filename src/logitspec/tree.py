@@ -4,15 +4,14 @@ with the attention inputs derived from them.
 Row 0 is the pending next token; the draft paths form a trie under it,
 so every row's token path (from the root) is unique. `DraftTree.insert`
 is the one trie insert: `drafting.build_draft` calls it for each path as
-it drafts (a bare candidate it appends under the root itself, through
-`DraftTree.rows`), and `prepare_attention_inputs` for each sequence of a
-finished list. `parents[r]` is the row of row r's parent (-1 for the
-root), always an earlier row, so one pass in row order meets every
-parent before its children. The reference models and verification read
-the parents directly. The dense attention mask (each row sees the past
-context, its ancestors and itself) and the position ids (past_len +
-depth) are derived from the parents on first access, for mask-consuming
-backends and debug dumps. `DraftTree.check` validates the parent array for them and for
+it drafts, and `prepare_attention_inputs` for each sequence of a finished
+list. `parents[r]` is the row of row r's parent (-1 for the root), always
+an earlier row, so one pass in row order meets every parent before its
+children. The reference models and verification read the parents
+directly. The dense attention mask (each row sees the past context, its
+ancestors and itself) and the position ids (past_len + depth) are derived
+from the parents on first access, for mask-consuming backends and debug
+dumps. `DraftTree.check` validates the parent array for them and for
 `Model.forward_tree`; the mask is built one byte row per tree row, each a
 copy of its parent's row with its own column set.
 """
@@ -53,9 +52,8 @@ class DraftTree:
     parents: list[int]
     queries: int = 0
     hits: int = 0
-    # (parent row, token) -> row, for the rows insert added (and the
-    # bare candidates build_draft appends under the root)
-    rows: dict[tuple[int, int], int] = field(default_factory=dict, repr=False, compare=False)
+    # (parent row, token) -> row, for the rows insert added
+    _rows: dict[tuple[int, int], int] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def seq_len(self) -> int:
@@ -69,9 +67,9 @@ class DraftTree:
         """Add path under the root: descend through the rows that already
         carry its prefix, then append a row per token from where it
         diverges, so rows keep the order in which their paths first
-        appear. Only rows recorded in `rows` are found again, so insert
+        appear. Only rows added by insert are found again, so insert
         grows trees built from their root alone."""
-        draft_ids, parents, rows = self.draft_ids, self.parents, self.rows
+        draft_ids, parents, rows = self.draft_ids, self.parents, self._rows
         row = 0
         for tok in path:
             child = rows.setdefault((row, tok), len(draft_ids))

@@ -78,18 +78,18 @@ def coupled_order(last_dist, next_token, k, u, temperature=1.0):
 def test_speculate_with_uniform_puts_the_holder_first():
     # u = 1/16 lies in token 0's interval [0, 0.125); the top-k order
     # would start with token 2
-    assert speculate_next_next(QUARTERS, 3, 3, u=0.0625) == [0, 1, 2]
-    assert speculate_next_next(QUARTERS, 3, 2, u=0.0625) == [0, 1]
+    assert speculate_next_next(QUARTERS, 3, 3, u=0.0625, temperature=1.0) == [0, 1, 2]
+    assert speculate_next_next(QUARTERS, 3, 2, u=0.0625, temperature=1.0) == [0, 1]
     assert speculate_next_next(QUARTERS, 3, 3) == [2, 1, 0]
 
 
 def test_speculate_with_uniform_excludes_next_token_and_ties_go_low():
     # u = 9/16 lies in token 2's interval [0.375, 0.75); tokens 1 and 3
     # both lie 3/16 from it
-    assert speculate_next_next(QUARTERS, 0, 3, u=0.5625) == [2, 1, 3]
-    assert speculate_next_next(QUARTERS, 2, 3, u=0.5625) == [1, 3, 0]
-    assert speculate_next_next(QUARTERS, 2, 10, u=0.5625) == [1, 3, 0]
-    assert speculate_next_next(QUARTERS, 2, 0, u=0.5625) == []
+    assert speculate_next_next(QUARTERS, 0, 3, u=0.5625, temperature=1.0) == [2, 1, 3]
+    assert speculate_next_next(QUARTERS, 2, 3, u=0.5625, temperature=1.0) == [1, 3, 0]
+    assert speculate_next_next(QUARTERS, 2, 10, u=0.5625, temperature=1.0) == [1, 3, 0]
+    assert speculate_next_next(QUARTERS, 2, 0, u=0.5625, temperature=1.0) == []
 
 
 def test_speculate_without_uniform_is_the_top_k():
@@ -147,7 +147,12 @@ def test_speculate_coupled_first_candidate_is_the_draw(temperature):
 @pytest.mark.parametrize("u", [-0.1, 1.0, float("nan")])
 def test_speculate_rejects_uniform_outside_unit_interval(u):
     with pytest.raises(ValueError):
-        speculate_next_next(QUARTERS, 0, 2, u=u)
+        speculate_next_next(QUARTERS, 0, 2, u=u, temperature=1.0)
+
+
+def test_speculate_with_uniform_needs_temperature():
+    with pytest.raises(ValueError):
+        speculate_next_next(QUARTERS, 0, 2, u=0.5)
 
 
 def test_prune_budget_tiers():
