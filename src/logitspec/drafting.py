@@ -13,11 +13,19 @@ inserts each path into the draft tree as it drafts it. The tree is the
 budget: capacity bounds its draft rows, which is what verification pays
 for, so a path costs only the rows it adds.
 
-A next-token continuation shorter than the index's value_len ran into
-the end of the source. The text from its occurrence to the pending next
-token is then one period, so the drafter repeats that period up to
-value_len tokens (LZ77's overlapping copy). NGramIndex still returns
-verbatim substrings, and candidate paths are not extended.
+Next-token paths are drafted to the session's draft depth, a budget
+that `DraftConfig` owns: it starts at DEPTH_FLOOR, grows by 2 toward
+DEPTH_CAP after a step that accepts the whole depth, and shrinks by 1
+back toward the floor after any other step (`DraftConfig.next_depth`),
+so paths grow only while the step shows it accepts them (Sequoia, Chen
+et al. 2024). The index returns continuations of up to depth tokens,
+judged distinct at that length, so two that agree on their first depth
+tokens are one path. A next-token continuation shorter than the depth ran
+into the end of the source. The text from its occurrence to the pending
+next token is then one period, so the drafter repeats that period up to
+the depth (LZ77's overlapping copy). NGramIndex still returns verbatim
+substrings, and candidate paths keep their prune_budget tails whatever
+the depth.
 """
 
 from __future__ import annotations
@@ -25,10 +33,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .models import tempered_cdf
 from .ngram_index import NGramIndex
 from .tree import DraftTree
 
@@ -47,7 +55,16 @@ CANDIDATE_MIN_M = 2
 @dataclass(frozen=True)
 class DraftConfig:
     """Retrieval drafting knobs: top_k candidates, at most capacity draft
-    rows per tree (the root not counted), query grams of <= m_start tokens."""
+    rows per tree (the root not counted), query grams of <= m_start tokens.
+
+    It also owns the draft depth, the most tokens a next-token path
+    drafts. A decode starts each session at DEPTH_FLOOR and moves the
+    depth by `next_depth` after every step, never past DEPTH_CAP. The
+    schedule is not a knob: its bounds are class constants, so they are
+    not fields and not in the report's config."""
+
+    DEPTH_FLOOR: ClassVar[int] = 8
+    DEPTH_CAP: ClassVar[int] = 16
 
     top_k: int = 16
     capacity: int = 60
@@ -61,24 +78,35 @@ class DraftConfig:
         if self.m_start < 1:
             raise ValueError(f"m_start must be >= 1, got {self.m_start}")
 
+    @classmethod
+    def next_depth(cls, depth: int, accepted: int) -> int:
+        """The draft depth after a step drafted at depth accepted
+        `accepted` draft tokens: 2 deeper, up to DEPTH_CAP, when it
+        accepted all of depth, and 1 shallower, down to DEPTH_FLOOR,
+        otherwise."""
+        if accepted >= depth:
+            return min(depth + 2, cls.DEPTH_CAP)
+        return max(depth - 1, cls.DEPTH_FLOOR)
+
 
 def speculate_next_next(
     last_dist: np.ndarray,
     next_token: int,
     k: int,
     u: float | None = None,
-    temperature: float | None = None,
+    cdf: np.ndarray | None = None,
 ) -> list[int]:
     """Up to k next-next candidates from the last logit, never the next
     token; a candidate's 0-based rank is its position in the list.
 
     Without u: the top of last_dist in descending probability, ties to
-    the lower id. With u, the uniform that will draw the next-next token
-    at temperature (> 0, required with u): tokens by the distance from u
-    to their interval of `tempered_cdf(last_dist, temperature)`, nearest
-    first, ties to the lower id. The token whose interval holds u
-    (distance 0) is the draw itself should the next-next dist equal the
-    last one.
+    the lower id. With u, the uniform that will draw the next-next token,
+    and cdf, `models.tempered_cdf(last_dist, temperature)` at the
+    temperature it draws at (required with u; the draw of the next token
+    built it): tokens by the distance from u to their interval of cdf,
+    nearest first, ties to the lower id. The token whose interval holds
+    u (distance 0) is the draw itself should the next-next dist equal
+    the last one.
     """
     if k <= 0:
         return []
@@ -89,9 +117,9 @@ def speculate_next_next(
         return top[:k]
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must be in [0, 1), got {u}")
-    if temperature is None:
-        raise ValueError("u needs the temperature it draws at")
-    return _nearest_intervals(tempered_cdf(last_dist, temperature).tolist(), u, next_token, k)
+    if cdf is None:
+        raise ValueError("u needs the CDF it draws from")
+    return _nearest_intervals(cdf.tolist(), u, next_token, k)
 
 
 def _nearest_intervals(cdf: list[float], u: float, skip: int, k: int) -> list[int]:
@@ -154,9 +182,10 @@ def build_draft(
     last_dist: np.ndarray,
     cfg: DraftConfig,
     *,
+    depth: int = DraftConfig.DEPTH_FLOOR,
     greedy: bool = False,
     u: float | None = None,
-    temperature: float | None = None,
+    cdf: np.ndarray | None = None,
 ) -> DraftTree:
     """Build the draft tree for one decode step.
 
@@ -169,29 +198,31 @@ def build_draft(
     once none is. Candidates past that stop are neither probed nor
     counted in the tree's queries.
 
-    A next-token continuation cut short by the source end is drafted as
-    `((cont + [next_token]) * index.value_len)[: index.value_len]`.
+    Next-token continuations are retrieved at up to depth tokens, and
+    one cut short by the source end is drafted as
+    `((cont + [next_token]) * depth)[:depth]`. Candidate continuations
+    are cut by prune_budget alone.
 
     With greedy (temperature-0 decoding), a next-token query that hits
     at its starting length min(m_start, len(context) + 1) drafts its
     continuations only: no candidate is speculated, probed or counted.
 
-    u and temperature pass to `speculate_next_next`: with u, the uniform
-    of position len(context) + 1, and the temperature it draws at,
+    u and cdf pass to `speculate_next_next`: with u, the uniform of
+    position len(context) + 1, and the tempered CDF of last_dist,
     candidates come in the coupled order.
     """
     # queries read at most m_start tokens back, so only the context's
     # tail is copied
     suffix = context[-cfg.m_start :] + [next_token]
     m_next = min(cfg.m_start, len(suffix))
-    found, used_m = index.match_with_fallback(suffix, m_next)
+    found, used_m = index.match_with_fallback(suffix, m_next, depth)
     tree = DraftTree(len(context), [next_token], [-1], queries=1, hits=int(bool(found)))
     # draft_ids holds the root, then one id per draft row
     ids, full = tree.draft_ids, cfg.capacity + 1
     for cont in found:
-        if len(cont) < index.value_len:
+        if len(cont) < depth:
             # cut by the source end: repeat its period
-            cont = ((cont + [next_token]) * index.value_len)[: index.value_len]
+            cont = ((cont + [next_token]) * depth)[:depth]
         tree.insert(cont[: full - len(ids)])
         if len(ids) >= full:
             return tree
@@ -200,14 +231,14 @@ def build_draft(
     if greedy and used_m == m_next:
         return tree
 
-    candidates = speculate_next_next(last_dist, next_token, cfg.top_k, u, temperature)
+    candidates = speculate_next_next(last_dist, next_token, cfg.top_k, u, cdf)
     if not candidates:
         return tree
     # one index call serves every candidate query suffix + [cand],
-    # floored at CANDIDATE_MIN_M
+    # floored at CANDIDATE_MIN_M, at the longest tail prune_budget keeps
     m_start = min(cfg.m_start, len(suffix) + 1)
     continuations = index.match_candidates(
-        suffix, candidates, m_start, min_m=min(CANDIDATE_MIN_M, m_start)
+        suffix, candidates, m_start, prune_budget(0) - 1, min(CANDIDATE_MIN_M, m_start)
     )
     for rank, cont in enumerate(continuations):
         tree.queries += 1

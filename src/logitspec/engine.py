@@ -23,8 +23,16 @@ position (past_len + 1) before verification draws with it, and ranks the
 last-logit candidates by the distance from that uniform to their
 intervals of the tempered last-logit CDF (`speculate_next_next`), so the
 candidate first in line is the token the draw picks whenever the
-next-next dist equals the last one. No flag selects it; at temperature 0
-the candidates are the last logit's top-k.
+next-next dist equals the last one. That CDF is the one the pending
+token was drawn from: the prefill builds the first, and every later one
+comes from verification's bonus draw (`VerifyOutcome.next_cdf`). No
+flag selects it; at temperature 0 the candidates are the last logit's
+top-k.
+
+The retrieval modes draft next-token paths to a per-session depth that
+starts at `DraftConfig.DEPTH_FLOOR` and moves after every step by
+`DraftConfig.next_depth`: deeper after a step that accepted the whole
+depth, shallower otherwise.
 
 Modes:
   autoregressive  no drafts; one token per forward (the baseline).
@@ -48,7 +56,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .drafting import DraftConfig, build_draft, speculate_next_next
-from .models import Model, Uniforms, sample
+from .models import Model, Uniforms, sample, tempered_cdf
 from .ngram_index import NGramIndex
 from .tree import DraftTree
 from .tree import prepare_attention_inputs  # noqa: F401  (perfbench/spans.py wraps engine.prepare_attention_inputs)
@@ -131,25 +139,22 @@ def _build_step_draft(
     pending: int,
     last_dist: np.ndarray,
     u: float | None = None,
+    cdf: np.ndarray | None = None,
+    depth: int = DraftConfig.DEPTH_FLOOR,
 ) -> DraftTree:
-    """The step's draft tree; u is the uniform of the next-next token's
-    position (len(context) + 1) at temperature > 0, None at 0."""
+    """The step's draft tree; at temperature > 0, u is the uniform of the
+    next-next token's position (len(context) + 1) and cdf the tempered
+    CDF of last_dist, both None at 0. depth bounds the retrieval modes'
+    next-token paths."""
     if cfg.mode == "autoregressive":
         return DraftTree(len(context), [pending], [-1])
     if cfg.mode == "last_logit":
         # distinct tokens, none of them pending: a star of root children
-        cands = speculate_next_next(last_dist, pending, cfg.last_logit_k, u, cfg.temperature)
+        cands = speculate_next_next(last_dist, pending, cfg.last_logit_k, u, cdf)
         return DraftTree(len(context), [pending, *cands], [-1, *[0] * len(cands)])
     assert index is not None
     return build_draft(
-        index,
-        context,
-        pending,
-        last_dist,
-        cfg.draft,
-        greedy=u is None,
-        u=u,
-        temperature=cfg.temperature,
+        index, context, pending, last_dist, cfg.draft, depth=depth, greedy=u is None, u=u, cdf=cdf
     )
 
 
@@ -179,6 +184,11 @@ def decode(
     # every later position reads its own from one stream, the drafter
     # included, so drafting moves no draw
     uniforms = Uniforms(rng, len(prompt) + 1) if cfg.temperature > 0 else None
+    # the CDF the pending token was drawn from, which the drafter orders
+    # candidates on; the prefill's `sample` keeps none, so it is built
+    # once here and then handed on by every bonus draw
+    cdf = tempered_cdf(last_dist, cfg.temperature) if uniforms is not None else None
+    depth = DraftConfig.DEPTH_FLOOR
 
     index: NGramIndex | None = None
     if cfg.mode in RETRIEVAL_MODES:
@@ -188,7 +198,7 @@ def decode(
     records: list[StepRecord] = []
     while True:
         u = None if uniforms is None else uniforms[len(state) + 1]
-        tree = _build_step_draft(cfg, index, state.committed, pending, last_dist, u)
+        tree = _build_step_draft(cfg, index, state.committed, pending, last_dist, u, cdf, depth)
         if tree_observer is not None:
             tree_observer(tree)
         dists = model.forward_tree(state, tree)
@@ -225,8 +235,8 @@ def decode(
         )
         if emitted[-1] == eos or len(state) >= end:
             break
-        pending = outcome.bonus
-        last_dist = outcome.next_dist
+        depth = DraftConfig.next_depth(depth, len(outcome.accepted))
+        pending, last_dist, cdf = outcome.bonus, outcome.next_dist, outcome.next_cdf
 
     generated = state.committed[len(prompt) :]
     metrics = DecodeMetrics(

@@ -340,26 +340,18 @@ def tempered(dist: np.ndarray, temperature: float) -> np.ndarray:
     return scaled
 
 
-def tempered_cdf(dist: np.ndarray, temperature: float) -> np.ndarray:
-    """The CDF a draw at temperature (> 0) inverts, built as
-    `Generator.choice` builds it: the cumulative sums of
-    `tempered(dist, temperature)` divided by their last entry. Token i's
-    interval is [cdf[i - 1], cdf[i]), with cdf[-1] read as 0."""
-    cdf = tempered(dist, temperature).cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
 # Generator.choice's tolerance on the sum of float64 probabilities
 _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
-def sample_uniform(dist: np.ndarray, temperature: float, u: float) -> int:
-    """The token whose interval of `tempered_cdf(dist, temperature)`
-    holds u, for temperature > 0 and u in [0, 1): the inverse-CDF draw
-    `Generator.choice` makes from one uniform. Keeps choice's checks,
-    each raising ValueError: dist is 1-D with no negative entry, and the
-    tempered dist has no NaN and sums to 1 within sqrt(eps)."""
+def tempered_cdf(dist: np.ndarray, temperature: float) -> np.ndarray:
+    """The CDF a draw at temperature (> 0) inverts, built as
+    `Generator.choice` builds it: the cumulative sums of
+    `tempered(dist, temperature)` divided by their last entry. Token i's
+    interval is [cdf[i - 1], cdf[i]), with cdf[-1] read as 0. Keeps
+    choice's checks, each raising ValueError: dist is 1-D with no
+    negative entry, and the tempered dist has no NaN and sums to 1 within
+    sqrt(eps)."""
     if not 0 < temperature < math.inf:
         raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     dist = np.asarray(dist, dtype=np.float64)
@@ -374,7 +366,14 @@ def sample_uniform(dist: np.ndarray, temperature: float, u: float) -> int:
     if abs(total - 1.0) > _SUM_ATOL:
         raise ValueError(f"probabilities sum to {total}, not 1")
     cdf /= total
-    return int(cdf.searchsorted(u, side="right"))
+    return cdf
+
+
+def sample_uniform(dist: np.ndarray, temperature: float, u: float) -> int:
+    """The token whose interval of `tempered_cdf(dist, temperature)`
+    holds u, for temperature > 0 and u in [0, 1): the inverse-CDF draw
+    `Generator.choice` makes from one uniform, with its checks."""
+    return int(tempered_cdf(dist, temperature).searchsorted(u, side="right"))
 
 
 class Uniforms:

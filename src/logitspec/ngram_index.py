@@ -8,6 +8,11 @@ regardless of source length. The index grows incrementally as tokens are
 decoded; extend() is equivalent to a rebuild as far as match() output is
 concerned.
 
+The index holds no continuation length: every query names its own
+`length`, the most tokens a continuation keeps, and continuations are
+distinct at that length. The drafter passes its draft depth, which
+`DraftConfig` owns.
+
 Every query follows one rule, prompt lookup with fallback: try the
 longest gram first, then one token shorter down to min_m, and answer
 from the first length whose occurrences give a non-empty continuation.
@@ -15,8 +20,9 @@ _lookup() is that rule, one probe per gram length tried, over the
 successor dicts that _successors() yields. match_with_fallback() (the
 next-token query; match() is its single-length case) fetches them
 lazily; match_candidates() fetches them once for all of a step's
-next-next candidates. Every entry point checks its gram lengths with
-_check_lengths(): 1 <= min_m <= m_start <= min(m_max, query length).
+next-next candidates. Every entry point checks its lengths with
+_check_lengths(): 1 <= min_m <= m_start <= min(m_max, query length), and
+length >= 1.
 """
 
 from __future__ import annotations
@@ -33,13 +39,10 @@ class NGramIndex:
     """Retrieval model: gram prefix (0..m_max-1 tokens) -> next token ->
     occurrence offsets of the gram."""
 
-    def __init__(self, m_max: int = 3, value_len: int = 8):
+    def __init__(self, m_max: int = 3):
         if m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {m_max}")
-        if value_len < 1:
-            raise ValueError(f"value_len must be >= 1, got {value_len}")
         self.m_max = m_max
-        self.value_len = value_len
         self.source: list[int] = []
         # offsets in ascending source order; each points just past a gram
         # occurrence, i.e. at the first continuation token
@@ -47,8 +50,8 @@ class NGramIndex:
         self.probe_count = 0
 
     @classmethod
-    def build(cls, source: list[int], m_max: int = 3, value_len: int = 8) -> "NGramIndex":
-        index = cls(m_max=m_max, value_len=value_len)
+    def build(cls, source: list[int], m_max: int = 3) -> "NGramIndex":
+        index = cls(m_max=m_max)
         index.extend(source)
         return index
 
@@ -83,38 +86,41 @@ class NGramIndex:
                 tail = (tail + (tok,))[-keep:]
         return self
 
-    def match(self, query: list[int], max_matches: int = 2) -> list[list[int]]:
-        """Continuations (up to value_len tokens) after each occurrence of
+    def match(self, query: list[int], length: int, max_matches: int = 2) -> list[list[int]]:
+        """Continuations (up to length tokens) after each occurrence of
         query, most recent first, distinct, capped at max_matches."""
-        return self.match_with_fallback(query, len(query), len(query), max_matches)[0]
+        return self.match_with_fallback(query, len(query), length, len(query), max_matches)[0]
 
     def match_with_fallback(
         self,
         suffix: list[int],
         m_start: int,
+        length: int,
         min_m: int = 1,
         max_matches: int = 2,
     ) -> tuple[list[list[int]], int]:
         """Query the last m_start tokens of suffix, shortening the query
         one token at a time down to min_m until something matches.
 
-        Returns the first non-empty result and the gram length used, or
-        ([], 0) when every length misses.
+        Returns the first non-empty result (continuations of up to length
+        tokens) and the gram length used, or ([], 0) when every length
+        misses.
         """
-        self._check_lengths(m_start, min_m, len(suffix))
+        self._check_lengths(m_start, min_m, len(suffix), length)
         successors = self._successors(suffix[:-1], m_start, min_m)
-        return self._lookup(successors, suffix[-1], max_matches)
+        return self._lookup(successors, suffix[-1], length, max_matches)
 
     def match_candidates(
         self,
         suffix: list[int],
         candidates: Iterable[int],
         m_start: int,
+        length: int,
         min_m: int = 1,
     ) -> Iterator[list[int]]:
         """For each candidate token in order, the continuation that
-        match_with_fallback(suffix + [cand], m_start, min_m, max_matches=1)
-        returns, or [] when every gram length misses.
+        match_with_fallback(suffix + [cand], m_start, length, min_m,
+        max_matches=1) returns, or [] when every gram length misses.
 
         Every candidate's query shares the head suffix, so the successor
         dicts of all its gram lengths are fetched once, when called, and
@@ -122,19 +128,21 @@ class NGramIndex:
         are probed lazily, so a caller that stops iterating probes no
         further. Do not extend the index while iterating.
         """
-        self._check_lengths(m_start, min_m, len(suffix) + 1)
+        self._check_lengths(m_start, min_m, len(suffix) + 1, length)
         successors = list(self._successors(suffix, m_start, min_m))
-        return ((self._lookup(successors, cand, 1)[0] or [[]])[0] for cand in candidates)
+        return ((self._lookup(successors, cand, length, 1)[0] or [[]])[0] for cand in candidates)
 
-    def _check_lengths(self, m_start: int, min_m: int, query_len: int) -> None:
+    def _check_lengths(self, m_start: int, min_m: int, query_len: int, length: int) -> None:
         """Raise ValueError unless 1 <= min_m <= m_start <=
-        min(m_max, query_len): the gram lengths tried must fit both the
-        index and the query."""
+        min(m_max, query_len), so the gram lengths tried fit both the
+        index and the query, and length >= 1."""
         if not 1 <= min_m <= m_start <= min(self.m_max, query_len):
             raise ValueError(
                 f"need 1 <= min_m {min_m} <= m_start {m_start} <= "
                 f"min(m_max {self.m_max}, query length {query_len})"
             )
+        if length < 1:
+            raise ValueError(f"continuation length must be >= 1, got {length}")
 
     def _successors(
         self, head: list[int], m_start: int, min_m: int
@@ -149,6 +157,7 @@ class NGramIndex:
         self,
         successors: Iterable[tuple[int, dict[int, list[int]]]],
         token: int,
+        length: int,
         max_matches: int,
     ) -> tuple[list[list[int]], int]:
         """The continuations of the first gram length whose successor dict
@@ -158,18 +167,18 @@ class NGramIndex:
             self.probe_count += 1
             offsets = succ.get(token)
             if offsets:
-                found = self._continuations(offsets, max_matches)
+                found = self._continuations(offsets, length, max_matches)
                 if found:
                     return found, m
         return [], 0
 
-    def _continuations(self, offsets: list[int], max_matches: int) -> list[list[int]]:
-        """Up to max_matches distinct non-empty continuations (up to
-        value_len tokens) after the occurrences at offsets (those of one
-        gram), most recent first."""
+    def _continuations(self, offsets: list[int], length: int, max_matches: int) -> list[list[int]]:
+        """Up to max_matches non-empty continuations (up to length tokens)
+        after the occurrences at offsets (those of one gram), most recent
+        first, distinct at that length."""
         found: list[list[int]] = []
         for off in reversed(offsets):
-            cont = self.source[off : off + self.value_len]
+            cont = self.source[off : off + length]
             if cont and cont not in found:
                 found.append(cont)
                 if len(found) >= max_matches:

@@ -16,7 +16,9 @@ at position pos with `models.sample_uniform` of the decode's uniform for
 pos: the inverse-CDF draw `models.sample` makes, on the same dist and
 with the same uniform autoregressive decoding would use there, so a seed
 gives the same tokens in every mode. Which drafts a step carries never
-moves a uniform, even a drafter that reads the next uniform first.
+moves a uniform, even a drafter that reads the next uniform first. The
+bonus draw's tempered CDF is handed to the next step's drafter, which
+orders its candidates on that CDF.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Uniforms, sample_uniform
+from .models import Uniforms, tempered_cdf
 from .tree import DraftTree
 
 __all__ = [
@@ -42,11 +44,14 @@ __all__ = [
 class VerifyOutcome:
     """Result of one verification: accepted draft tokens plus the bonus
     token, and the distribution that produced the bonus (retained as the
-    next step's last logit). At least one token is always emitted."""
+    next step's last logit). At least one token is always emitted.
+    next_cdf is the tempered CDF the bonus was drawn from at temperature
+    > 0, None at temperature 0."""
 
     accepted: list[int]
     bonus: int
     next_dist: np.ndarray
+    next_cdf: np.ndarray | None = None
 
 
 def acceptance_prob(p: np.ndarray, q: np.ndarray, x: int) -> float:
@@ -70,29 +75,33 @@ def residual(p: np.ndarray, q: np.ndarray) -> np.ndarray | None:
 
 
 def _walk(
-    tree: DraftTree, dists: list[np.ndarray], draw: Callable[[np.ndarray, int], int]
+    tree: DraftTree,
+    dists: list[np.ndarray],
+    draw: Callable[[np.ndarray, int], tuple[int, np.ndarray | None]],
 ) -> VerifyOutcome:
+    """draw(dist, depth) returns the drawn token and the CDF it inverted
+    (None for the argmax)."""
     parents = tree.parents
     ids = tree.draft_ids
     row = 0
     accepted = []
     while True:
         d = dists[row]
-        x = draw(d, len(accepted))
+        x, cdf = draw(d, len(accepted))
         # a child is a later row than its parent, and the trie gives the
         # row at most one child carrying x
         for r in range(row + 1, len(ids)):
             if ids[r] == x and parents[r] == row:
                 break
         else:
-            return VerifyOutcome(accepted=accepted, bonus=x, next_dist=d)
+            return VerifyOutcome(accepted=accepted, bonus=x, next_dist=d, next_cdf=cdf)
         accepted.append(x)
         row = r
 
 
 def verify_greedy(tree: DraftTree, dists: list[np.ndarray]) -> VerifyOutcome:
     """Accept the longest draft path matching the argmax chain."""
-    return _walk(tree, dists, lambda d, depth: int(d.argmax()))
+    return _walk(tree, dists, lambda d, depth: (int(d.argmax()), None))
 
 
 def verify_stochastic(
@@ -112,6 +121,10 @@ def verify_stochastic(
     if isinstance(uniforms, np.random.Generator):
         uniforms = Uniforms(uniforms, tree.past_len + 1)
     first = tree.past_len + 1
-    return _walk(
-        tree, dists, lambda d, depth: sample_uniform(d, temperature, uniforms[first + depth])
-    )
+
+    def draw(d: np.ndarray, depth: int) -> tuple[int, np.ndarray]:
+        # sample_uniform, keeping its CDF
+        cdf = tempered_cdf(d, temperature)
+        return int(cdf.searchsorted(uniforms[first + depth], side="right")), cdf
+
+    return _walk(tree, dists, draw)

@@ -9,7 +9,7 @@ from logitspec import MarkovTableModel, ScriptedModel, VocabSpec
 def naive_match(
     source: list[int],
     query: list[int],
-    value_len: int,
+    length: int,
     max_matches: int = 2,
 ) -> list[list[int]]:
     """O(mn) sliding-window retrieval oracle: continuations after each
@@ -20,7 +20,7 @@ def naive_match(
     for start in range(len(source) - m, -1, -1):
         if source[start : start + m] != query:
             continue
-        cont = source[start + m : start + m + value_len]
+        cont = source[start + m : start + m + length]
         if not cont or tuple(cont) in seen:
             continue
         seen.add(tuple(cont))
@@ -34,12 +34,12 @@ def naive_fallback(
     source: list[int],
     suffix: list[int],
     m_start: int,
-    value_len: int,
+    length: int,
     min_m: int = 1,
     max_matches: int = 2,
 ) -> tuple[list[list[int]], int]:
     for m in range(m_start, min_m - 1, -1):
-        result = naive_match(source, suffix[len(suffix) - m :], value_len, max_matches)
+        result = naive_match(source, suffix[len(suffix) - m :], length, max_matches)
         if result:
             return result, m
     return [], 0

@@ -142,17 +142,17 @@ def test_criterion_4_retrieval_oracle_equivalence():
         rng = np.random.default_rng(404)
         for _ in range(1000):
             source = rng.integers(0, 16, size=rng.integers(0, 201)).tolist()
-            index = NGramIndex.build(source, m_max=3, value_len=6)
+            index = NGramIndex.build(source, m_max=3)
             query = rng.integers(0, 16, size=rng.integers(1, 4)).tolist()
-            assert index.match(query) == naive_match(source, query, 6)
+            assert index.match(query, 6) == naive_match(source, query, 6)
             suffix = rng.integers(0, 16, size=rng.integers(3, 9)).tolist()
-            got, got_m = index.match_with_fallback(suffix, 3)
+            got, got_m = index.match_with_fallback(suffix, 3, 6)
             assert (got, got_m) == naive_fallback(source, suffix, 3, 6)
             # extend == rebuild
             extra = rng.integers(0, 16, size=rng.integers(0, 10)).tolist()
             extended = index.extend(extra)
-            rebuilt = NGramIndex.build(source + extra, m_max=3, value_len=6)
-            assert extended.match(query) == rebuilt.match(query)
+            rebuilt = NGramIndex.build(source + extra, m_max=3)
+            assert extended.match(query, 6) == rebuilt.match(query, 6)
 
 
 def test_criterion_5_acceptance_and_residual_values():

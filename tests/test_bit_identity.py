@@ -51,7 +51,19 @@ T=1 logitspec 653dd502...3f6f20d -> a52e8975...a082d7d9. Tree digests:
 T=1 last_logit a20f6135...e0cd8d39 -> d5330243...c1643b7a, T=1
 logitspec 07e44fdd...8b430618 -> 56b87f5b...d28278f6f. The
 autoregressive and retrieval_only T=1 digests did not move: neither
-drafts a candidate."""
+drafts a candidate.
+
+The four T=0 retrieval_only and logitspec digests (decode and tree) were
+re-recorded when the next-token draft depth became a per-session budget
+(8 at first, 2 deeper after a step that accepts the whole depth, up to
+16, and 1 shallower after any other step). Tokens and next-next ranks
+did not move; steps fell (retrieval_only 581 -> 405, logitspec 573 ->
+397), so accepted lengths, draft sizes and trees moved. Decode digests,
+before -> after: T=0 retrieval_only 82969f5a...85e0c37 ->
+2887c869...d3fe202, T=0 logitspec 72f7ae22...e33e9889 ->
+f98a0072...5ae49edd. Tree digests: T=0 retrieval_only
+e8aee85e...7ae251e -> 42eb49ae...f85341, T=0 logitspec
+f4495174...7aed6096 -> 7b9521ef...2794d2. No T=1 digest moved."""
 
 from __future__ import annotations
 
@@ -78,12 +90,12 @@ DIGESTS = {
             "aeb045a37346dda6bec50455f4f319bb"
         ),
         "retrieval_only": (
-            "82969f5a203d6b17c849785db62a0a4b"
-            "07617f664424d787fc7cad44c85e0c37"
+            "2887c869109a9f8c8f37b3a5d3780802"
+            "52f135ea5cf4c4c85fdb2ebc3d3fe202"
         ),
         "logitspec": (
-            "72f7ae220fb061191d361204928ff4aa"
-            "f44e1230aefc0df4295179bce33e9889"
+            "f98a007249390a61a2fbd4d4a0d09b2e"
+            "a78cac4ded4c1066b3a5e8d05ae49edd"
         ),
     },
     (1.0, 0.2): {
@@ -119,12 +131,12 @@ TREE_DIGESTS = {
             "09052dbf6ba5e4fd76c6e34a09a6f496"
         ),
         "retrieval_only": (
-            "e8aee85e4c89557babae7f5ae27729f6"
-            "b46cce5541dd85d1d3003ff867ae251e"
+            "42eb49aedef0e757f687aba04693ae2c"
+            "ec0b93901437edc17e2dd2692df85341"
         ),
         "logitspec": (
-            "f44951742b0fc9d8fcf1ef7238ff7bc6"
-            "5600e1f278a4f15cd73e0fd07aed6096"
+            "7b9521ef0a34e2895edfaf1b37be8188"
+            "66d2907f9debddfa139becaa692794d2"
         ),
     },
     (1.0, 0.2): {

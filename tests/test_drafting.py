@@ -57,6 +57,7 @@ def test_speculate_uniform_tie_break_lowest_ids():
 
 # cdf 0.125, 0.375, 0.75, 1.0: every interval edge is exact in binary
 QUARTERS = np.array([0.125, 0.25, 0.375, 0.25])
+QUARTERS_CDF = tempered_cdf(QUARTERS, 1.0)
 
 
 def coupled_order(last_dist, next_token, k, u, temperature=1.0):
@@ -78,18 +79,18 @@ def coupled_order(last_dist, next_token, k, u, temperature=1.0):
 def test_speculate_with_uniform_puts_the_holder_first():
     # u = 1/16 lies in token 0's interval [0, 0.125); the top-k order
     # would start with token 2
-    assert speculate_next_next(QUARTERS, 3, 3, u=0.0625, temperature=1.0) == [0, 1, 2]
-    assert speculate_next_next(QUARTERS, 3, 2, u=0.0625, temperature=1.0) == [0, 1]
+    assert speculate_next_next(QUARTERS, 3, 3, u=0.0625, cdf=QUARTERS_CDF) == [0, 1, 2]
+    assert speculate_next_next(QUARTERS, 3, 2, u=0.0625, cdf=QUARTERS_CDF) == [0, 1]
     assert speculate_next_next(QUARTERS, 3, 3) == [2, 1, 0]
 
 
 def test_speculate_with_uniform_excludes_next_token_and_ties_go_low():
     # u = 9/16 lies in token 2's interval [0.375, 0.75); tokens 1 and 3
     # both lie 3/16 from it
-    assert speculate_next_next(QUARTERS, 0, 3, u=0.5625, temperature=1.0) == [2, 1, 3]
-    assert speculate_next_next(QUARTERS, 2, 3, u=0.5625, temperature=1.0) == [1, 3, 0]
-    assert speculate_next_next(QUARTERS, 2, 10, u=0.5625, temperature=1.0) == [1, 3, 0]
-    assert speculate_next_next(QUARTERS, 2, 0, u=0.5625, temperature=1.0) == []
+    assert speculate_next_next(QUARTERS, 0, 3, u=0.5625, cdf=QUARTERS_CDF) == [2, 1, 3]
+    assert speculate_next_next(QUARTERS, 2, 3, u=0.5625, cdf=QUARTERS_CDF) == [1, 3, 0]
+    assert speculate_next_next(QUARTERS, 2, 10, u=0.5625, cdf=QUARTERS_CDF) == [1, 3, 0]
+    assert speculate_next_next(QUARTERS, 2, 0, u=0.5625, cdf=QUARTERS_CDF) == []
 
 
 def test_speculate_without_uniform_is_the_top_k():
@@ -124,7 +125,8 @@ def test_speculate_coupled_merge_equals_full_sort(temperature):
             u = float(rng.random())
         next_token, k = int(rng.integers(0, vocab)), int(rng.integers(0, vocab + 2))
         want = coupled_order(dist, next_token, k, u, temperature)
-        assert speculate_next_next(dist, next_token, k, u, temperature) == want, case
+        cdf = tempered_cdf(dist, temperature)
+        assert speculate_next_next(dist, next_token, k, u, cdf) == want, case
 
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
@@ -139,7 +141,7 @@ def test_speculate_coupled_first_candidate_is_the_draw(temperature):
         u = float(rng.random())
         drawn = sample_uniform(dist, temperature, u)
         next_token = int(rng.integers(0, 16))
-        cands = speculate_next_next(dist, next_token, 4, u, temperature)
+        cands = speculate_next_next(dist, next_token, 4, u, tempered_cdf(dist, temperature))
         assert (cands[0] == drawn) == (next_token != drawn)
         assert next_token not in cands
 
@@ -147,10 +149,10 @@ def test_speculate_coupled_first_candidate_is_the_draw(temperature):
 @pytest.mark.parametrize("u", [-0.1, 1.0, float("nan")])
 def test_speculate_rejects_uniform_outside_unit_interval(u):
     with pytest.raises(ValueError):
-        speculate_next_next(QUARTERS, 0, 2, u=u, temperature=1.0)
+        speculate_next_next(QUARTERS, 0, 2, u=u, cdf=QUARTERS_CDF)
 
 
-def test_speculate_with_uniform_needs_temperature():
+def test_speculate_with_uniform_needs_the_cdf():
     with pytest.raises(ValueError):
         speculate_next_next(QUARTERS, 0, 2, u=0.5)
 
@@ -184,13 +186,22 @@ def test_build_draft_figure_scenario():
     draft = build_draft(index, context, 2, last_dist, cfg)
     # most recent "the" -> "triangle the", then "area of the triangle the",
     # each run into the source end and so repeated with the pending "the"
-    # up to value_len; the candidate path "area of the triangle" (budget
+    # up to the depth; the candidate path "area of the triangle" (budget
     # 4, the capacity left) adds no row
     assert rows(draft) == merged(
         context, 2, [[5, 2, 2, 5, 2, 2, 5, 2], [3, 4, 2, 5, 2, 2, 3, 4], [3, 4, 2, 5]]
     )
     assert draft.draft_ids == [2, 5, 2, 2, 5, 2, 2, 5, 2, 3, 4, 2, 5, 2, 2, 3, 4]
     assert (draft.queries, draft.hits) == (2, 2)
+
+
+def test_next_depth_grows_after_a_full_accept_and_shrinks_otherwise():
+    assert (DraftConfig.DEPTH_FLOOR, DraftConfig.DEPTH_CAP) == (8, 16)
+    assert DraftConfig.next_depth(8, 8) == 10
+    assert DraftConfig.next_depth(15, 15) == 16
+    assert DraftConfig.next_depth(16, 16) == 16
+    assert DraftConfig.next_depth(12, 11) == 11
+    assert DraftConfig.next_depth(8, 0) == 8
 
 
 def test_build_draft_empty_index_candidates_alone():
@@ -218,7 +229,7 @@ def test_build_draft_bare_candidate_shares_a_next_token_row():
 def test_build_draft_capacity_truncates():
     # next-token continuation is 8 tokens long but capacity is 3
     source = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 1, 2]
-    index = NGramIndex.build(source, m_max=3, value_len=8)
+    index = NGramIndex.build(source, m_max=3)
     cfg = DraftConfig(top_k=4, capacity=3, m_start=2)
     draft = build_draft(index, source[:-1], 2, make_dist([2, 5], vocab=16), cfg)
     assert rows(draft) == merged(source[:-1], 2, [[3, 4, 5]])
@@ -269,7 +280,7 @@ def test_build_draft_invariants_fuzz():
         # candidate: such rows come in rank order, and each subtree
         # respects its candidate's rank budget
         found, _ = NGramIndex.build(source, m_max=3).match_with_fallback(
-            source[-3:] + [next_token], 3
+            source[-3:] + [next_token], 3, DraftConfig.DEPTH_FLOOR
         )
         cands = speculate_next_next(dist, next_token, cfg.top_k)
         top, depth = [0] * draft.seq_len, [0] * draft.seq_len
@@ -291,10 +302,11 @@ def test_build_draft_invariants_fuzz():
 def test_build_draft_repeats_a_period_cut_by_the_source_end(capacity):
     # a b c a b c a b, next token c: the most recent "a b c" is one period
     # back, so its continuation "a b" stops at the source end and the
-    # draft repeats "a b c" up to value_len, then truncates to capacity
+    # draft repeats "a b c" up to the depth (the floor, 8), then truncates
+    # to capacity
     a, b, c = 1, 2, 3
     source = [a, b, c, a, b, c, a, b]
-    index = NGramIndex.build(source, m_max=3, value_len=8)
+    index = NGramIndex.build(source, m_max=3)
     cfg = DraftConfig(top_k=0, capacity=capacity, m_start=3)
     draft = build_draft(index, source, c, make_dist([c]), cfg)
     drafted = min(capacity, 8)
@@ -313,7 +325,7 @@ def test_build_draft_duplicate_next_token_paths_leave_rows_to_candidates():
     # each, which fills the draft, so 7 is never queried.
     a, b, c = 1, 2, 3
     source = [a, b, c, a, b, c, a, b]
-    index = NGramIndex.build(source, m_max=3, value_len=8)
+    index = NGramIndex.build(source, m_max=3)
     cfg = DraftConfig(top_k=6, capacity=12, m_start=3)
     last_dist = make_dist([c, a, 5, b, 4, 6, 7], vocab=8)
     draft = build_draft(index, source, c, last_dist, cfg, greedy=False)
@@ -385,14 +397,14 @@ def test_speculate_returns_at_most_k():
 
 
 def naive_build_draft(
-    source, context, next_token, last_dist, cfg, value_len, greedy, u=None, temperature=1.0
+    source, context, next_token, last_dist, cfg, depth, greedy, u=None, temperature=1.0
 ):
     """Reference drafter: every query runs naive_fallback over the whole
     context, one candidate at a time, with the documented assembly rules
     (each path cut to the rows its merged trie has free under capacity,
     stop once they are all drafted), the period rule (a next-token
     continuation cut short by the source end cycles through itself and
-    the next token up to value_len tokens) and the greedy rule (a
+    the next token up to depth tokens) and the greedy rule (a
     next-token hit at full length ends the draft).
     Probes count one index lookup per gram length tried."""
     suffix = list(context) + [next_token]
@@ -406,9 +418,9 @@ def naive_build_draft(
         sequences.append(seq[: cfg.capacity - drafted_rows()])
         return drafted_rows() < cfg.capacity
 
-    def query(query_suffix, m_start, min_m, max_matches):
+    def query(query_suffix, m_start, length, min_m, max_matches):
         conts, used_m = naive_fallback(
-            source, query_suffix, m_start, value_len, min_m=min_m, max_matches=max_matches
+            source, query_suffix, m_start, length, min_m=min_m, max_matches=max_matches
         )
         counts["queries"] += 1
         counts["hits"] += bool(conts)
@@ -420,11 +432,11 @@ def naive_build_draft(
 
     # up to 2 next-token continuations: match_with_fallback's default
     m_next = min(cfg.m_start, len(suffix))
-    conts, used_m = query(suffix, m_next, 1, 2)
+    conts, used_m = query(suffix, m_next, depth, 1, 2)
     for cont in conts:
-        if len(cont) < value_len:
+        if len(cont) < depth:
             period = cont + [next_token]
-            cont = [period[i % len(period)] for i in range(value_len)]
+            cont = [period[i % len(period)] for i in range(depth)]
         if not add(cont):
             return result()
     if greedy and used_m == m_next:
@@ -435,16 +447,22 @@ def naive_build_draft(
         candidates = coupled_order(last_dist, next_token, cfg.top_k, u, temperature)
     for rank, cand in enumerate(candidates):
         m_start = min(cfg.m_start, len(suffix) + 1)
-        conts, _ = query(suffix + [cand], m_start, min(CANDIDATE_MIN_M, m_start), 1)
-        seq = [cand] + (conts[0][: prune_budget(rank) - 1] if conts else [])
+        # a candidate's tail is its prune budget, whatever the depth
+        budget = prune_budget(rank)
+        conts, _ = query(suffix + [cand], m_start, budget, min(CANDIDATE_MIN_M, m_start), 1)
+        seq = [cand] + (conts[0][: budget - 1] if conts else [])
         if not add(seq):
             return result()
     return result()
 
 
+# the oracle fuzz runs at depth 1, the floor and the cap
+DEPTHS = (1, DraftConfig.DEPTH_FLOOR, DraftConfig.DEPTH_CAP)
+
+
 def test_build_draft_equals_per_candidate_reference_random():
     rng = np.random.default_rng(31)
-    for _ in range(600):
+    for case in range(600):
         vocab = int(rng.integers(3, 12))
         cfg = DraftConfig(
             top_k=int(rng.integers(0, 13)),
@@ -456,15 +474,17 @@ def test_build_draft_equals_per_candidate_reference_random():
         next_token = int(rng.integers(0, vocab))
         # the engine indexes the committed context; sometimes index more
         source = context + rng.integers(0, vocab, size=rng.integers(0, 3)).tolist()
-        value_len = int(rng.integers(1, 9))
-        index = NGramIndex.build(source, m_max=cfg.m_start, value_len=value_len)
+        depth = DEPTHS[case % 3]
+        index = NGramIndex.build(source, m_max=cfg.m_start)
         last_dist = rng.random(vocab + 2)
         last_dist /= last_dist.sum()
         greedy = bool(rng.integers(0, 2))
 
-        draft = build_draft(index, context, next_token, last_dist, cfg, greedy=greedy)
+        draft = build_draft(
+            index, context, next_token, last_dist, cfg, depth=depth, greedy=greedy
+        )
         sequences, queries, hits, probes = naive_build_draft(
-            source, context, next_token, last_dist, cfg, value_len, greedy
+            source, context, next_token, last_dist, cfg, depth, greedy
         )
         assert rows(draft) == merged(context, next_token, sequences)
         assert (draft.queries, draft.hits, index.probe_count) == (queries, hits, probes)
@@ -474,7 +494,7 @@ def test_build_draft_coupled_equals_per_candidate_reference_random():
     # at T > 0 the candidates come in the coupled order; bare candidates
     # (a miss) often repeat rows, which the small vocabs make common
     rng = np.random.default_rng(41)
-    for _ in range(600):
+    for case in range(600):
         vocab = int(rng.integers(3, 12))
         cfg = DraftConfig(
             top_k=int(rng.integers(0, 13)),
@@ -483,20 +503,34 @@ def test_build_draft_coupled_equals_per_candidate_reference_random():
         )
         context = rng.integers(0, vocab, size=rng.integers(0, 30)).tolist()
         next_token = int(rng.integers(0, vocab))
-        value_len = int(rng.integers(1, 9))
-        index = NGramIndex.build(context, m_max=cfg.m_start, value_len=value_len)
+        depth = DEPTHS[case % 3]
+        index = NGramIndex.build(context, m_max=cfg.m_start)
         last_dist = rng.random(vocab + 2)
         last_dist /= last_dist.sum()
         u, temperature = float(rng.random()), float(rng.choice([0.5, 1.0, 2.0]))
 
-        draft = build_draft(
-            index, context, next_token, last_dist, cfg, u=u, temperature=temperature
-        )
+        cdf = tempered_cdf(last_dist, temperature)
+        draft = build_draft(index, context, next_token, last_dist, cfg, depth=depth, u=u, cdf=cdf)
         sequences, queries, hits, probes = naive_build_draft(
-            context, context, next_token, last_dist, cfg, value_len, False, u, temperature
+            context, context, next_token, last_dist, cfg, depth, False, u, temperature
         )
         assert rows(draft) == merged(context, next_token, sequences)
         assert (draft.queries, draft.hits, index.probe_count) == (queries, hits, probes)
+
+
+def test_continuations_agreeing_to_the_depth_count_as_one():
+    # 9's occurrences, most recent first, continue "1 2 3", "1 2 4" and
+    # "5 6": at depth 2 the first two are one path, so the second
+    # distinct continuation is "5 6"; at depth 3 they are two
+    source = [9, 5, 6, 0, 9, 1, 2, 4, 0, 9, 1, 2, 3, 0]
+    cfg = DraftConfig(top_k=0, m_start=1)
+    index = NGramIndex.build(source, m_max=1)
+    assert index.match([9], 2) == [[1, 2], [5, 6]]
+    assert index.match([9], 3) == [[1, 2, 3], [1, 2, 4]]
+    draft = build_draft(index, source, 9, make_dist([9]), cfg, depth=2)
+    assert rows(draft) == merged(source, 9, [[1, 2], [5, 6]])
+    draft = build_draft(index, source, 9, make_dist([9]), cfg, depth=3)
+    assert rows(draft) == merged(source, 9, [[1, 2, 3], [1, 2, 4]])
 
 
 def test_build_draft_probe_count_flat_in_source_length():

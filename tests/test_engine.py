@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -418,14 +419,41 @@ def test_decode_rejects_bad_inputs():
     assert DecodeConfig(last_logit_k=0).last_logit_k == 0
 
 
-def test_greedy_cycle_accepts_value_len_tokens_every_step():
-    # an order-1 model that cycles 0 1 2 greedily, and a prompt that
-    # already holds the cycle: every retrieved continuation runs into the
-    # source end, and repeating its period drafts value_len (8) tokens,
-    # all of which verify
-    model = MarkovTableModel(VocabSpec(8, 7), order=1, alpha=0.1).train([[0, 1, 2] * 10])
+def cycle_model() -> MarkovTableModel:
+    """An order-1 model that cycles 0 1 2, greedily, and at T=1 with
+    probability about 0.93 per token."""
+    return MarkovTableModel(VocabSpec(8, 7), order=1, alpha=0.1).train([[0, 1, 2] * 10])
+
+
+@pytest.mark.parametrize("mode", ["retrieval_only", "logitspec"])
+def test_greedy_cycle_accepted_lengths_follow_the_depth_schedule(mode):
+    # the prompt already holds the cycle: every retrieved continuation
+    # runs into the source end, and repeating its period drafts the whole
+    # depth, all of which verifies. So the depth grows by 2 per step from
+    # the floor (8) to the cap (16) and stays there; max_new_tokens cuts
+    # the last step
     prompt = [0, 1, 2, 0, 1, 2]
-    cfg = DecodeConfig(mode="retrieval_only", max_new_tokens=45)
-    result = decode(model, prompt, cfg)
-    assert result.tokens == [0, 1, 2] * 15
-    assert [r.accepted_len for r in result.step_records] == [8] * 5
+    result = decode(cycle_model(), prompt, DecodeConfig(mode=mode, max_new_tokens=120))
+    assert result.tokens == [0, 1, 2] * 40
+    assert [r.accepted_len for r in result.step_records] == [8, 10, 12, 14, 16, 16, 16, 16, 3]
+
+
+def test_sampled_cycle_follows_the_depth_schedule_and_keeps_autoregressive_tokens():
+    # the same cycle at T=1: the model leaves it now and then, so some
+    # steps accept less than their depth and the depth shrinks again.
+    # Every seed still emits autoregressive's tokens, and no step accepts
+    # more than the depth the schedule gives it
+    model, prompt = cycle_model(), [0, 1, 2, 0, 1, 2]
+    grown = 0
+    for seed in range(10):
+        cfg = DecodeConfig(mode="autoregressive", max_new_tokens=120, temperature=1.0, seed=seed)
+        want = decode(model, prompt, cfg).tokens
+        for mode in ("retrieval_only", "logitspec"):
+            result = decode(model, prompt, replace(cfg, mode=mode))
+            assert result.tokens == want, (seed, mode)
+            depth = DraftConfig.DEPTH_FLOOR
+            for r in result.step_records:
+                assert r.accepted_len <= depth, (seed, mode)
+                grown += r.accepted_len > DraftConfig.DEPTH_FLOOR
+                depth = DraftConfig.next_depth(depth, r.accepted_len)
+    assert grown > 0

@@ -34,7 +34,16 @@ rows did not move: on a 32-token vocab its 60 candidates are every
 token but the pending one, in whatever order. The dump's first logitspec tree keeps its
 next-token rows and lists its candidates in the new order (3 0 1 2 4 5
 6 ... -> 6 5 4 3 2 1 0 ...). Report 3da56d18...bcbc709 ->
-09e060d1...7529d9ea, dump 45e436b2...d78398d2 -> 380d003b...a0b04bf."""
+09e060d1...7529d9ea, dump 45e436b2...d78398d2 -> 380d003b...a0b04bf.
+
+The T0 report digest was re-recorded when the next-token draft depth
+became a per-session budget that grows from 8 toward 16 after steps
+that accept the whole depth. No token moved. The retrieval modes need
+fewer steps (logitspec 31 -> 26, MAT 5.484 -> 6.538; retrieval_only 32
+-> 27, MAT 5.313 -> 6.296) and evaluate fewer tree rows (forward:
+logitspec 465 -> 454, retrieval_only 323 -> 312). Report
+907a30c1...a8ff0d4 -> 45aa4e4d...5236697. The first tree is drafted at
+the floor, so both dumps are unchanged, and so is the T1 report."""
 
 from __future__ import annotations
 
@@ -47,7 +56,7 @@ from logitspec.cli import main
 # case -> (report sha256, --dump-tree stdout sha256)
 GOLDEN = {
     "T0-all-modes-compare": (
-        "907a30c1c45f889f6c9c96adbe0beb83e17556883ad15bc827de39fb2a8ff0d4",
+        "45aa4e4d6d8cfafdf86d2d36d076068256080b7e1973a0a8bf8bf511e5236697",
         "7d3e56cde4777abb33074d42590cc90464174ca7f527ac045e89e6abc10ec88f",
     ),
     "T1-logitspec-last_logit": (

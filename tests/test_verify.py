@@ -14,7 +14,7 @@ from logitspec import (
     verify_stochastic,
 )
 
-from logitspec.models import Uniforms, sample_uniform
+from logitspec.models import Uniforms, sample_uniform, tempered_cdf
 from logitspec.verify import VerifyOutcome
 
 from conftest import dist
@@ -251,3 +251,6 @@ def test_stochastic_reads_the_uniform_of_each_depths_position():
         assert got.bonus == sample_uniform(
             got.next_dist, temperature, stream[tree.past_len + depth + 1]
         )
+        # the bonus draw hands its CDF on to the next step's drafter
+        np.testing.assert_array_equal(got.next_cdf, tempered_cdf(got.next_dist, temperature))
+        assert verify_greedy(tree, dists).next_cdf is None
