@@ -93,32 +93,31 @@ def speculate_next_next(
     last_dist: np.ndarray,
     next_token: int,
     k: int,
-    u: float | None = None,
-    cdf: np.ndarray | None = None,
+    draw: tuple[np.ndarray, float] | None = None,
 ) -> list[int]:
     """Up to k next-next candidates from the last logit, never the next
     token; a candidate's 0-based rank is its position in the list.
 
-    Without u: the top of last_dist in descending probability, ties to
-    the lower id. With u, the uniform that will draw the next-next token,
-    and cdf, `models.tempered_cdf(last_dist, temperature)` at the
-    temperature it draws at (required with u; the draw of the next token
-    built it): tokens by the distance from u to their interval of cdf,
+    Without draw (temperature 0): the top of last_dist in descending
+    probability, ties to the lower id. With draw = (cdf, u), the coming
+    next-next draw at temperature > 0 (cdf is
+    `models.tempered_cdf(last_dist, temperature)`, which the draw of the
+    next token built, and u the uniform that will draw the next-next
+    token): tokens by the distance from u to their interval of cdf,
     nearest first, ties to the lower id. The token whose interval holds
     u (distance 0) is the draw itself should the next-next dist equal
     the last one.
     """
     if k <= 0:
         return []
-    if u is None:
+    if draw is None:
         top = np.argsort(-last_dist, kind="stable")[: k + 1].tolist()
         if next_token in top:
             top.remove(next_token)
         return top[:k]
+    cdf, u = draw
     if not 0.0 <= u < 1.0:
         raise ValueError(f"u must be in [0, 1), got {u}")
-    if cdf is None:
-        raise ValueError("u needs the CDF it draws from")
     return _nearest_intervals(cdf.tolist(), u, next_token, k)
 
 
@@ -183,9 +182,7 @@ def build_draft(
     cfg: DraftConfig,
     *,
     depth: int = DraftConfig.DEPTH_FLOOR,
-    greedy: bool = False,
-    u: float | None = None,
-    cdf: np.ndarray | None = None,
+    draw: tuple[np.ndarray, float] | None = None,
 ) -> DraftTree:
     """Build the draft tree for one decode step.
 
@@ -203,13 +200,12 @@ def build_draft(
     `((cont + [next_token]) * depth)[:depth]`. Candidate continuations
     are cut by prune_budget alone.
 
-    With greedy (temperature-0 decoding), a next-token query that hits
-    at its starting length min(m_start, len(context) + 1) drafts its
+    draw passes to `speculate_next_next`: at temperature > 0 it is the
+    coming next-next draw, (the tempered CDF of last_dist, the uniform of
+    position len(context) + 1), and candidates come in the coupled
+    order. Without it (temperature 0), a next-token query that hits at
+    its starting length min(m_start, len(context) + 1) drafts its
     continuations only: no candidate is speculated, probed or counted.
-
-    u and cdf pass to `speculate_next_next`: with u, the uniform of
-    position len(context) + 1, and the tempered CDF of last_dist,
-    candidates come in the coupled order.
     """
     # queries read at most m_start tokens back, so only the context's
     # tail is copied
@@ -228,10 +224,10 @@ def build_draft(
             return tree
     # a full-length greedy hit rarely loses to a candidate, and greedy
     # verification emits the same tokens whatever the draft holds
-    if greedy and used_m == m_next:
+    if draw is None and used_m == m_next:
         return tree
 
-    candidates = speculate_next_next(last_dist, next_token, cfg.top_k, u, cdf)
+    candidates = speculate_next_next(last_dist, next_token, cfg.top_k, draw)
     if not candidates:
         return tree
     # one index call serves every candidate query suffix + [cand],

@@ -9,25 +9,27 @@ the model state's tokens with no model call (the tree pass already
 evaluated them), so the model runs once per step after the prefill; the
 retrieval index keeps its own copy of the prompt and emitted tokens.
 
-Every emitted token is one draw on the target model's dist at its
-context: argmax at temperature 0, and otherwise the inverse-CDF draw
-`models.sample_uniform` of the tempered dist with the uniform of the
-token's position. The prefill's `models.sample` takes the first uniform
-from the decode seed's rng; `models.Uniforms` serves every later
-position, one `rng.random()` per position in position order. Drafts only
-decide how many of those draws one forward call serves, so for a seed
+Every token, the first included, is a verification draw with its
+position's uniform: argmax at temperature 0, and otherwise the
+inverse-CDF draw `models.sample_uniform` of the tempered dist with the
+uniform of the token's position, which `models.Uniforms` serves from the
+decode seed's rng, one `rng.random()` per position in position order.
+The first token is drawn by the same verify call as every later one, on
+a one-row tree under the prompt's last token with the prefill's last
+dist. That draw makes no `StepRecord`: its token is emitted as the
+first step's root, as every bonus is emitted as the next step's root.
+Drafts only decide how many draws one forward call serves, so for a seed
 every mode emits exactly the autoregressive tokens.
 
-At temperature > 0 the drafter reads the uniform of the next-next
-position (past_len + 1) before verification draws with it, and ranks the
-last-logit candidates by the distance from that uniform to their
-intervals of the tempered last-logit CDF (`speculate_next_next`), so the
-candidate first in line is the token the draw picks whenever the
-next-next dist equals the last one. That CDF is the one the pending
-token was drawn from: the prefill builds the first, and every later one
-comes from verification's bonus draw (`VerifyOutcome.next_cdf`). No
-flag selects it; at temperature 0 the candidates are the last logit's
-top-k.
+At temperature > 0 the drafter takes the coming next-next draw as one
+value, `draw = (cdf, u)`: the tempered CDF the pending token was drawn
+from (`VerifyOutcome.next_cdf`) and the uniform of the next-next
+position (past_len + 1), read before verification draws with it. It
+ranks the last-logit candidates by the distance from u to their
+intervals of that CDF (`speculate_next_next`), so the candidate first in
+line is the token the draw picks whenever the next-next dist equals the
+last one. At temperature 0 draw is None and the candidates are the last
+logit's top-k.
 
 The retrieval modes draft next-token paths to a per-session depth that
 starts at `DraftConfig.DEPTH_FLOOR` and moves after every step by
@@ -56,11 +58,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .drafting import DraftConfig, build_draft, speculate_next_next
-from .models import Model, Uniforms, sample, tempered_cdf
+from .models import Model, Uniforms
+from .models import sample  # noqa: F401  (perfbench/spans.py wraps engine.sample)
 from .ngram_index import NGramIndex
 from .tree import DraftTree
 from .tree import prepare_attention_inputs  # noqa: F401  (perfbench/spans.py wraps engine.prepare_attention_inputs)
-from .verify import verify_greedy, verify_stochastic
+from .verify import VerifyOutcome, verify_greedy, verify_stochastic
 
 __all__ = [
     "MODES",
@@ -138,24 +141,21 @@ def _build_step_draft(
     context: list[int],
     pending: int,
     last_dist: np.ndarray,
-    u: float | None = None,
-    cdf: np.ndarray | None = None,
+    draw: tuple[np.ndarray, float] | None = None,
     depth: int = DraftConfig.DEPTH_FLOOR,
 ) -> DraftTree:
-    """The step's draft tree; at temperature > 0, u is the uniform of the
-    next-next token's position (len(context) + 1) and cdf the tempered
-    CDF of last_dist, both None at 0. depth bounds the retrieval modes'
-    next-token paths."""
+    """The step's draft tree. draw is the coming next-next draw at
+    temperature > 0, (the tempered CDF of last_dist, the uniform of
+    position len(context) + 1), and None at 0. depth bounds the
+    retrieval modes' next-token paths."""
     if cfg.mode == "autoregressive":
         return DraftTree(len(context), [pending], [-1])
     if cfg.mode == "last_logit":
         # distinct tokens, none of them pending: a star of root children
-        cands = speculate_next_next(last_dist, pending, cfg.last_logit_k, u, cdf)
+        cands = speculate_next_next(last_dist, pending, cfg.last_logit_k, draw)
         return DraftTree(len(context), [pending, *cands], [-1, *[0] * len(cands)])
     assert index is not None
-    return build_draft(
-        index, context, pending, last_dist, cfg.draft, depth=depth, greedy=u is None, u=u, cdf=cdf
-    )
+    return build_draft(index, context, pending, last_dist, cfg.draft, depth=depth, draw=draw)
 
 
 def decode(
@@ -174,20 +174,21 @@ def decode(
         raise ValueError("prompt must be non-empty")
     if cfg.mode == "retrieval_only":  # logitspec drafting without candidates
         cfg = replace(cfg, draft=replace(cfg.draft, top_k=0))
-    rng = np.random.default_rng(cfg.seed)
     eos = model.vocab.eos
+    uniforms = None
+    if cfg.temperature > 0:
+        uniforms = Uniforms(np.random.default_rng(cfg.seed), len(prompt))
+
+    def verify(tree: DraftTree, dists: list[np.ndarray]) -> VerifyOutcome:
+        if uniforms is None:
+            return verify_greedy(tree, dists)
+        return verify_stochastic(tree, dists, uniforms, cfg.temperature)
 
     state = model.new_state()
-    last_dist = model.forward(state, list(prompt))[-1]
-    pending = sample(last_dist, cfg.temperature, rng)
-    # at T > 0 the prefill's draw took position len(prompt)'s uniform;
-    # every later position reads its own from one stream, the drafter
-    # included, so drafting moves no draw
-    uniforms = Uniforms(rng, len(prompt) + 1) if cfg.temperature > 0 else None
-    # the CDF the pending token was drawn from, which the drafter orders
-    # candidates on; the prefill's `sample` keeps none, so it is built
-    # once here and then handed on by every bonus draw
-    cdf = tempered_cdf(last_dist, cfg.temperature) if uniforms is not None else None
+    # the prefill: the first token is verification's draw on a one-row
+    # tree under the prompt's last token
+    prefill = DraftTree(len(prompt) - 1, [prompt[-1]], [-1])
+    outcome = verify(prefill, [model.forward(state, list(prompt))[-1]])
     depth = DraftConfig.DEPTH_FLOOR
 
     index: NGramIndex | None = None
@@ -197,15 +198,13 @@ def decode(
     end = len(prompt) + cfg.max_new_tokens
     records: list[StepRecord] = []
     while True:
-        u = None if uniforms is None else uniforms[len(state) + 1]
-        tree = _build_step_draft(cfg, index, state.committed, pending, last_dist, u, cdf, depth)
+        pending, last_dist = outcome.bonus, outcome.next_dist
+        draw = None if uniforms is None else (outcome.next_cdf, uniforms[len(state) + 1])
+        tree = _build_step_draft(cfg, index, state.committed, pending, last_dist, draw, depth)
         if tree_observer is not None:
             tree_observer(tree)
         dists = model.forward_tree(state, tree)
-        if uniforms is None:
-            outcome = verify_greedy(tree, dists)
-        else:
-            outcome = verify_stochastic(tree, dists, uniforms, cfg.temperature)
+        outcome = verify(tree, dists)
 
         emitted = [pending] + outcome.accepted
         emitted = emitted[: end - len(state)]
@@ -236,7 +235,6 @@ def decode(
         if emitted[-1] == eos or len(state) >= end:
             break
         depth = DraftConfig.next_depth(depth, len(outcome.accepted))
-        pending, last_dist, cdf = outcome.bonus, outcome.next_dist, outcome.next_cdf
 
     generated = state.committed[len(prompt) :]
     metrics = DecodeMetrics(

@@ -16,9 +16,11 @@ at position pos with `models.sample_uniform` of the decode's uniform for
 pos: the inverse-CDF draw `models.sample` makes, on the same dist and
 with the same uniform autoregressive decoding would use there, so a seed
 gives the same tokens in every mode. Which drafts a step carries never
-moves a uniform, even a drafter that reads the next uniform first. The
-bonus draw's tempered CDF is handed to the next step's drafter, which
-orders its candidates on that CDF.
+moves a uniform, even a drafter that reads the next uniform first.
+Every token a decode emits is drawn here, the first included (on a
+one-row tree under the prompt's last token). The bonus draw's tempered
+CDF is handed to the next step's drafter, which orders its candidates on
+that CDF.
 """
 
 from __future__ import annotations
@@ -107,19 +109,16 @@ def verify_greedy(tree: DraftTree, dists: list[np.ndarray]) -> VerifyOutcome:
 def verify_stochastic(
     tree: DraftTree,
     dists: list[np.ndarray],
-    uniforms: Uniforms | np.random.Generator,
-    temperature: float = 1.0,
+    uniforms: Uniforms,
+    temperature: float,
 ) -> VerifyOutcome:
     """Lossless verification of one-hot drafts at a sampling temperature
     (> 0).
 
     The token at depth d (position tree.past_len + d + 1) is
-    `sample_uniform` of that position's uniform. uniforms is the decode's
-    position-keyed stream, or a Generator whose next draws serve depths
-    0, 1, ... in order, as one `sample` call each would.
+    `sample_uniform` of that position's uniform in the decode's
+    position-keyed stream.
     """
-    if isinstance(uniforms, np.random.Generator):
-        uniforms = Uniforms(uniforms, tree.past_len + 1)
     first = tree.past_len + 1
 
     def draw(d: np.ndarray, depth: int) -> tuple[int, np.ndarray]:

@@ -60,10 +60,11 @@ QUARTERS = np.array([0.125, 0.25, 0.375, 0.25])
 QUARTERS_CDF = tempered_cdf(QUARTERS, 1.0)
 
 
-def coupled_order(last_dist, next_token, k, u, temperature=1.0):
+def coupled_order(cdf, next_token, k, u):
     """Full-sort reference for the coupled order: every token by (distance
-    from u to its interval of the tempered CDF, id), next token dropped."""
-    cdf = tempered_cdf(last_dist, temperature).tolist()
+    from u to its interval of the tempered CDF cdf, id), next token
+    dropped."""
+    cdf = cdf.tolist()
 
     def distance(j):
         if cdf[j] <= u:
@@ -79,18 +80,18 @@ def coupled_order(last_dist, next_token, k, u, temperature=1.0):
 def test_speculate_with_uniform_puts_the_holder_first():
     # u = 1/16 lies in token 0's interval [0, 0.125); the top-k order
     # would start with token 2
-    assert speculate_next_next(QUARTERS, 3, 3, u=0.0625, cdf=QUARTERS_CDF) == [0, 1, 2]
-    assert speculate_next_next(QUARTERS, 3, 2, u=0.0625, cdf=QUARTERS_CDF) == [0, 1]
+    assert speculate_next_next(QUARTERS, 3, 3, (QUARTERS_CDF, 0.0625)) == [0, 1, 2]
+    assert speculate_next_next(QUARTERS, 3, 2, (QUARTERS_CDF, 0.0625)) == [0, 1]
     assert speculate_next_next(QUARTERS, 3, 3) == [2, 1, 0]
 
 
 def test_speculate_with_uniform_excludes_next_token_and_ties_go_low():
     # u = 9/16 lies in token 2's interval [0.375, 0.75); tokens 1 and 3
     # both lie 3/16 from it
-    assert speculate_next_next(QUARTERS, 0, 3, u=0.5625, cdf=QUARTERS_CDF) == [2, 1, 3]
-    assert speculate_next_next(QUARTERS, 2, 3, u=0.5625, cdf=QUARTERS_CDF) == [1, 3, 0]
-    assert speculate_next_next(QUARTERS, 2, 10, u=0.5625, cdf=QUARTERS_CDF) == [1, 3, 0]
-    assert speculate_next_next(QUARTERS, 2, 0, u=0.5625, cdf=QUARTERS_CDF) == []
+    assert speculate_next_next(QUARTERS, 0, 3, (QUARTERS_CDF, 0.5625)) == [2, 1, 3]
+    assert speculate_next_next(QUARTERS, 2, 3, (QUARTERS_CDF, 0.5625)) == [1, 3, 0]
+    assert speculate_next_next(QUARTERS, 2, 10, (QUARTERS_CDF, 0.5625)) == [1, 3, 0]
+    assert speculate_next_next(QUARTERS, 2, 0, (QUARTERS_CDF, 0.5625)) == []
 
 
 def test_speculate_without_uniform_is_the_top_k():
@@ -124,9 +125,9 @@ def test_speculate_coupled_merge_equals_full_sort(temperature):
         else:
             u = float(rng.random())
         next_token, k = int(rng.integers(0, vocab)), int(rng.integers(0, vocab + 2))
-        want = coupled_order(dist, next_token, k, u, temperature)
         cdf = tempered_cdf(dist, temperature)
-        assert speculate_next_next(dist, next_token, k, u, cdf) == want, case
+        want = coupled_order(cdf, next_token, k, u)
+        assert speculate_next_next(dist, next_token, k, (cdf, u)) == want, case
 
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
@@ -141,7 +142,7 @@ def test_speculate_coupled_first_candidate_is_the_draw(temperature):
         u = float(rng.random())
         drawn = sample_uniform(dist, temperature, u)
         next_token = int(rng.integers(0, 16))
-        cands = speculate_next_next(dist, next_token, 4, u, tempered_cdf(dist, temperature))
+        cands = speculate_next_next(dist, next_token, 4, (tempered_cdf(dist, temperature), u))
         assert (cands[0] == drawn) == (next_token != drawn)
         assert next_token not in cands
 
@@ -149,12 +150,7 @@ def test_speculate_coupled_first_candidate_is_the_draw(temperature):
 @pytest.mark.parametrize("u", [-0.1, 1.0, float("nan")])
 def test_speculate_rejects_uniform_outside_unit_interval(u):
     with pytest.raises(ValueError):
-        speculate_next_next(QUARTERS, 0, 2, u=u, cdf=QUARTERS_CDF)
-
-
-def test_speculate_with_uniform_needs_the_cdf():
-    with pytest.raises(ValueError):
-        speculate_next_next(QUARTERS, 0, 2, u=0.5)
+        speculate_next_next(QUARTERS, 0, 2, (QUARTERS_CDF, u))
 
 
 def test_prune_budget_tiers():
@@ -320,17 +316,21 @@ def test_build_draft_duplicate_next_token_paths_leave_rows_to_candidates():
     # a b c a b c a b, next token c: both next-token continuations, "a b"
     # and "a b c a b", run into the source end and repeat into the same
     # 8-token path, so the second adds no row and the candidates fill the
-    # rows left under capacity 12. Candidate a's query "b c a" hits and
-    # follows the next-token rows; 5, 2, 4 and 6 miss and take one row
-    # each, which fills the draft, so 7 is never queried.
+    # rows left under capacity 12. At T=1 the CDF of last_dist (in 127ths)
+    # gives a [0, 32), b [32, 40), c [40, 104), 4 [104, 108), 5 [108, 124),
+    # 6 [124, 126), 7 [126, 127) and 0 nothing at 0, so u = 0.2 orders the
+    # candidates a, b, 0, 4, 5, 6. Candidate a's query "b c a" hits and
+    # follows the next-token rows; b, 0, 4 and 5 miss and take one row
+    # each, which fills the draft, so 6 is never queried.
     a, b, c = 1, 2, 3
     source = [a, b, c, a, b, c, a, b]
     index = NGramIndex.build(source, m_max=3)
     cfg = DraftConfig(top_k=6, capacity=12, m_start=3)
     last_dist = make_dist([c, a, 5, b, 4, 6, 7], vocab=8)
-    draft = build_draft(index, source, c, last_dist, cfg, greedy=False)
+    draw = (tempered_cdf(last_dist, 1.0), 0.2)
+    draft = build_draft(index, source, c, last_dist, cfg, draw=draw)
     assert rows(draft) == (
-        len(source), [c, a, b, c, a, b, c, a, b, 5, b, 4, 6], [-1, *range(8), 0, 0, 0, 0]
+        len(source), [c, a, b, c, a, b, c, a, b, b, 0, 4, 5], [-1, *range(8), 0, 0, 0, 0]
     )
     assert (draft.queries, draft.hits) == (6, 2)
     assert draft.draft_count <= cfg.capacity
@@ -349,7 +349,7 @@ def test_build_draft_greedy_full_length_hit_skips_candidates(context, m_start):
     cfg = DraftConfig(top_k=4, capacity=60, m_start=m_start)
     last_dist = make_dist([3, 5, 6, 7, 4], vocab=8)
     index = NGramIndex.build(source, m_max=m_start)
-    draft = build_draft(index, context, 3, last_dist, cfg, greedy=True)
+    draft = build_draft(index, context, 3, last_dist, cfg)
     # one probe: the query hit at its starting length
     assert (draft.queries, draft.hits, index.probe_count) == (1, 1, 1)
     # "4 1 2" runs into the source end, so its period "4 1 2 3" repeats
@@ -357,7 +357,8 @@ def test_build_draft_greedy_full_length_hit_skips_candidates(context, m_start):
     # the same step drafts candidates when sampling, in rows after the
     # next-token rows
     index = NGramIndex.build(source, m_max=m_start)
-    sampled = build_draft(index, context, 3, last_dist, cfg, greedy=False)
+    draw = (tempered_cdf(last_dist, 1.0), 0.5)
+    sampled = build_draft(index, context, 3, last_dist, cfg, draw=draw)
     assert sampled.draft_ids[: draft.seq_len] == draft.draft_ids
     assert sampled.parents[: draft.seq_len] == draft.parents
     assert sampled.seq_len > draft.seq_len
@@ -366,14 +367,26 @@ def test_build_draft_greedy_full_length_hit_skips_candidates(context, m_start):
 
 
 @pytest.mark.parametrize(
-    "next_token, next_probes",
-    [(3, 2), (5, 3)],
+    "next_token, next_probes, next_paths, greedy_cands, sampled_cands",
+    [
+        (3, 2, [[4, 9, 2, 3, 4, 9, 2, 3]], [[1], [6], [7], [4, 9, 2]], [[1], [2], [4, 9, 2], [5]]),
+        (5, 3, [], [[1], [6], [7], [4]], [[4], [1], [2], [3]]),
+    ],
     ids=["fallback-hit", "miss"],
 )
-def test_build_draft_greedy_without_full_length_hit_drafts_candidates(next_token, next_probes):
+def test_build_draft_greedy_without_full_length_hit_drafts_candidates(
+    next_token, next_probes, next_paths, greedy_cands, sampled_cands
+):
     # context ends "9 2": "9 2 3" never occurs but "2 3" does (a
-    # shorter hit, 3 - 2 + 1 probes); 5 never occurs at all (a miss
-    # probes every length from 3 down to 1)
+    # shorter hit, 3 - 2 + 1 probes, whose continuation "4 9 2" repeats
+    # its period); 5 never occurs at all (a miss probes every length
+    # from 3 down to 1). Greedy drafts the top-4 candidates 1 6 7 4.
+    # Sampling with u = 0.5 at T=1 drafts the tokens whose intervals lie
+    # nearest u: next token 3 holds it in [8/31, 24/31) and 1, 2 (empty
+    # at 8/31) and 4 [24/31, 25/31) follow, then 5 (empty at 25/31); next
+    # token 5 holds it in [9/31, 25/31) and 4 [8/31, 9/31) then 1, 2 and
+    # 3 (1 is [0, 8/31), 2 and 3 empty at 8/31) follow. Only candidate 4
+    # after "2 3" hits, and its path follows the next-token rows.
     source = [0, 1, 2, 3, 4, 9, 2]
     cfg = DraftConfig(top_k=4, capacity=60, m_start=3)
     last_dist = make_dist([next_token, 1, 6, 7, 4], vocab=10)
@@ -381,11 +394,13 @@ def test_build_draft_greedy_without_full_length_hit_drafts_candidates(next_token
     build_draft(index, source, next_token, last_dist, DraftConfig(top_k=0, m_start=3))
     assert index.probe_count == next_probes
     drafts, probes = [], []
-    for greedy in (True, False):
+    for draw in (None, (tempered_cdf(last_dist, 1.0), 0.5)):
         index = NGramIndex.build(source, m_max=3)
-        drafts.append(build_draft(index, source, next_token, last_dist, cfg, greedy=greedy))
+        drafts.append(build_draft(index, source, next_token, last_dist, cfg, draw=draw))
         probes.append(index.probe_count)
-    assert drafts[0] == drafts[1]
+    assert rows(drafts[0]) == merged(source, next_token, next_paths + greedy_cands)
+    assert rows(drafts[1]) == merged(source, next_token, next_paths + sampled_cands)
+    assert (drafts[0].queries, drafts[0].hits) == (drafts[1].queries, drafts[1].hits)
     assert drafts[0].queries == 1 + cfg.top_k
     assert probes[0] == probes[1]
 
@@ -396,16 +411,14 @@ def test_speculate_returns_at_most_k():
     assert all(t != 1 for t in speculate_next_next(dist, 1, 10))
 
 
-def naive_build_draft(
-    source, context, next_token, last_dist, cfg, depth, greedy, u=None, temperature=1.0
-):
+def naive_build_draft(source, context, next_token, last_dist, cfg, depth, draw=None):
     """Reference drafter: every query runs naive_fallback over the whole
     context, one candidate at a time, with the documented assembly rules
     (each path cut to the rows its merged trie has free under capacity,
     stop once they are all drafted), the period rule (a next-token
     continuation cut short by the source end cycles through itself and
-    the next token up to depth tokens) and the greedy rule (a
-    next-token hit at full length ends the draft).
+    the next token up to depth tokens) and the greedy rule (without a
+    draw, a next-token hit at full length ends the draft).
     Probes count one index lookup per gram length tried."""
     suffix = list(context) + [next_token]
     sequences = []
@@ -439,12 +452,13 @@ def naive_build_draft(
             cont = [period[i % len(period)] for i in range(depth)]
         if not add(cont):
             return result()
-    if greedy and used_m == m_next:
+    if draw is None and used_m == m_next:
         return result()
-    if u is None:
+    if draw is None:
         candidates = speculate_next_next(last_dist, next_token, cfg.top_k)
     else:
-        candidates = coupled_order(last_dist, next_token, cfg.top_k, u, temperature)
+        cdf, u = draw
+        candidates = coupled_order(cdf, next_token, cfg.top_k, u)
     for rank, cand in enumerate(candidates):
         m_start = min(cfg.m_start, len(suffix) + 1)
         # a candidate's tail is its prune budget, whatever the depth
@@ -478,13 +492,14 @@ def test_build_draft_equals_per_candidate_reference_random():
         index = NGramIndex.build(source, m_max=cfg.m_start)
         last_dist = rng.random(vocab + 2)
         last_dist /= last_dist.sum()
-        greedy = bool(rng.integers(0, 2))
+        # half the cases draft greedily, half at T=1 with a drawn uniform
+        draw = None
+        if rng.integers(0, 2) == 0:
+            draw = (tempered_cdf(last_dist, 1.0), float(rng.random()))
 
-        draft = build_draft(
-            index, context, next_token, last_dist, cfg, depth=depth, greedy=greedy
-        )
+        draft = build_draft(index, context, next_token, last_dist, cfg, depth=depth, draw=draw)
         sequences, queries, hits, probes = naive_build_draft(
-            source, context, next_token, last_dist, cfg, depth, greedy
+            source, context, next_token, last_dist, cfg, depth, draw
         )
         assert rows(draft) == merged(context, next_token, sequences)
         assert (draft.queries, draft.hits, index.probe_count) == (queries, hits, probes)
@@ -509,10 +524,10 @@ def test_build_draft_coupled_equals_per_candidate_reference_random():
         last_dist /= last_dist.sum()
         u, temperature = float(rng.random()), float(rng.choice([0.5, 1.0, 2.0]))
 
-        cdf = tempered_cdf(last_dist, temperature)
-        draft = build_draft(index, context, next_token, last_dist, cfg, depth=depth, u=u, cdf=cdf)
+        draw = (tempered_cdf(last_dist, temperature), u)
+        draft = build_draft(index, context, next_token, last_dist, cfg, depth=depth, draw=draw)
         sequences, queries, hits, probes = naive_build_draft(
-            context, context, next_token, last_dist, cfg, depth, False, u, temperature
+            context, context, next_token, last_dist, cfg, depth, draw
         )
         assert rows(draft) == merged(context, next_token, sequences)
         assert (draft.queries, draft.hits, index.probe_count) == (queries, hits, probes)
@@ -546,10 +561,13 @@ def test_build_draft_probe_count_flat_in_source_length():
         next_token = int(rng.integers(0, 12))
         last_dist = np.zeros(64)
         last_dist[:12] = rng.random(12) + 0.01  # candidates 12.. never occur
+        last_dist /= last_dist.sum()
         probes = []
+        # sampled, so a full-length next-token hit still drafts candidates
+        draw = (tempered_cdf(last_dist, 1.0), 0.5)
         for source in (block, block * 100):
             index = NGramIndex.build(source, m_max=cfg.m_start)
-            draft = build_draft(index, context, next_token, last_dist, cfg)
+            draft = build_draft(index, context, next_token, last_dist, cfg, draw=draw)
             assert draft.queries == 1 + cfg.top_k
             probes.append(index.probe_count)
         assert probes[0] == probes[1]

@@ -14,6 +14,7 @@ from logitspec import (
     VocabSpec,
     decode,
     prune_budget,
+    sample,
     speculate_next_next,
 )
 from logitspec.cli import prompt_row
@@ -316,6 +317,24 @@ def test_stochastic_first_token_marginal():
         counts[out.tokens[0]] += 1
     tv = 0.5 * np.abs(counts / n - d).sum()
     assert tv <= 0.02
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.5, 1.0, 2.0])
+def test_first_token_is_the_one_token_sample(temperature):
+    # the first token is verification's draw on a one-row tree under the
+    # prompt's last token: exactly `sample` of the prefill's last dist
+    # with a fresh rng from the decode seed, in every mode
+    for seed in range(4):
+        model, prompts = trained_markov(seed)
+        for i, prompt in enumerate([prompts[0][:1], *prompts[:4]]):
+            decode_seed = 10 * seed + i
+            last_dist = model.forward(model.new_state(), prompt)[-1]
+            want = sample(last_dist, temperature, np.random.default_rng(decode_seed))
+            for mode in MODES:
+                cfg = DecodeConfig(
+                    mode=mode, max_new_tokens=1, temperature=temperature, seed=decode_seed
+                )
+                assert decode(model, prompt, cfg).tokens == [want], (seed, i, mode)
 
 
 # a repeating prompt, so retrieval drafts continue the 0 1 2 cycle

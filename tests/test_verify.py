@@ -117,7 +117,7 @@ def test_stochastic_certain_draft_always_accepted():
     dists = [dist(4, t2=1.0), dist(4, t1=1.0)]
     rng = np.random.default_rng(0)
     for _ in range(50):
-        out = verify_stochastic(tree, dists, rng)
+        out = verify_stochastic(tree, dists, Uniforms(rng, tree.past_len + 1), 1.0)
         assert out.accepted == [2]
         assert out.bonus == 1
 
@@ -127,7 +127,9 @@ def test_stochastic_impossible_draft_always_rejected():
     p = np.array([0.0, 0.25, 0.75, 0.0])
     dists = [p, dist(4, t1=1.0)]
     rng = np.random.default_rng(1)
-    draws = [verify_stochastic(tree, dists, rng) for _ in range(5000)]
+    draws = [
+        verify_stochastic(tree, dists, Uniforms(rng, tree.past_len + 1), 1.0) for _ in range(5000)
+    ]
     assert all(not o.accepted for o in draws)
     freq = np.mean([o.bonus == 2 for o in draws])
     assert freq == pytest.approx(0.75, abs=0.02)
@@ -144,7 +146,7 @@ def test_stochastic_sibling_marginal_preserved():
     counts = np.zeros(3)
     n = 50_000
     for _ in range(n):
-        out = verify_stochastic(tree, dists, rng)
+        out = verify_stochastic(tree, dists, Uniforms(rng, tree.past_len + 1), 1.0)
         first = out.accepted[0] if out.accepted else out.bonus
         counts[first] += 1
     tv = 0.5 * np.abs(counts / n - p).sum()
@@ -161,7 +163,7 @@ def test_stochastic_emits_at_least_one_token():
         for _ in range(tree.seq_len):
             d = rng.random(4)
             dists.append(d / d.sum())
-        out = verify_stochastic(tree, dists, rng)
+        out = verify_stochastic(tree, dists, Uniforms(rng, tree.past_len + 1), 1.0)
         assert len(out.accepted) <= tree.draft_count
         assert 0 <= out.bonus < 4
         assert out.next_dist.sum() == pytest.approx(1.0, abs=1e-9)
@@ -224,7 +226,9 @@ def test_verify_matches_token_path_oracle():
         if temperature == 0:
             got = verify_greedy(tree, dists)
         else:
-            got = verify_stochastic(tree, dists, new_rng, temperature)
+            got = verify_stochastic(
+                tree, dists, Uniforms(new_rng, tree.past_len + 1), temperature
+            )
         assert got.accepted == want.accepted, case
         assert got.bonus == want.bonus, case
         assert got.next_dist is want.next_dist, case
@@ -232,9 +236,8 @@ def test_verify_matches_token_path_oracle():
 
 
 def test_stochastic_reads_the_uniform_of_each_depths_position():
-    # with a position-keyed stream, depth d draws with the uniform of
-    # position past_len + d + 1, exactly as a Generator drawn in depth
-    # order would
+    # depth d draws with the uniform of position past_len + d + 1,
+    # exactly as `sample` on a Generator drawn in depth order would
     rng = np.random.default_rng(23)
     for case in range(300):
         vocab = int(rng.integers(2, 6))
@@ -242,7 +245,7 @@ def test_stochastic_reads_the_uniform_of_each_depths_position():
         tree = prepare_attention_inputs(int(rng.integers(0, 5)), 0, seqs)
         dists = [random_dist(rng, vocab) for _ in range(tree.seq_len)]
         temperature = [0.5, 1.0, 2.0][case % 3]
-        want = verify_stochastic(tree, dists, np.random.default_rng(case), temperature)
+        want = reference_verify(tree, dists, temperature, np.random.default_rng(case))
         stream = Uniforms(np.random.default_rng(case), tree.past_len + 1)
         stream[tree.past_len + 3]  # reading ahead moves nothing
         got = verify_stochastic(tree, dists, stream, temperature)
