@@ -1,17 +1,20 @@
 """Draft construction: next-next-token speculation plus retrieval.
 
 The drafter speculates next-next candidates from the last logit (minus
-the already-sampled next token): its top-k at temperature 0, and at
-temperature > 0 the tokens whose intervals of the tempered last-logit
-CDF lie nearest the uniform that will draw the next-next token. Should
-the next-next dist equal the last one, the nearest is that token, which
-shared randomness makes a drafter's best guess at a sample (Daliri,
-Musco and Suresh 2024); verification does not change. It retrieves
-continuations for the next token (one match_with_fallback query) and
-for every candidate (one NGramIndex.match_candidates call per step), and
-inserts each path into the draft tree as it drafts it. The tree is the
-budget: capacity bounds its draft rows, which is what verification pays
-for, so a path costs only the rows it adds.
+the already-sampled next token) by one rule: a key per token and one
+stable sort of the keys, smallest first, ties to the lower id. At
+temperature 0 the key is minus the last dist, so the candidates are its
+top-k. At temperature > 0 it is the distance from the uniform that will
+draw the next-next token to the token's interval of the tempered
+last-logit CDF. Should the next-next dist equal the last one, the
+nearest is that token, which shared randomness makes a drafter's best
+guess at a sample (Daliri, Musco and Suresh 2024); verification does
+not change. It retrieves continuations for the next token (one
+match_with_fallback query) and for every candidate (one
+NGramIndex.match_candidates call per step), and inserts each path into
+the draft tree as it drafts it. The tree is the budget: capacity bounds
+its draft rows, which is what verification pays for, so a path costs
+only the rows it adds.
 
 Next-token paths are drafted to the session's draft depth, a budget
 that `DraftConfig` owns: it starts at DEPTH_FLOOR, grows by 2 toward
@@ -30,8 +33,6 @@ the depth.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -98,68 +99,33 @@ def speculate_next_next(
     """Up to k next-next candidates from the last logit, never the next
     token; a candidate's 0-based rank is its position in the list.
 
-    Without draw (temperature 0): the top of last_dist in descending
-    probability, ties to the lower id. With draw = (cdf, u), the coming
-    next-next draw at temperature > 0 (cdf is
+    One rule ranks every temperature: each token gets a key, and the
+    tokens come in one stable sort of the keys, smallest first, so ties
+    go to the lower id. Without draw (temperature 0) the key is
+    -last_dist, so this is the top of last_dist. With draw = (cdf, u),
+    the coming next-next draw at temperature > 0 (cdf is
     `models.tempered_cdf(last_dist, temperature)`, which the draw of the
     next token built, and u the uniform that will draw the next-next
-    token): tokens by the distance from u to their interval of cdf,
-    nearest first, ties to the lower id. The token whose interval holds
-    u (distance 0) is the draw itself should the next-next dist equal
-    the last one.
+    token), token j's key is the distance from u to its interval
+    [cdf[j - 1], cdf[j]): max(u - cdf[j], cdf[j - 1] - u, 0). The token
+    whose interval holds u (key 0) is the draw itself should the
+    next-next dist equal the last one.
     """
     if k <= 0:
         return []
     if draw is None:
-        top = np.argsort(-last_dist, kind="stable")[: k + 1].tolist()
-        if next_token in top:
-            top.remove(next_token)
-        return top[:k]
-    cdf, u = draw
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must be in [0, 1), got {u}")
-    return _nearest_intervals(cdf.tolist(), u, next_token, k)
-
-
-def _nearest_intervals(cdf: list[float], u: float, skip: int, k: int) -> list[int]:
-    """The k tokens other than skip whose intervals [cdf[j - 1], cdf[j])
-    lie nearest u, nearest first, ties to the lower id.
-
-    Token j's distance is u - cdf[j] left of the token holding u, 0 for
-    that token and cdf[j - 1] - u right of it, so distances grow on each
-    side and the order is a two-sided merge out from the holder, O(k)
-    after the bisection. A tie across the sides goes left (the lower
-    id), and a run of equal distances on the left comes lowest id first.
-    """
-    n = len(cdf)
-    hi = bisect_right(cdf, u)  # the next right token, the holder first
-    lo = hi - 1  # the next left token
-    d_hi = 0.0 if hi < n else math.inf
-    d_lo = u - cdf[lo] if lo >= 0 else math.inf
-    out: list[int] = []
-    append = out.append
-    # k + 1 tokens, so k remain once skip is dropped
-    for _ in range(k + 1):
-        if d_lo <= d_hi:
-            if lo < 0:  # both sides are exhausted
-                break
-            start = lo
-            d = u - cdf[start - 1] if start else math.inf
-            while d == d_lo:
-                start -= 1
-                d = u - cdf[start - 1] if start else math.inf
-            if start == lo:
-                append(lo)
-            else:
-                out += range(start, lo + 1)
-            lo, d_lo = start - 1, d
-        else:
-            append(hi)
-            hi += 1
-            d_hi = cdf[hi - 1] - u if hi < n else math.inf
-    if skip in out:
-        out.remove(skip)
-    return out[:k]
+        key = -last_dist
+    else:
+        cdf, u = draw
+        if not 0.0 <= u < 1.0:
+            raise ValueError(f"u must be in [0, 1), got {u}")
+        key = np.maximum(u - cdf, 0.0)
+        np.maximum(key[1:], cdf[:-1] - u, out=key[1:])
+    # k + 1 tokens, so k remain once next_token is dropped
+    top = np.argsort(key, kind="stable")[: k + 1].tolist()
+    if next_token in top:
+        top.remove(next_token)
+    return top[:k]
 
 
 def prune_budget(rank: int) -> int:

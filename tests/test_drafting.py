@@ -107,7 +107,7 @@ def test_speculate_without_uniform_is_the_top_k():
 
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
-def test_speculate_coupled_merge_equals_full_sort(temperature):
+def test_speculate_coupled_order_equals_reference(temperature):
     # zero and tiny entries give equal distances on both sides of the
     # holder; u on an interval edge gives a second distance-0 token
     rng = np.random.default_rng(int(temperature * 10))
@@ -145,6 +145,17 @@ def test_speculate_coupled_first_candidate_is_the_draw(temperature):
         cands = speculate_next_next(dist, next_token, 4, (tempered_cdf(dist, temperature), u))
         assert (cands[0] == drawn) == (next_token != drawn)
         assert next_token not in cands
+
+
+@pytest.mark.parametrize("u", [None, 0.5625])
+def test_speculate_reads_read_only_inputs_and_leaves_them(u):
+    # decode passes read-only model rows; the key is built in new arrays
+    dist, cdf = QUARTERS.copy(), QUARTERS_CDF.copy()
+    dist.flags.writeable = cdf.flags.writeable = False
+    draw = None if u is None else (cdf, u)
+    # the top-k order and the coupled order from u = 9/16 agree here
+    assert speculate_next_next(dist, 0, 3, draw) == [2, 1, 3]
+    assert np.array_equal(dist, QUARTERS) and np.array_equal(cdf, QUARTERS_CDF)
 
 
 @pytest.mark.parametrize("u", [-0.1, 1.0, float("nan")])
