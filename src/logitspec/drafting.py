@@ -9,12 +9,14 @@ draw the next-next token to the token's interval of the tempered
 last-logit CDF. Should the next-next dist equal the last one, the
 nearest is that token, which shared randomness makes a drafter's best
 guess at a sample (Daliri, Musco and Suresh 2024); verification does
-not change. It retrieves continuations for the next token (one
-match_with_fallback query) and for every candidate (one
-NGramIndex.match_candidates call per step), and inserts each path into
-the draft tree as it drafts it. The tree is the budget: capacity bounds
-its draft rows, which is what verification pays for, so a path costs
-only the rows it adds.
+not change. At temperature > 0 the same CDF inverts the uniforms of the
+next depth positions too, in one `searchsorted`: the coupled path, the
+tokens the sampler emits should every later dist equal the last one.
+It retrieves continuations for the next token (one match_with_fallback
+query) and for every candidate (one NGramIndex.match_candidates call
+per step), and inserts each path into the draft tree as it drafts it.
+The tree is the budget: capacity bounds its draft rows, which is what
+verification pays for, so a path costs only the rows it adds.
 
 Next-token paths are drafted to the session's draft depth, a budget
 that `DraftConfig` owns: it starts at DEPTH_FLOOR, grows by 2 toward
@@ -28,7 +30,9 @@ into the end of the source. The text from its occurrence to the pending
 next token is then one period, so the drafter repeats that period up to
 the depth (LZ77's overlapping copy). NGramIndex still returns verbatim
 substrings, and candidate paths keep their prune_budget tails whatever
-the depth.
+the depth. The coupled path is drafted to the depth as well, so it
+grows while its chains verify and shrinks toward the floor when they
+fail.
 """
 
 from __future__ import annotations
@@ -90,11 +94,18 @@ class DraftConfig:
         return max(depth - 1, cls.DEPTH_FLOOR)
 
 
+def _check_uniforms(us: list[float]) -> None:
+    """Raise ValueError unless every uniform of us lies in [0, 1) (a NaN
+    does not)."""
+    if not all(0.0 <= u < 1.0 for u in us):
+        raise ValueError(f"uniforms must lie in [0, 1), got {us}")
+
+
 def speculate_next_next(
     last_dist: np.ndarray,
     next_token: int,
     k: int,
-    draw: tuple[np.ndarray, float] | None = None,
+    draw: tuple[np.ndarray, list[float]] | None = None,
 ) -> list[int]:
     """Up to k next-next candidates from the last logit, never the next
     token; a candidate's 0-based rank is its position in the list.
@@ -102,23 +113,24 @@ def speculate_next_next(
     One rule ranks every temperature: each token gets a key, and the
     tokens come in one stable sort of the keys, smallest first, so ties
     go to the lower id. Without draw (temperature 0) the key is
-    -last_dist, so this is the top of last_dist. With draw = (cdf, u),
-    the coming next-next draw at temperature > 0 (cdf is
+    -last_dist, so this is the top of last_dist. With draw = (cdf, us),
+    the coming draws at temperature > 0 (cdf is
     `models.tempered_cdf(last_dist, temperature)`, which the draw of the
-    next token built, and u the uniform that will draw the next-next
-    token), token j's key is the distance from u to its interval
-    [cdf[j - 1], cdf[j]): max(u - cdf[j], cdf[j - 1] - u, 0). The token
-    whose interval holds u (key 0) is the draw itself should the
-    next-next dist equal the last one.
+    next token built, and us the uniforms of the positions after it, the
+    next-next one first), token j's key is the distance from u = us[0]
+    to its interval [cdf[j - 1], cdf[j]): max(u - cdf[j], cdf[j - 1] -
+    u, 0). The token whose interval holds u (key 0) is the draw itself
+    should the next-next dist equal the last one. A uniform of us outside
+    [0, 1) raises ValueError.
     """
     if k <= 0:
         return []
     if draw is None:
         key = -last_dist
     else:
-        cdf, u = draw
-        if not 0.0 <= u < 1.0:
-            raise ValueError(f"u must be in [0, 1), got {u}")
+        cdf, us = draw
+        _check_uniforms(us)
+        u = us[0]
         key = np.maximum(u - cdf, 0.0)
         np.maximum(key[1:], cdf[:-1] - u, out=key[1:])
     # k + 1 tokens, so k remain once next_token is dropped
@@ -148,30 +160,38 @@ def build_draft(
     cfg: DraftConfig,
     *,
     depth: int = DraftConfig.DEPTH_FLOOR,
-    draw: tuple[np.ndarray, float] | None = None,
+    draw: tuple[np.ndarray, list[float]] | None = None,
 ) -> DraftTree:
     """Build the draft tree for one decode step.
 
-    One plain loop passes the next-token retrievals, then one path per
-    candidate in rank order (candidate token followed by its most recent
-    retrieved continuation, capped by prune_budget; the bare candidate
-    when nothing matches), to `DraftTree.insert`, so rows keep the order
-    in which their paths first appear. Each path is cut to the
-    cfg.capacity - tree.draft_count rows still free, and drafting stops
-    once none is. Candidates past that stop are neither probed nor
-    counted in the tree's queries.
+    One plain loop passes the next-token retrievals, at temperature > 0
+    the coupled path, then one path per candidate in rank order
+    (candidate token followed by its most recent retrieved continuation,
+    capped by prune_budget; the bare candidate when nothing matches), to
+    `DraftTree.insert`, so rows keep the order in which their paths
+    first appear. Each path is cut to the cfg.capacity -
+    tree.draft_count rows still free, and drafting stops once none is.
+    Candidates past that stop are neither probed nor counted in the
+    tree's queries.
 
     Next-token continuations are retrieved at up to depth tokens, and
     one cut short by the source end is drafted as
     `((cont + [next_token]) * depth)[:depth]`. Candidate continuations
     are cut by prune_budget alone.
 
-    draw passes to `speculate_next_next`: at temperature > 0 it is the
-    coming next-next draw, (the tempered CDF of last_dist, the uniform of
-    position len(context) + 1), and candidates come in the coupled
-    order. Without it (temperature 0), a next-token query that hits at
-    its starting length min(m_start, len(context) + 1) drafts its
-    continuations only: no candidate is speculated, probed or counted.
+    draw is the coming draws at temperature > 0: (cdf, us), with cdf the
+    tempered CDF of last_dist and us the uniforms of positions
+    len(context) + 1 .. len(context) + depth, the next-next one first.
+    With it and cfg.top_k > 0, the coupled path
+    `cdf.searchsorted(us, side="right")` (its first depth uniforms) is
+    drafted: the tokens the sampler emits should every later dist equal
+    the last one. It costs no query, and its first row is mostly the
+    rank-0 candidate's. draw then passes to `speculate_next_next`, so
+    candidates come in the coupled order. A uniform outside [0, 1)
+    raises ValueError. Without draw (temperature 0), a next-token query
+    that hits at its starting length min(m_start, len(context) + 1)
+    drafts its continuations only: no candidate is speculated, probed or
+    counted.
     """
     # queries read at most m_start tokens back, so only the context's
     # tail is copied
@@ -188,10 +208,20 @@ def build_draft(
         tree.insert(cont[: full - len(ids)])
         if len(ids) >= full:
             return tree
-    # a full-length greedy hit rarely loses to a candidate, and greedy
-    # verification emits the same tokens whatever the draft holds
-    if draw is None and used_m == m_next:
-        return tree
+    if draw is None:
+        # a full-length greedy hit rarely loses to a candidate, and
+        # greedy verification emits the same tokens whatever the draft
+        # holds
+        if used_m == m_next:
+            return tree
+    elif cfg.top_k > 0:
+        # the coupled path: the draws of the next depth positions should
+        # every later dist equal the last one
+        cdf, us = draw
+        _check_uniforms(us)
+        tree.insert(cdf.searchsorted(us[:depth], side="right").tolist()[: full - len(ids)])
+        if len(ids) >= full:
+            return tree
 
     candidates = speculate_next_next(last_dist, next_token, cfg.top_k, draw)
     if not candidates:

@@ -21,15 +21,17 @@ first step's root, as every bonus is emitted as the next step's root.
 Drafts only decide how many draws one forward call serves, so for a seed
 every mode emits exactly the autoregressive tokens.
 
-At temperature > 0 the drafter takes the coming next-next draw as one
-value, `draw = (cdf, u)`: the tempered CDF the pending token was drawn
-from (`VerifyOutcome.next_cdf`) and the uniform of the next-next
-position (past_len + 1), read before verification draws with it. It
-ranks the last-logit candidates by the distance from u to their
-intervals of that CDF (`speculate_next_next`), so the candidate first in
-line is the token the draw picks whenever the next-next dist equals the
-last one. At temperature 0 draw is None and the candidates are the last
-logit's top-k.
+At temperature > 0 the drafter takes the coming draws as one value,
+`draw = (cdf, us)`: the tempered CDF the pending token was drawn from
+(`VerifyOutcome.next_cdf`) and, in one block read, the uniforms of the
+depth positions after it (past_len + 1 .. past_len + depth), read before
+verification draws with them. It ranks the last-logit candidates by the
+distance from us[0] to their intervals of that CDF
+(`speculate_next_next`), so the candidate first in line is the token the
+draw picks whenever the next-next dist equals the last one, and
+logitspec also drafts the coupled path, that CDF's draws for every
+uniform of us (`build_draft`). At temperature 0 draw is None and the
+candidates are the last logit's top-k.
 
 The retrieval modes draft next-token paths to a per-session depth that
 starts at `DraftConfig.DEPTH_FLOOR` and moves after every step by
@@ -45,9 +47,10 @@ Modes:
                   step, so at most 2 tokens per forward).
   retrieval_only  next-token retrieval continuations only.
   logitspec       retrieval for the next token and for each speculated
-                  next-next candidate; at temperature 0 the candidates
-                  are skipped on steps whose next-token query hits at
-                  full length.
+                  next-next candidate; at temperature > 0 also the
+                  coupled path to the draft depth, and at temperature 0
+                  the candidates are skipped on steps whose next-token
+                  query hits at full length.
 """
 
 from __future__ import annotations
@@ -141,13 +144,13 @@ def _build_step_draft(
     context: list[int],
     pending: int,
     last_dist: np.ndarray,
-    draw: tuple[np.ndarray, float] | None = None,
+    draw: tuple[np.ndarray, list[float]] | None = None,
     depth: int = DraftConfig.DEPTH_FLOOR,
 ) -> DraftTree:
-    """The step's draft tree. draw is the coming next-next draw at
-    temperature > 0, (the tempered CDF of last_dist, the uniform of
-    position len(context) + 1), and None at 0. depth bounds the
-    retrieval modes' next-token paths."""
+    """The step's draft tree. draw is the coming draws at temperature >
+    0, (the tempered CDF of last_dist, the uniforms of positions
+    len(context) + 1 .. len(context) + depth), and None at 0. depth
+    bounds the retrieval modes' next-token and coupled paths."""
     if cfg.mode == "autoregressive":
         return DraftTree(len(context), [pending], [-1])
     if cfg.mode == "last_logit":
@@ -199,7 +202,9 @@ def decode(
     records: list[StepRecord] = []
     while True:
         pending, last_dist = outcome.bonus, outcome.next_dist
-        draw = None if uniforms is None else (outcome.next_cdf, uniforms[len(state) + 1])
+        draw = None
+        if uniforms is not None:
+            draw = (outcome.next_cdf, uniforms[len(state) + 1 : len(state) + 1 + depth])
         tree = _build_step_draft(cfg, index, state.committed, pending, last_dist, draw, depth)
         if tree_observer is not None:
             tree_observer(tree)

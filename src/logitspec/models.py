@@ -380,22 +380,38 @@ class Uniforms:
     """One decode's uniforms keyed by sequence position: position
     start + i reads the i-th `rng.random()` draw. Draws happen lazily
     and in position order (`rng.random(n)` returns the values of n
-    single draws), so reading a position early, as the drafter does for
-    the next-next token, changes no value and no later draw."""
+    single draws), so reading positions early, as the drafter does for
+    the positions after the next token, changes no value and no later
+    draw.
+
+    `uniforms[pos]` reads one position as a float, and
+    `uniforms[lo:hi]` reads positions lo .. hi - 1 in one block, as a
+    new list of floats. A position before start raises IndexError."""
 
     def __init__(self, rng: np.random.Generator, start: int):
         self.rng = rng
         self.start = start
         self._values: list[float] = []
 
-    def __getitem__(self, pos: int) -> float:
+    def _index(self, pos: int, n: int = 1) -> int:
+        """pos's index in the stream, once positions pos .. pos + n - 1
+        are drawn."""
         i = pos - self.start
         if i < 0:
             raise IndexError(f"position {pos} precedes the stream start {self.start}")
         values = self._values
-        if i >= len(values):
-            values.extend(self.rng.random(i + 1 - len(values)).tolist())
-        return values[i]
+        if i + n > len(values):
+            values.extend(self.rng.random(i + n - len(values)).tolist())
+        return i
+
+    def __getitem__(self, pos: int | slice) -> float | list[float]:
+        if isinstance(pos, slice):
+            if pos.step is not None:
+                raise ValueError("a block read takes positions lo:hi")
+            n = max(pos.stop - pos.start, 0)
+            i = self._index(pos.start, n)
+            return self._values[i : i + n]
+        return self._values[self._index(pos)]
 
 
 def save_model_file(path: str | Path, model: MarkovTableModel) -> None:

@@ -18,9 +18,12 @@ with the same uniform autoregressive decoding would use there, so a seed
 gives the same tokens in every mode. Which drafts a step carries never
 moves a uniform, even a drafter that reads the next uniform first.
 Every token a decode emits is drawn here, the first included (on a
-one-row tree under the prompt's last token). The bonus draw's tempered
-CDF is handed to the next step's drafter, which orders its candidates on
-that CDF.
+one-row tree under the prompt's last token). A stochastic walk builds
+one tempered CDF per distinct dist, so a walk down a chain whose rows
+share one dist (as a model's unseen-context row does) builds it once.
+The bonus draw's tempered CDF is handed to the next step's drafter,
+which orders its candidates on that CDF and drafts the coupled path
+from it.
 """
 
 from __future__ import annotations
@@ -117,13 +120,19 @@ def verify_stochastic(
 
     The token at depth d (position tree.past_len + d + 1) is
     `sample_uniform` of that position's uniform in the decode's
-    position-keyed stream.
+    position-keyed stream. The tempered CDF of each distinct dist is
+    built once per call.
     """
     first = tree.past_len + 1
+    # keyed by id: dists keeps every array alive for the call, so no id
+    # is reused
+    cdfs: dict[int, np.ndarray] = {}
 
     def draw(d: np.ndarray, depth: int) -> tuple[int, np.ndarray]:
         # sample_uniform, keeping its CDF
-        cdf = tempered_cdf(d, temperature)
+        cdf = cdfs.get(id(d))
+        if cdf is None:
+            cdf = cdfs[id(d)] = tempered_cdf(d, temperature)
         return int(cdf.searchsorted(uniforms[first + depth], side="right")), cdf
 
     return _walk(tree, dists, draw)

@@ -63,7 +63,18 @@ before -> after: T=0 retrieval_only 82969f5a...85e0c37 ->
 2887c869...d3fe202, T=0 logitspec 72f7ae22...e33e9889 ->
 f98a0072...5ae49edd. Tree digests: T=0 retrieval_only
 e8aee85e...7ae251e -> 42eb49ae...f85341, T=0 logitspec
-f4495174...7aed6096 -> 7b9521ef...2794d2. No T=1 digest moved."""
+f4495174...7aed6096 -> 7b9521ef...2794d2. No T=1 digest moved.
+
+The two T=1 logitspec digests (decode and tree) were re-recorded when,
+at T>0, logitspec began drafting the coupled path: the tokens the
+tempered last-logit CDF draws with the uniforms of the next depth
+positions. No token moved (the tokens-only sha256 of every mode's
+decodes is unchanged at T = 0.5, 1 and 2, rep 0.7 and 0.2). Steps fell
+1065 -> 623 (MAT 1.9315 -> 3.3018), so accepted lengths, draft sizes,
+next-next ranks and trees moved. Decode digest, before -> after: T=1
+logitspec a52e8975...a082d7d9 -> eda39b5c...eb4e284. Tree digest: T=1
+logitspec 56b87f5b...d28278f6f -> 0f8efa20...4d190480. No other digest
+moved."""
 
 from __future__ import annotations
 
@@ -112,8 +123,8 @@ DIGESTS = {
             "035a191a3b3c66b0e0f6f29cb5c763e8"
         ),
         "logitspec": (
-            "a52e897565632c33d102940d7e877579"
-            "f8a27fbcf793cae8f71fa2bda082d7d9"
+            "eda39b5c67161d099ee60fb890895599"
+            "4f1dbf40862c2dd8305ddfd5eeb4e284"
         ),
     },
 }
@@ -153,8 +164,8 @@ TREE_DIGESTS = {
             "5474dba8e2d884863abbeb918bdf50e5"
         ),
         "logitspec": (
-            "56b87f5bf024e2829b01350c5d163f34"
-            "11d781328c1031b833f9618d28278f6f"
+            "0f8efa2035f1e41e0f592bfabafb3e19"
+            "59198f1103fda7aeba859623d4190480"
         ),
     },
 }
@@ -220,7 +231,7 @@ def test_draft_trees_identical_to_reference(setting, mode):
 
 @pytest.mark.parametrize(
     "setting",
-    [(0.5, 0.7), (1.0, 0.7), (2.0, 0.7), (1.0, 0.2)],
+    [(0.5, 0.7), (1.0, 0.7), (2.0, 0.7), (0.5, 0.2), (1.0, 0.2), (2.0, 0.2)],
     # rep 0.7 cases keep their ids from before rep 0.2 was added
     ids=lambda s: f"T{s[0]:g}" + ("" if s[1] == 0.7 else f"-rep{s[1]:g}"),
 )
@@ -229,7 +240,8 @@ def test_sampled_tokens_equal_autoregressive(setting, mode):
     # every emitted token is one draw on the dist autoregressive decoding
     # draws it from, so a seed gives the same tokens in every mode; at
     # rep 0.2 most rows are the unseen row, where the drafter's coupled
-    # candidates are accepted most
+    # candidates and coupled path are accepted most, and at T = 0.5 and 2
+    # the tempered CDF is not the dist's own
     reference = decode_corpus(*setting, "autoregressive")[0]
     for i, result in enumerate(decode_corpus(*setting, mode)[0]):
         assert result.tokens == reference[i].tokens, i

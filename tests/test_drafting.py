@@ -80,18 +80,18 @@ def coupled_order(cdf, next_token, k, u):
 def test_speculate_with_uniform_puts_the_holder_first():
     # u = 1/16 lies in token 0's interval [0, 0.125); the top-k order
     # would start with token 2
-    assert speculate_next_next(QUARTERS, 3, 3, (QUARTERS_CDF, 0.0625)) == [0, 1, 2]
-    assert speculate_next_next(QUARTERS, 3, 2, (QUARTERS_CDF, 0.0625)) == [0, 1]
+    assert speculate_next_next(QUARTERS, 3, 3, (QUARTERS_CDF, [0.0625])) == [0, 1, 2]
+    assert speculate_next_next(QUARTERS, 3, 2, (QUARTERS_CDF, [0.0625, 0.9])) == [0, 1]
     assert speculate_next_next(QUARTERS, 3, 3) == [2, 1, 0]
 
 
 def test_speculate_with_uniform_excludes_next_token_and_ties_go_low():
     # u = 9/16 lies in token 2's interval [0.375, 0.75); tokens 1 and 3
     # both lie 3/16 from it
-    assert speculate_next_next(QUARTERS, 0, 3, (QUARTERS_CDF, 0.5625)) == [2, 1, 3]
-    assert speculate_next_next(QUARTERS, 2, 3, (QUARTERS_CDF, 0.5625)) == [1, 3, 0]
-    assert speculate_next_next(QUARTERS, 2, 10, (QUARTERS_CDF, 0.5625)) == [1, 3, 0]
-    assert speculate_next_next(QUARTERS, 2, 0, (QUARTERS_CDF, 0.5625)) == []
+    assert speculate_next_next(QUARTERS, 0, 3, (QUARTERS_CDF, [0.5625])) == [2, 1, 3]
+    assert speculate_next_next(QUARTERS, 2, 3, (QUARTERS_CDF, [0.5625])) == [1, 3, 0]
+    assert speculate_next_next(QUARTERS, 2, 10, (QUARTERS_CDF, [0.5625])) == [1, 3, 0]
+    assert speculate_next_next(QUARTERS, 2, 0, (QUARTERS_CDF, [0.5625])) == []
 
 
 def test_speculate_without_uniform_is_the_top_k():
@@ -127,7 +127,7 @@ def test_speculate_coupled_order_equals_reference(temperature):
         next_token, k = int(rng.integers(0, vocab)), int(rng.integers(0, vocab + 2))
         cdf = tempered_cdf(dist, temperature)
         want = coupled_order(cdf, next_token, k, u)
-        assert speculate_next_next(dist, next_token, k, (cdf, u)) == want, case
+        assert speculate_next_next(dist, next_token, k, (cdf, [u])) == want, case
 
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
@@ -142,7 +142,7 @@ def test_speculate_coupled_first_candidate_is_the_draw(temperature):
         u = float(rng.random())
         drawn = sample_uniform(dist, temperature, u)
         next_token = int(rng.integers(0, 16))
-        cands = speculate_next_next(dist, next_token, 4, (tempered_cdf(dist, temperature), u))
+        cands = speculate_next_next(dist, next_token, 4, (tempered_cdf(dist, temperature), [u]))
         assert (cands[0] == drawn) == (next_token != drawn)
         assert next_token not in cands
 
@@ -152,7 +152,7 @@ def test_speculate_reads_read_only_inputs_and_leaves_them(u):
     # decode passes read-only model rows; the key is built in new arrays
     dist, cdf = QUARTERS.copy(), QUARTERS_CDF.copy()
     dist.flags.writeable = cdf.flags.writeable = False
-    draw = None if u is None else (cdf, u)
+    draw = None if u is None else (cdf, [u])
     # the top-k order and the coupled order from u = 9/16 agree here
     assert speculate_next_next(dist, 0, 3, draw) == [2, 1, 3]
     assert np.array_equal(dist, QUARTERS) and np.array_equal(cdf, QUARTERS_CDF)
@@ -160,8 +160,26 @@ def test_speculate_reads_read_only_inputs_and_leaves_them(u):
 
 @pytest.mark.parametrize("u", [-0.1, 1.0, float("nan")])
 def test_speculate_rejects_uniform_outside_unit_interval(u):
+    # at any position of us, not only the next-next one that it reads
     with pytest.raises(ValueError):
-        speculate_next_next(QUARTERS, 0, 2, (QUARTERS_CDF, u))
+        speculate_next_next(QUARTERS, 0, 2, (QUARTERS_CDF, [u]))
+    with pytest.raises(ValueError):
+        speculate_next_next(QUARTERS, 0, 2, (QUARTERS_CDF, [0.5, 0.25, u]))
+
+
+@pytest.mark.parametrize("u", [-0.1, 1.0, float("nan")])
+@pytest.mark.parametrize("at", [0, 1, 7])
+def test_build_draft_rejects_uniform_outside_unit_interval(u, at):
+    # the coupled path would map u >= 1 to token id len(cdf), outside the
+    # vocab, and a negative u to token 0. At capacity 4 the path fills the
+    # draft, so no candidate is ranked
+    us = [0.5] * 8
+    us[at] = u
+    for capacity in (4, 60):
+        index = NGramIndex.build([0, 1, 2, 3], m_max=3)
+        cfg = DraftConfig(top_k=1, capacity=capacity)
+        with pytest.raises(ValueError):
+            build_draft(index, [0, 1, 2], 3, QUARTERS, cfg, draw=(QUARTERS_CDF, us))
 
 
 def test_prune_budget_tiers():
@@ -329,7 +347,9 @@ def test_build_draft_duplicate_next_token_paths_leave_rows_to_candidates():
     # 8-token path, so the second adds no row and the candidates fill the
     # rows left under capacity 12. At T=1 the CDF of last_dist (in 127ths)
     # gives a [0, 32), b [32, 40), c [40, 104), 4 [104, 108), 5 [108, 124),
-    # 6 [124, 126), 7 [126, 127) and 0 nothing at 0, so u = 0.2 orders the
+    # 6 [124, 126), 7 [126, 127) and 0 nothing at 0, so the uniforms 0.2,
+    # 0.3 and 0.5 draw a, b and c: the coupled path "a b c a b c a b" is
+    # the next-token path and adds no row either, and u = 0.2 orders the
     # candidates a, b, 0, 4, 5, 6. Candidate a's query "b c a" hits and
     # follows the next-token rows; b, 0, 4 and 5 miss and take one row
     # each, which fills the draft, so 6 is never queried.
@@ -338,7 +358,7 @@ def test_build_draft_duplicate_next_token_paths_leave_rows_to_candidates():
     index = NGramIndex.build(source, m_max=3)
     cfg = DraftConfig(top_k=6, capacity=12, m_start=3)
     last_dist = make_dist([c, a, 5, b, 4, 6, 7], vocab=8)
-    draw = (tempered_cdf(last_dist, 1.0), 0.2)
+    draw = (tempered_cdf(last_dist, 1.0), [0.2, 0.3, 0.5] * 2 + [0.2, 0.3])
     draft = build_draft(index, source, c, last_dist, cfg, draw=draw)
     assert rows(draft) == (
         len(source), [c, a, b, c, a, b, c, a, b, b, 0, 4, 5], [-1, *range(8), 0, 0, 0, 0]
@@ -365,10 +385,10 @@ def test_build_draft_greedy_full_length_hit_skips_candidates(context, m_start):
     assert (draft.queries, draft.hits, index.probe_count) == (1, 1, 1)
     # "4 1 2" runs into the source end, so its period "4 1 2 3" repeats
     assert rows(draft) == merged(context, 3, [[4, 1, 2, 3, 4, 1, 2, 3]])
-    # the same step drafts candidates when sampling, in rows after the
-    # next-token rows
+    # the same step drafts the coupled path and candidates when
+    # sampling, in rows after the next-token rows
     index = NGramIndex.build(source, m_max=m_start)
-    draw = (tempered_cdf(last_dist, 1.0), 0.5)
+    draw = (tempered_cdf(last_dist, 1.0), [0.5] * DraftConfig.DEPTH_FLOOR)
     sampled = build_draft(index, context, 3, last_dist, cfg, draw=draw)
     assert sampled.draft_ids[: draft.seq_len] == draft.draft_ids
     assert sampled.parents[: draft.seq_len] == draft.parents
@@ -397,7 +417,9 @@ def test_build_draft_greedy_without_full_length_hit_drafts_candidates(
     # at 8/31) and 4 [24/31, 25/31) follow, then 5 (empty at 25/31); next
     # token 5 holds it in [9/31, 25/31) and 4 [8/31, 9/31) then 1, 2 and
     # 3 (1 is [0, 8/31), 2 and 3 empty at 8/31) follow. Only candidate 4
-    # after "2 3" hits, and its path follows the next-token rows.
+    # after "2 3" hits, and its path follows the next-token rows. Every
+    # uniform 0.5 draws the next token, so the coupled path repeats it to
+    # the depth, in rows between the next-token and the candidate rows.
     source = [0, 1, 2, 3, 4, 9, 2]
     cfg = DraftConfig(top_k=4, capacity=60, m_start=3)
     last_dist = make_dist([next_token, 1, 6, 7, 4], vocab=10)
@@ -405,12 +427,14 @@ def test_build_draft_greedy_without_full_length_hit_drafts_candidates(
     build_draft(index, source, next_token, last_dist, DraftConfig(top_k=0, m_start=3))
     assert index.probe_count == next_probes
     drafts, probes = [], []
-    for draw in (None, (tempered_cdf(last_dist, 1.0), 0.5)):
+    depth = DraftConfig.DEPTH_FLOOR
+    for draw in (None, (tempered_cdf(last_dist, 1.0), [0.5] * depth)):
         index = NGramIndex.build(source, m_max=3)
         drafts.append(build_draft(index, source, next_token, last_dist, cfg, draw=draw))
         probes.append(index.probe_count)
     assert rows(drafts[0]) == merged(source, next_token, next_paths + greedy_cands)
-    assert rows(drafts[1]) == merged(source, next_token, next_paths + sampled_cands)
+    coupled = [[next_token] * depth]
+    assert rows(drafts[1]) == merged(source, next_token, next_paths + coupled + sampled_cands)
     assert (drafts[0].queries, drafts[0].hits) == (drafts[1].queries, drafts[1].hits)
     assert drafts[0].queries == 1 + cfg.top_k
     assert probes[0] == probes[1]
@@ -428,9 +452,12 @@ def naive_build_draft(source, context, next_token, last_dist, cfg, depth, draw=N
     (each path cut to the rows its merged trie has free under capacity,
     stop once they are all drafted), the period rule (a next-token
     continuation cut short by the source end cycles through itself and
-    the next token up to depth tokens) and the greedy rule (without a
-    draw, a next-token hit at full length ends the draft).
-    Probes count one index lookup per gram length tried."""
+    the next token up to depth tokens), the greedy rule (without a draw,
+    a next-token hit at full length ends the draft) and the coupled rule
+    (with a draw and candidates, the path of the tokens whose intervals
+    of the CDF hold the first depth uniforms, one at a time, follows the
+    next-token paths). Probes count one index lookup per gram length
+    tried."""
     suffix = list(context) + [next_token]
     sequences = []
     counts = {"queries": 0, "hits": 0, "probes": 0}
@@ -468,8 +495,13 @@ def naive_build_draft(source, context, next_token, last_dist, cfg, depth, draw=N
     if draw is None:
         candidates = speculate_next_next(last_dist, next_token, cfg.top_k)
     else:
-        cdf, u = draw
-        candidates = coupled_order(cdf, next_token, cfg.top_k, u)
+        cdf, us = draw
+        if cfg.top_k > 0:
+            # token j's interval is [cdf[j - 1], cdf[j])
+            path = [next(j for j, c in enumerate(cdf) if c > u) for u in us[:depth]]
+            if not add(path):
+                return result()
+        candidates = coupled_order(cdf, next_token, cfg.top_k, us[0])
     for rank, cand in enumerate(candidates):
         m_start = min(cfg.m_start, len(suffix) + 1)
         # a candidate's tail is its prune budget, whatever the depth
@@ -503,10 +535,10 @@ def test_build_draft_equals_per_candidate_reference_random():
         index = NGramIndex.build(source, m_max=cfg.m_start)
         last_dist = rng.random(vocab + 2)
         last_dist /= last_dist.sum()
-        # half the cases draft greedily, half at T=1 with a drawn uniform
+        # half the cases draft greedily, half at T=1 with drawn uniforms
         draw = None
         if rng.integers(0, 2) == 0:
-            draw = (tempered_cdf(last_dist, 1.0), float(rng.random()))
+            draw = (tempered_cdf(last_dist, 1.0), rng.random(depth).tolist())
 
         draft = build_draft(index, context, next_token, last_dist, cfg, depth=depth, draw=draw)
         sequences, queries, hits, probes = naive_build_draft(
@@ -517,8 +549,10 @@ def test_build_draft_equals_per_candidate_reference_random():
 
 
 def test_build_draft_coupled_equals_per_candidate_reference_random():
-    # at T > 0 the candidates come in the coupled order; bare candidates
-    # (a miss) often repeat rows, which the small vocabs make common
+    # at T > 0 the coupled path follows the next-token paths and the
+    # candidates come in the coupled order; bare candidates (a miss) and
+    # the path's first row often repeat rows, which the small vocabs make
+    # common
     rng = np.random.default_rng(41)
     for case in range(600):
         vocab = int(rng.integers(3, 12))
@@ -533,9 +567,9 @@ def test_build_draft_coupled_equals_per_candidate_reference_random():
         index = NGramIndex.build(context, m_max=cfg.m_start)
         last_dist = rng.random(vocab + 2)
         last_dist /= last_dist.sum()
-        u, temperature = float(rng.random()), float(rng.choice([0.5, 1.0, 2.0]))
+        us, temperature = rng.random(depth).tolist(), float(rng.choice([0.5, 1.0, 2.0]))
 
-        draw = (tempered_cdf(last_dist, temperature), u)
+        draw = (tempered_cdf(last_dist, temperature), us)
         draft = build_draft(index, context, next_token, last_dist, cfg, depth=depth, draw=draw)
         sequences, queries, hits, probes = naive_build_draft(
             context, context, next_token, last_dist, cfg, depth, draw
@@ -575,7 +609,7 @@ def test_build_draft_probe_count_flat_in_source_length():
         last_dist /= last_dist.sum()
         probes = []
         # sampled, so a full-length next-token hit still drafts candidates
-        draw = (tempered_cdf(last_dist, 1.0), 0.5)
+        draw = (tempered_cdf(last_dist, 1.0), [0.5] * DraftConfig.DEPTH_FLOOR)
         for source in (block, block * 100):
             index = NGramIndex.build(source, m_max=cfg.m_start)
             draft = build_draft(index, context, next_token, last_dist, cfg, draw=draw)

@@ -20,7 +20,7 @@ from logitspec import (
 from logitspec.cli import prompt_row
 from logitspec.corpus import gen_corpus
 from logitspec.engine import MODES, PHASES, DecodeMetrics, DecodeResult, StepRecord
-from logitspec.models import Model
+from logitspec.models import Model, Uniforms, sample_uniform
 
 # next-next rank bucket -> its range of 0-based ranks [lo, hi)
 RANK_RANGES = {
@@ -378,12 +378,15 @@ def test_first_three_tokens_follow_tempered_joint(mode, temperature):
 
 @pytest.mark.parametrize("mode", ["last_logit", "logitspec"])
 def test_coupled_candidate_accepted_when_next_dist_equals_last(mode):
-    # every context gets one dist (eos unreachable), so the dist after
-    # the pending token is the last dist, and the candidate whose
-    # interval holds the next-next position's uniform is the draw: every
-    # step accepts a depth-1 draft, unless the draw is the pending token
-    # itself, which is never a candidate. Four candidates out of 63
-    # tokens: a top-k draft would miss most draws
+    # every context gets one dist (eos unreachable), so every later dist
+    # is the last dist. last_logit: the candidate whose interval holds
+    # the next-next position's uniform is the draw, so every step accepts
+    # a depth-1 draft, unless the draw is the pending token itself, which
+    # is never a candidate. Four candidates out of 63 tokens: a top-k
+    # draft would miss most draws. logitspec: the coupled path is the
+    # sampler's next depth draws, so every step accepts the whole depth
+    # and the depth grows on its schedule up to the cap; max_new_tokens
+    # cuts the last step
     rng = np.random.default_rng(19)
     d = np.append(rng.dirichlet(np.ones(63)), 0.0)
     model = ScriptedModel(VocabSpec(64, 63), {}, d)
@@ -400,12 +403,60 @@ def test_coupled_candidate_accepted_when_next_dist_equals_last(mode):
         )
         pasts = []
         result = decode(model, prompt, cfg, tree_observer=lambda t: pasts.append(t.past_len))
+        assert result.tokens == decode(model, prompt, replace(cfg, mode="autoregressive")).tokens
+        if mode == "logitspec":
+            depth = DraftConfig.DEPTH_FLOOR
+            for rec in result.step_records[:-1]:
+                assert rec.accepted_len == depth, seed
+                depth = DraftConfig.next_depth(depth, rec.accepted_len)
+                checked += 1
+            assert result.step_records[-1].accepted_len <= depth
+            assert depth == DraftConfig.DEPTH_CAP
+            continue
         full = prompt + result.tokens
         for past, rec in zip(pasts, result.step_records):
             if past + 1 < len(full) and full[past + 1] != full[past]:
                 assert rec.accepted_len >= 1, (seed, past)
                 checked += 1
-    assert checked > 500
+    assert checked > (500 if mode == "last_logit" else 60)
+
+
+def test_coupled_path_accepts_nothing_when_later_dists_differ():
+    # the dist after an even token puts all its mass on odd tokens and
+    # the reverse (eos unreachable), so the next-next token never has the
+    # parity of the pending one, while the coupled path, drawn from the
+    # pending token's own dist, always starts with that parity. The path
+    # is drafted on every step, no step accepts its first row, and every
+    # seed still emits autoregressive's tokens
+    rng = np.random.default_rng(29)
+    dist_for = {}
+    for t in range(64):
+        d = np.zeros(64)
+        d[(t + 1) % 2 : 63 : 2] = rng.dirichlet(np.ones(31 + t % 2))
+        dist_for[t] = d
+    model = LastTokenModel(VocabSpec(64, 63), dist_for)
+    prompt = rng.integers(0, 63, size=8).tolist()
+    checked = 0
+    for seed in range(10):
+        cfg = DecodeConfig(
+            mode="logitspec", max_new_tokens=64, temperature=1.0, seed=seed,
+            draft=DraftConfig(top_k=4),
+        )
+        trees = []
+        result = decode(model, prompt, cfg, tree_observer=trees.append)
+        assert result.tokens == decode(model, prompt, replace(cfg, mode="autoregressive")).tokens
+        full = prompt + result.tokens
+        uniforms = Uniforms(np.random.default_rng(seed), len(prompt))
+        for tree, rec in zip(trees, result.step_records):
+            past = tree.past_len
+            # the path's first token: the pending token's dist and the
+            # next-next position's uniform
+            first = sample_uniform(dist_for[full[past - 1]], 1.0, uniforms[past + 1])
+            assert any(p == 0 and t == first for p, t in zip(tree.parents, tree.draft_ids))
+            if rec.accepted_len:
+                assert full[past + 1] != first
+                checked += 1
+    assert checked > 50
 
 
 def test_eos_truncates_accepted_span():

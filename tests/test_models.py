@@ -320,6 +320,29 @@ def test_uniforms_are_keyed_by_position():
         stream[9]
 
 
+def test_uniforms_block_read_equals_per_position_reads():
+    # a block read draws what it needs in position order, like reads one
+    # position at a time, and moves no value read before or after it
+    plain = np.random.default_rng(8)
+    want = [plain.random() for _ in range(30)]
+    stream = Uniforms(np.random.default_rng(8), start=5)
+    first = stream[7]
+    block = stream[6:22]
+    assert block == want[1:17]
+    assert stream[7] == first == want[2]
+    assert stream[12:15] == want[7:10]  # inside what was drawn
+    assert stream[20:35] == want[15:30]  # partly beyond it
+    assert [stream[pos] for pos in range(5, 35)] == want
+    assert stream.rng.bit_generator.state == plain.bit_generator.state
+    # a block read returns a copy
+    block[0] = 2.0
+    assert stream[6] == want[1]
+    with pytest.raises(IndexError):
+        stream[4:8]
+    with pytest.raises(IndexError):
+        stream[4:5]
+
+
 def _hand_counts(sequences, order):
     """The dict-of-counters training loop the table replaced."""
     counts: dict[tuple[int, ...], dict[int, int]] = {}

@@ -43,7 +43,17 @@ fewer steps (logitspec 31 -> 26, MAT 5.484 -> 6.538; retrieval_only 32
 -> 27, MAT 5.313 -> 6.296) and evaluate fewer tree rows (forward:
 logitspec 465 -> 454, retrieval_only 323 -> 312). Report
 907a30c1...a8ff0d4 -> 45aa4e4d...5236697. The first tree is drafted at
-the floor, so both dumps are unchanged, and so is the T1 report."""
+the floor, so both dumps are unchanged, and so is the T1 report.
+
+Both T1 digests were re-recorded when, at T>0, logitspec began drafting
+the coupled path: the tokens the tempered last-logit CDF draws with the
+uniforms of the next depth positions. No token moved. logitspec needs
+fewer steps (73 -> 28, MAT 1.918 -> 5.0) and evaluates fewer tree rows
+(forward 1561 -> 815); last_logit's rows did not move. The dump's first
+logitspec tree gains the path's rows between its next-token rows and
+its candidate rows (33 -> 40 rows). Report 09e060d1...7529d9ea ->
+54d9190e...8c603088, dump 380d003b...a0b04bf -> 5c229078...c8382be0a.
+The T0 report and dump are unchanged."""
 
 from __future__ import annotations
 
@@ -60,8 +70,8 @@ GOLDEN = {
         "7d3e56cde4777abb33074d42590cc90464174ca7f527ac045e89e6abc10ec88f",
     ),
     "T1-logitspec-last_logit": (
-        "09e060d15d509fce2ff6fd33845291eb7c5a638a210ac27e186e0e367529d9ea",
-        "380d003ba2bafd5b53e085a771168a3be33c3e76a4315be5caaa64ff0a0b04bf",
+        "54d9190eec8a56e60379c8d75119ec9b73b767138500c9d826cc09288c603088",
+        "5c229078dfcb9f284d1c9ec816b301c6b63557bce32fd64ef6944d5c8382be0a",
     ),
 }
 

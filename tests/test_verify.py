@@ -257,3 +257,35 @@ def test_stochastic_reads_the_uniform_of_each_depths_position():
         # the bonus draw hands its CDF on to the next step's drafter
         np.testing.assert_array_equal(got.next_cdf, tempered_cdf(got.next_dist, temperature))
         assert verify_greedy(tree, dists).next_cdf is None
+
+
+@pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+def test_stochastic_builds_one_cdf_per_distinct_dist(monkeypatch, temperature):
+    # a chain whose rows share one dist array (as a model's unseen row
+    # does) builds its tempered CDF once per call, and every draw is
+    # still sample_uniform of its own row and position
+    import logitspec.verify as verify_module
+
+    calls = []
+
+    def counting_cdf(d, t):
+        calls.append(id(d))
+        return tempered_cdf(d, t)
+
+    monkeypatch.setattr(verify_module, "tempered_cdf", counting_cdf)
+    shared = np.full(3, 1.0 / 3)
+    other = np.array([0.2, 0.5, 0.3])
+    rng = np.random.default_rng(3)
+    for case in range(200):
+        path = rng.integers(0, 3, size=12).tolist()
+        tree = prepare_attention_inputs(int(rng.integers(0, 9)), 0, [path])
+        dists = [shared if rng.random() < 0.8 else other for _ in range(tree.seq_len)]
+        calls.clear()
+        stream = Uniforms(np.random.default_rng(case), tree.past_len + 1)
+        got = verify_stochastic(tree, dists, stream, temperature)
+        walked = dists[: len(got.accepted) + 1]
+        assert len(calls) == len({id(d) for d in walked}), case
+        for depth, tok in enumerate([*got.accepted, got.bonus]):
+            u = stream[tree.past_len + depth + 1]
+            assert tok == sample_uniform(walked[depth], temperature, u), case
+        np.testing.assert_array_equal(got.next_cdf, tempered_cdf(got.next_dist, temperature))
