@@ -9,34 +9,22 @@ the model state's tokens with no model call (the tree pass already
 evaluated them), so the model runs once per step after the prefill; the
 retrieval index keeps its own copy of the prompt and emitted tokens.
 
-Every token, the first included, is a verification draw with its
-position's uniform: argmax at temperature 0, and otherwise the
-inverse-CDF draw `models.sample_uniform` of the tempered dist with the
-uniform of the token's position, which `models.Uniforms` serves from the
-decode seed's rng, one `rng.random()` per position in position order.
-The first token is drawn by the same verify call as every later one, on
-a one-row tree under the prompt's last token with the prefill's last
-dist. That draw makes no `StepRecord`: its token is emitted as the
-first step's root, as every bonus is emitted as the next step's root.
-Drafts only decide how many draws one forward call serves, so for a seed
-every mode emits exactly the autoregressive tokens.
+Every token, the first included, is a verification draw by the decode's
+one draw rule, which `decode` builds from the temperature: the argmax
+(`models.Greedy`) at 0, and otherwise the inverse-CDF draw of the
+tempered dist at the uniform of the token's position (`models.InverseCDF`
+over `models.Uniforms`, one `rng.random()` of the decode seed per
+position). The first token is drawn on a one-row tree under the prompt's
+last token with the prefill's last dist and makes no `StepRecord`: it is
+emitted as the first step's root, as every bonus is emitted as the next
+step's root. Drafts only decide how many draws one forward call serves,
+so for a seed every mode emits exactly the autoregressive tokens. The
+drafter takes the same rule: its key ranks the next-next candidates
+(`speculate_next_next`), and logitspec drafts its coupled path
+(`build_draft`).
 
-At temperature > 0 the drafter takes the coming draws as one value,
-`draw = (cdf, us)`: the tempered CDF the pending token was drawn from
-(`VerifyOutcome.next_cdf`) and, in one block read, the uniforms of the
-depth positions after it (past_len + 1 .. past_len + depth), read before
-verification draws with them. It ranks the last-logit candidates by the
-distance from us[0] to their intervals of that CDF
-(`speculate_next_next`), so the candidate first in line is the token the
-draw picks whenever the next-next dist equals the last one, and
-logitspec also drafts the coupled path, that CDF's draws for every
-uniform of us (`build_draft`). At temperature 0 draw is None and the
-candidates are the last logit's top-k.
-
-The retrieval modes draft next-token paths to a per-session depth that
-starts at `DraftConfig.DEPTH_FLOOR` and moves after every step by
-`DraftConfig.next_depth`: deeper after a step that accepted the whole
-depth, shallower otherwise.
+The retrieval modes draft to a per-session depth that
+`DraftConfig.next_depth` moves after every step.
 
 Modes:
   autoregressive  no drafts; one token per forward (the baseline).
@@ -47,10 +35,9 @@ Modes:
                   step, so at most 2 tokens per forward).
   retrieval_only  next-token retrieval continuations only.
   logitspec       retrieval for the next token and for each speculated
-                  next-next candidate; at temperature > 0 also the
-                  coupled path to the draft depth, and at temperature 0
-                  the candidates are skipped on steps whose next-token
-                  query hits at full length.
+                  next-next candidate, and the rule's coupled path; a
+                  greedy step whose next-token query hits at full
+                  length drafts neither.
 """
 
 from __future__ import annotations
@@ -61,12 +48,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .drafting import DraftConfig, build_draft, speculate_next_next
-from .models import Model, Uniforms
+from .models import GREEDY, InverseCDF, Model, Rule, Uniforms
 from .models import sample  # noqa: F401  (perfbench/spans.py wraps engine.sample)
 from .ngram_index import NGramIndex
 from .tree import DraftTree
 from .tree import prepare_attention_inputs  # noqa: F401  (perfbench/spans.py wraps engine.prepare_attention_inputs)
-from .verify import VerifyOutcome, verify_greedy, verify_stochastic
+from .verify import verify_greedy, verify_stochastic
 
 __all__ = [
     "MODES",
@@ -144,21 +131,18 @@ def _build_step_draft(
     context: list[int],
     pending: int,
     last_dist: np.ndarray,
-    draw: tuple[np.ndarray, list[float]] | None = None,
-    depth: int = DraftConfig.DEPTH_FLOOR,
+    rule: Rule,
+    depth: int,
 ) -> DraftTree:
-    """The step's draft tree. draw is the coming draws at temperature >
-    0, (the tempered CDF of last_dist, the uniforms of positions
-    len(context) + 1 .. len(context) + depth), and None at 0. depth
-    bounds the retrieval modes' next-token and coupled paths."""
+    """The step's draft tree; depth bounds the retrieval modes' paths."""
     if cfg.mode == "autoregressive":
         return DraftTree(len(context), [pending], [-1])
     if cfg.mode == "last_logit":
         # distinct tokens, none of them pending: a star of root children
-        cands = speculate_next_next(last_dist, pending, cfg.last_logit_k, draw)
+        cands = speculate_next_next(last_dist, pending, cfg.last_logit_k, rule, len(context) + 1)
         return DraftTree(len(context), [pending, *cands], [-1, *[0] * len(cands)])
     assert index is not None
-    return build_draft(index, context, pending, last_dist, cfg.draft, depth=depth, draw=draw)
+    return build_draft(index, context, pending, last_dist, cfg.draft, depth=depth, rule=rule)
 
 
 def decode(
@@ -178,20 +162,17 @@ def decode(
     if cfg.mode == "retrieval_only":  # logitspec drafting without candidates
         cfg = replace(cfg, draft=replace(cfg.draft, top_k=0))
     eos = model.vocab.eos
-    uniforms = None
-    if cfg.temperature > 0:
+    if cfg.temperature == 0:
+        rule, verify = GREEDY, verify_greedy
+    else:
         uniforms = Uniforms(np.random.default_rng(cfg.seed), len(prompt))
-
-    def verify(tree: DraftTree, dists: list[np.ndarray]) -> VerifyOutcome:
-        if uniforms is None:
-            return verify_greedy(tree, dists)
-        return verify_stochastic(tree, dists, uniforms, cfg.temperature)
+        rule, verify = InverseCDF(cfg.temperature, uniforms), verify_stochastic
 
     state = model.new_state()
     # the prefill: the first token is verification's draw on a one-row
     # tree under the prompt's last token
     prefill = DraftTree(len(prompt) - 1, [prompt[-1]], [-1])
-    outcome = verify(prefill, [model.forward(state, list(prompt))[-1]])
+    outcome = verify(prefill, [model.forward(state, list(prompt))[-1]], rule)
     depth = DraftConfig.DEPTH_FLOOR
 
     index: NGramIndex | None = None
@@ -202,14 +183,11 @@ def decode(
     records: list[StepRecord] = []
     while True:
         pending, last_dist = outcome.bonus, outcome.next_dist
-        draw = None
-        if uniforms is not None:
-            draw = (outcome.next_cdf, uniforms[len(state) + 1 : len(state) + 1 + depth])
-        tree = _build_step_draft(cfg, index, state.committed, pending, last_dist, draw, depth)
+        tree = _build_step_draft(cfg, index, state.committed, pending, last_dist, rule, depth)
         if tree_observer is not None:
             tree_observer(tree)
         dists = model.forward_tree(state, tree)
-        outcome = verify(tree, dists)
+        outcome = verify(tree, dists, rule)
 
         emitted = [pending] + outcome.accepted
         emitted = emitted[: end - len(state)]

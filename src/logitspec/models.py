@@ -5,7 +5,8 @@ prefill and, once per step, `forward_tree` to evaluate a draft tree. It
 commits accepted tokens by appending them to `ModelState.committed`.
 Both reference models here (an add-alpha Markov table and a scripted
 lookup table) are exact and deterministic, so they double as oracles in
-tests.
+tests. The draw rules, `Greedy` at temperature 0 and `InverseCDF` over
+the decode's `Uniforms` otherwise, turn a dist into tokens and drafts.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ __all__ = [
     "tempered",
     "tempered_cdf",
     "Uniforms",
+    "Greedy",
+    "GREEDY",
+    "InverseCDF",
     "validate_distribution",
     "load_model_file",
     "save_model_file",
@@ -412,6 +416,106 @@ class Uniforms:
             i = self._index(pos.start, n)
             return self._values[i : i + n]
         return self._values[self._index(pos)]
+
+
+def _check_uniforms(us: list[float]) -> None:
+    """Raise ValueError unless every u of us lies in [0, 1) (NaN does not)."""
+    if not all(0.0 <= u < 1.0 for u in us):
+        raise ValueError(f"uniforms must lie in [0, 1), got {us}")
+
+
+class Greedy:
+    """The draw rule at temperature 0. A decode builds one rule for its
+    drafter and verification. At position pos, `draw(dist, pos)` is the
+    token, `key(last, pos)` ranks candidates for it from the last dist
+    (smallest first), `path(last, pos, depth)` is the draws at pos ..
+    pos + depth - 1 should every later dist equal last, and
+    `handoff(dist)` keeps the bonus's dist for the next step's drafter.
+
+    Greedy draws the argmax (lowest id on ties) and reads no uniform; its
+    key gives the top-k and it drafts no path (one would repeat the
+    pending token). Its drafts end at a next-token query that hits at
+    full length (stops_at_full_hit): greedy verification emits the same
+    tokens whatever the draft holds, and such a hit rarely loses to a
+    candidate."""
+
+    stops_at_full_hit = True
+
+    def draw(self, dist: np.ndarray, pos: int) -> int:
+        return int(dist.argmax())
+
+    def key(self, last: np.ndarray, pos: int) -> np.ndarray:
+        return -last
+
+    def path(self, last: np.ndarray, pos: int, depth: int) -> list[int]:
+        return []
+
+    def handoff(self, dist: np.ndarray) -> np.ndarray:
+        return dist
+
+
+GREEDY = Greedy()
+
+
+class InverseCDF:
+    """The draw rule at temperature > 0: the token at pos is
+    `sample_uniform` of uniforms[pos], so a seed gives `rng.choice`'s
+    tokens in every mode. It builds one tempered CDF per distinct dist
+    per verification walk (`tempered_cdf`, which rejects a temperature
+    <= 0), and `handoff` keeps the bonus's for the next step's drafter.
+    Token j's key is the distance from uniforms[pos] to its interval
+    [cdf[j - 1], cdf[j]), so the token whose interval holds it comes
+    first: the draw itself should the next-next dist equal the last one,
+    which shared randomness makes a drafter's best guess at a sample
+    (Daliri, Musco and Suresh 2024).
+
+    The uniforms the drafter reads enter in one block per step, checked
+    once: `path`'s depth block, which `key` at the same position reuses,
+    or `key`'s one uniform. One outside [0, 1) or NaN raises ValueError.
+    Verification's draws read the stream unchecked."""
+
+    stops_at_full_hit = False
+
+    def __init__(self, temperature: float, uniforms: Uniforms):
+        self.temperature = temperature
+        self.uniforms = uniforms
+        # id(dist) -> (dist, its CDF); holding dist keeps its id unique
+        self._cdfs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._read: tuple[int, list[float]] = (-1, [])  # the last block checked
+
+    def cdf(self, dist: np.ndarray) -> np.ndarray:
+        entry = self._cdfs.get(id(dist))
+        if entry is None:
+            entry = self._cdfs[id(dist)] = (dist, tempered_cdf(dist, self.temperature))
+        return entry[1]
+
+    def draw(self, dist: np.ndarray, pos: int) -> int:
+        return int(self.cdf(dist).searchsorted(self.uniforms[pos], side="right"))
+
+    def handoff(self, dist: np.ndarray) -> np.ndarray:
+        cdf = self.cdf(dist)
+        self._cdfs = {id(dist): (dist, cdf)}
+        return cdf
+
+    def _coming(self, pos: int, n: int) -> list[float]:
+        start, us = self._read
+        if start != pos or len(us) < n:
+            us = self.uniforms[pos : pos + n]
+            _check_uniforms(us)
+            self._read = (pos, us)
+        return us[:n]
+
+    def key(self, last: np.ndarray, pos: int) -> np.ndarray:
+        cdf, u = self.cdf(last), self._coming(pos, 1)[0]
+        key = np.maximum(u - cdf, 0.0)
+        np.maximum(key[1:], cdf[:-1] - u, out=key[1:])
+        return key
+
+    def path(self, last: np.ndarray, pos: int, depth: int) -> list[int]:
+        return self.cdf(last).searchsorted(self._coming(pos, depth), side="right").tolist()
+
+
+Rule = Greedy | InverseCDF  # a decode's draw rule
 
 
 def save_model_file(path: str | Path, model: MarkovTableModel) -> None:

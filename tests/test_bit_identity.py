@@ -74,7 +74,15 @@ decodes is unchanged at T = 0.5, 1 and 2, rep 0.7 and 0.2). Steps fell
 next-next ranks and trees moved. Decode digest, before -> after: T=1
 logitspec a52e8975...a082d7d9 -> eda39b5c...eb4e284. Tree digest: T=1
 logitspec 56b87f5b...d28278f6f -> 0f8efa20...4d190480. No other digest
-moved."""
+moved.
+
+The eight T=0.7 rep-0.2 digests (decode and tree, every mode) were
+recorded from the implementation that drafted from a `draw = (cdf, us)`
+tuple and handed the bonus's CDF on in `VerifyOutcome.next_cdf`, before
+one draw-rule object per decode (`models.Greedy`, `models.InverseCDF`)
+replaced them. At T=1 `tempered` returns the dist itself, so only these
+digests see a tempered CDF's candidate order and coupled path. The
+refactor left all of them, and every other digest, unchanged."""
 
 from __future__ import annotations
 
@@ -107,6 +115,24 @@ DIGESTS = {
         "logitspec": (
             "f98a007249390a61a2fbd4d4a0d09b2e"
             "a78cac4ded4c1066b3a5e8d05ae49edd"
+        ),
+    },
+    (0.7, 0.2): {
+        "autoregressive": (
+            "834c0ca81683ff40b514641ffcff4e5c"
+            "8af4304cbda9e37b63cf9bc949dd691e"
+        ),
+        "last_logit": (
+            "86eb88fb2c876ae5cf05c122042ccb53"
+            "1dd7e5cb286290888c16f4924a34ce50"
+        ),
+        "retrieval_only": (
+            "b18e44834fd3a0763c9b0d964dcfe7d6"
+            "0031bf847e2d280b28292bc935d38c0e"
+        ),
+        "logitspec": (
+            "00ddd8e8844ba2894d06ee5c1e0e0ead"
+            "d1a907593d786a5710ab17d7936e9ff4"
         ),
     },
     (1.0, 0.2): {
@@ -148,6 +174,24 @@ TREE_DIGESTS = {
         "logitspec": (
             "7b9521ef0a34e2895edfaf1b37be8188"
             "66d2907f9debddfa139becaa692794d2"
+        ),
+    },
+    (0.7, 0.2): {
+        "autoregressive": (
+            "fdde42158d8a947a631a67912fb00eec"
+            "4c166d0fe508ca779742a2185370344b"
+        ),
+        "last_logit": (
+            "b54c8f196897a9378b1c529ee2602a62"
+            "c8eab4ccb2c9644107b1d677be04285e"
+        ),
+        "retrieval_only": (
+            "785d1db7d741223e98b79b6db58dd732"
+            "ad20eaaa51ae6395dc0b2a58b04fe485"
+        ),
+        "logitspec": (
+            "09967b2feb56330ad53b13ce00e28734"
+            "5f053c909d1d9a5a1c073e49e8944f50"
         ),
     },
     (1.0, 0.2): {

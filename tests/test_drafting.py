@@ -13,7 +13,7 @@ from logitspec import (
 )
 from logitspec.drafting import CANDIDATE_MIN_M
 from logitspec.engine import DecodeConfig, _build_step_draft
-from logitspec.models import sample_uniform, tempered_cdf
+from logitspec.models import GREEDY, InverseCDF, sample_uniform, tempered_cdf
 
 from conftest import naive_fallback
 
@@ -60,6 +60,13 @@ QUARTERS = np.array([0.125, 0.25, 0.375, 0.25])
 QUARTERS_CDF = tempered_cdf(QUARTERS, 1.0)
 
 
+def rule_at(pos, us, temperature=1.0):
+    """An inverse-CDF rule whose uniforms at positions pos, pos + 1, ..
+    are us. Earlier positions hold NaN, which a rule that read them would
+    reject."""
+    return InverseCDF(temperature, [float("nan")] * pos + list(us))
+
+
 def coupled_order(cdf, next_token, k, u):
     """Full-sort reference for the coupled order: every token by (distance
     from u to its interval of the tempered CDF cdf, id), next token
@@ -80,18 +87,19 @@ def coupled_order(cdf, next_token, k, u):
 def test_speculate_with_uniform_puts_the_holder_first():
     # u = 1/16 lies in token 0's interval [0, 0.125); the top-k order
     # would start with token 2
-    assert speculate_next_next(QUARTERS, 3, 3, (QUARTERS_CDF, [0.0625])) == [0, 1, 2]
-    assert speculate_next_next(QUARTERS, 3, 2, (QUARTERS_CDF, [0.0625, 0.9])) == [0, 1]
+    assert speculate_next_next(QUARTERS, 3, 3, rule_at(0, [0.0625])) == [0, 1, 2]
+    assert speculate_next_next(QUARTERS, 3, 2, rule_at(5, [0.0625, 0.9]), 5) == [0, 1]
     assert speculate_next_next(QUARTERS, 3, 3) == [2, 1, 0]
 
 
 def test_speculate_with_uniform_excludes_next_token_and_ties_go_low():
     # u = 9/16 lies in token 2's interval [0.375, 0.75); tokens 1 and 3
     # both lie 3/16 from it
-    assert speculate_next_next(QUARTERS, 0, 3, (QUARTERS_CDF, [0.5625])) == [2, 1, 3]
-    assert speculate_next_next(QUARTERS, 2, 3, (QUARTERS_CDF, [0.5625])) == [1, 3, 0]
-    assert speculate_next_next(QUARTERS, 2, 10, (QUARTERS_CDF, [0.5625])) == [1, 3, 0]
-    assert speculate_next_next(QUARTERS, 2, 0, (QUARTERS_CDF, [0.5625])) == []
+    rule = rule_at(0, [0.5625])
+    assert speculate_next_next(QUARTERS, 0, 3, rule) == [2, 1, 3]
+    assert speculate_next_next(QUARTERS, 2, 3, rule) == [1, 3, 0]
+    assert speculate_next_next(QUARTERS, 2, 10, rule) == [1, 3, 0]
+    assert speculate_next_next(QUARTERS, 2, 0, rule) == []
 
 
 def test_speculate_without_uniform_is_the_top_k():
@@ -125,9 +133,9 @@ def test_speculate_coupled_order_equals_reference(temperature):
         else:
             u = float(rng.random())
         next_token, k = int(rng.integers(0, vocab)), int(rng.integers(0, vocab + 2))
-        cdf = tempered_cdf(dist, temperature)
-        want = coupled_order(cdf, next_token, k, u)
-        assert speculate_next_next(dist, next_token, k, (cdf, [u])) == want, case
+        want = coupled_order(tempered_cdf(dist, temperature), next_token, k, u)
+        got = speculate_next_next(dist, next_token, k, rule_at(0, [u], temperature))
+        assert got == want, case
 
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
@@ -142,29 +150,36 @@ def test_speculate_coupled_first_candidate_is_the_draw(temperature):
         u = float(rng.random())
         drawn = sample_uniform(dist, temperature, u)
         next_token = int(rng.integers(0, 16))
-        cands = speculate_next_next(dist, next_token, 4, (tempered_cdf(dist, temperature), [u]))
+        cands = speculate_next_next(dist, next_token, 4, rule_at(0, [u], temperature))
         assert (cands[0] == drawn) == (next_token != drawn)
         assert next_token not in cands
 
 
 @pytest.mark.parametrize("u", [None, 0.5625])
 def test_speculate_reads_read_only_inputs_and_leaves_them(u):
-    # decode passes read-only model rows; the key is built in new arrays
-    dist, cdf = QUARTERS.copy(), QUARTERS_CDF.copy()
-    dist.flags.writeable = cdf.flags.writeable = False
-    draw = None if u is None else (cdf, [u])
+    # decode passes read-only model rows, and the rule keeps its CDF
+    # from step to step; the key is built in new arrays
+    dist = QUARTERS.copy()
+    dist.flags.writeable = False
+    rule = GREEDY if u is None else rule_at(0, [u])
+    if u is not None:
+        rule.cdf(dist).flags.writeable = False
     # the top-k order and the coupled order from u = 9/16 agree here
-    assert speculate_next_next(dist, 0, 3, draw) == [2, 1, 3]
-    assert np.array_equal(dist, QUARTERS) and np.array_equal(cdf, QUARTERS_CDF)
+    assert speculate_next_next(dist, 0, 3, rule) == [2, 1, 3]
+    assert np.array_equal(dist, QUARTERS)
+    if u is not None:
+        assert np.array_equal(rule.cdf(dist), QUARTERS_CDF)
 
 
 @pytest.mark.parametrize("u", [-0.1, 1.0, float("nan")])
 def test_speculate_rejects_uniform_outside_unit_interval(u):
-    # at any position of us, not only the next-next one that it reads
+    # at the next-next position, wherever that lies in the stream
     with pytest.raises(ValueError):
-        speculate_next_next(QUARTERS, 0, 2, (QUARTERS_CDF, [u]))
+        speculate_next_next(QUARTERS, 0, 2, rule_at(0, [u]))
     with pytest.raises(ValueError):
-        speculate_next_next(QUARTERS, 0, 2, (QUARTERS_CDF, [0.5, 0.25, u]))
+        speculate_next_next(QUARTERS, 0, 2, rule_at(0, [0.5, 0.25, u]), 2)
+    # ranking reads no later uniform: only logitspec's coupled path does
+    assert speculate_next_next(QUARTERS, 0, 2, rule_at(0, [0.5, u])) == [2, 1]
 
 
 @pytest.mark.parametrize("u", [-0.1, 1.0, float("nan")])
@@ -179,7 +194,7 @@ def test_build_draft_rejects_uniform_outside_unit_interval(u, at):
         index = NGramIndex.build([0, 1, 2, 3], m_max=3)
         cfg = DraftConfig(top_k=1, capacity=capacity)
         with pytest.raises(ValueError):
-            build_draft(index, [0, 1, 2], 3, QUARTERS, cfg, draw=(QUARTERS_CDF, us))
+            build_draft(index, [0, 1, 2], 3, QUARTERS, cfg, rule=rule_at(4, us))
 
 
 def test_prune_budget_tiers():
@@ -358,8 +373,8 @@ def test_build_draft_duplicate_next_token_paths_leave_rows_to_candidates():
     index = NGramIndex.build(source, m_max=3)
     cfg = DraftConfig(top_k=6, capacity=12, m_start=3)
     last_dist = make_dist([c, a, 5, b, 4, 6, 7], vocab=8)
-    draw = (tempered_cdf(last_dist, 1.0), [0.2, 0.3, 0.5] * 2 + [0.2, 0.3])
-    draft = build_draft(index, source, c, last_dist, cfg, draw=draw)
+    rule = rule_at(len(source) + 1, [0.2, 0.3, 0.5] * 2 + [0.2, 0.3])
+    draft = build_draft(index, source, c, last_dist, cfg, rule=rule)
     assert rows(draft) == (
         len(source), [c, a, b, c, a, b, c, a, b, b, 0, 4, 5], [-1, *range(8), 0, 0, 0, 0]
     )
@@ -388,8 +403,8 @@ def test_build_draft_greedy_full_length_hit_skips_candidates(context, m_start):
     # the same step drafts the coupled path and candidates when
     # sampling, in rows after the next-token rows
     index = NGramIndex.build(source, m_max=m_start)
-    draw = (tempered_cdf(last_dist, 1.0), [0.5] * DraftConfig.DEPTH_FLOOR)
-    sampled = build_draft(index, context, 3, last_dist, cfg, draw=draw)
+    rule = rule_at(len(context) + 1, [0.5] * DraftConfig.DEPTH_FLOOR)
+    sampled = build_draft(index, context, 3, last_dist, cfg, rule=rule)
     assert sampled.draft_ids[: draft.seq_len] == draft.draft_ids
     assert sampled.parents[: draft.seq_len] == draft.parents
     assert sampled.seq_len > draft.seq_len
@@ -428,9 +443,9 @@ def test_build_draft_greedy_without_full_length_hit_drafts_candidates(
     assert index.probe_count == next_probes
     drafts, probes = [], []
     depth = DraftConfig.DEPTH_FLOOR
-    for draw in (None, (tempered_cdf(last_dist, 1.0), [0.5] * depth)):
+    for rule in (GREEDY, rule_at(len(source) + 1, [0.5] * depth)):
         index = NGramIndex.build(source, m_max=3)
-        drafts.append(build_draft(index, source, next_token, last_dist, cfg, draw=draw))
+        drafts.append(build_draft(index, source, next_token, last_dist, cfg, rule=rule))
         probes.append(index.probe_count)
     assert rows(drafts[0]) == merged(source, next_token, next_paths + greedy_cands)
     coupled = [[next_token] * depth]
@@ -536,11 +551,12 @@ def test_build_draft_equals_per_candidate_reference_random():
         last_dist = rng.random(vocab + 2)
         last_dist /= last_dist.sum()
         # half the cases draft greedily, half at T=1 with drawn uniforms
-        draw = None
+        draw, rule = None, GREEDY
         if rng.integers(0, 2) == 0:
-            draw = (tempered_cdf(last_dist, 1.0), rng.random(depth).tolist())
+            us = rng.random(depth).tolist()
+            draw, rule = (tempered_cdf(last_dist, 1.0), us), rule_at(len(context) + 1, us)
 
-        draft = build_draft(index, context, next_token, last_dist, cfg, depth=depth, draw=draw)
+        draft = build_draft(index, context, next_token, last_dist, cfg, depth=depth, rule=rule)
         sequences, queries, hits, probes = naive_build_draft(
             source, context, next_token, last_dist, cfg, depth, draw
         )
@@ -570,7 +586,8 @@ def test_build_draft_coupled_equals_per_candidate_reference_random():
         us, temperature = rng.random(depth).tolist(), float(rng.choice([0.5, 1.0, 2.0]))
 
         draw = (tempered_cdf(last_dist, temperature), us)
-        draft = build_draft(index, context, next_token, last_dist, cfg, depth=depth, draw=draw)
+        rule = rule_at(len(context) + 1, us, temperature)
+        draft = build_draft(index, context, next_token, last_dist, cfg, depth=depth, rule=rule)
         sequences, queries, hits, probes = naive_build_draft(
             context, context, next_token, last_dist, cfg, depth, draw
         )
@@ -609,10 +626,10 @@ def test_build_draft_probe_count_flat_in_source_length():
         last_dist /= last_dist.sum()
         probes = []
         # sampled, so a full-length next-token hit still drafts candidates
-        draw = (tempered_cdf(last_dist, 1.0), [0.5] * DraftConfig.DEPTH_FLOOR)
+        rule = rule_at(len(context) + 1, [0.5] * DraftConfig.DEPTH_FLOOR)
         for source in (block, block * 100):
             index = NGramIndex.build(source, m_max=cfg.m_start)
-            draft = build_draft(index, context, next_token, last_dist, cfg, draw=draw)
+            draft = build_draft(index, context, next_token, last_dist, cfg, rule=rule)
             assert draft.queries == 1 + cfg.top_k
             probes.append(index.probe_count)
         assert probes[0] == probes[1]
@@ -625,7 +642,7 @@ def test_last_logit_draft_is_a_star_of_candidates():
     rng = np.random.default_rng(53)
     last_dist = rng.random(16)
     cfg = DecodeConfig(mode="last_logit", last_logit_k=6)
-    draft = _build_step_draft(cfg, None, [1, 2], 4, last_dist)
+    draft = _build_step_draft(cfg, None, [1, 2], 4, last_dist, GREEDY, DraftConfig.DEPTH_FLOOR)
     cands = speculate_next_next(last_dist, 4, 6)
     assert rows(draft) == merged([1, 2], 4, [[tok] for tok in cands])
     assert rows(draft) == (2, [4, *cands], [-1] + [0] * 6)

@@ -527,3 +527,36 @@ def test_sampled_cycle_follows_the_depth_schedule_and_keeps_autoregressive_token
                 grown += r.accepted_len > DraftConfig.DEPTH_FLOOR
                 depth = DraftConfig.next_depth(depth, r.accepted_len)
     assert grown > 0
+
+
+@pytest.mark.parametrize("temperature", [0.7, 1.0])
+@pytest.mark.parametrize("mode", MODES)
+def test_drafter_uniforms_are_checked_once_per_step(monkeypatch, mode, temperature):
+    # the uniforms a step's drafter reads enter the rule in one checked
+    # block: logitspec reads the step's depth block once (the coupled
+    # path, whose block the ranking reuses), last_logit the next-next
+    # uniform alone, retrieval_only and autoregressive none
+    import logitspec.models as models_module
+
+    check = models_module._check_uniforms
+    reads = []
+
+    def counting_check(us):
+        reads.append(len(us))
+        check(us)
+
+    monkeypatch.setattr(models_module, "_check_uniforms", counting_check)
+    model, corpus = trained_markov(4)
+    for seed, prompt in enumerate(corpus[:4]):
+        reads.clear()
+        cfg = DecodeConfig(mode=mode, max_new_tokens=64, temperature=temperature, seed=seed)
+        records = decode(model, prompt, cfg).step_records
+        if mode == "logitspec":
+            depths = [DraftConfig.DEPTH_FLOOR]
+            for r in records[:-1]:
+                depths.append(DraftConfig.next_depth(depths[-1], r.accepted_len))
+            assert reads == depths, seed
+        elif mode == "last_logit":
+            assert reads == [1] * len(records), seed
+        else:
+            assert reads == [], seed

@@ -13,6 +13,7 @@ from logitspec import (
     sample,
 )
 from logitspec.models import (
+    InverseCDF,
     Uniforms,
     load_model_file,
     sample_uniform,
@@ -341,6 +342,23 @@ def test_uniforms_block_read_equals_per_position_reads():
         stream[4:8]
     with pytest.raises(IndexError):
         stream[4:5]
+
+
+def test_inverse_cdf_rule_draws_sample_uniform_and_keeps_the_bonus_cdf():
+    d = np.array([0.125, 0.25, 0.375, 0.25])
+    other = np.full(4, 0.25)
+    stream = Uniforms(np.random.default_rng(9), start=3)
+    rule = InverseCDF(0.7, stream)
+    for pos in range(3, 20):
+        assert rule.draw(d, pos) == sample_uniform(d, 0.7, stream[pos])
+    # the coupled path: the draws of depth positions from one dist
+    assert rule.path(d, 5, 4) == [rule.draw(d, pos) for pos in range(5, 9)]
+    kept, dropped = rule.cdf(d), rule.cdf(other)
+    np.testing.assert_array_equal(kept, tempered_cdf(d, 0.7))
+    assert rule.handoff(d) is kept
+    assert rule.cdf(d) is kept and rule.cdf(other) is not dropped
+    with pytest.raises(ValueError):
+        InverseCDF(0.0, stream).draw(d, 3)
 
 
 def _hand_counts(sequences, order):

@@ -14,7 +14,7 @@ from logitspec import (
     verify_stochastic,
 )
 
-from logitspec.models import Uniforms, sample_uniform, tempered_cdf
+from logitspec.models import InverseCDF, Uniforms, sample_uniform, tempered_cdf
 from logitspec.verify import VerifyOutcome
 
 from conftest import dist
@@ -117,7 +117,7 @@ def test_stochastic_certain_draft_always_accepted():
     dists = [dist(4, t2=1.0), dist(4, t1=1.0)]
     rng = np.random.default_rng(0)
     for _ in range(50):
-        out = verify_stochastic(tree, dists, Uniforms(rng, tree.past_len + 1), 1.0)
+        out = verify_stochastic(tree, dists, InverseCDF(1.0, Uniforms(rng, tree.past_len + 1)))
         assert out.accepted == [2]
         assert out.bonus == 1
 
@@ -128,7 +128,8 @@ def test_stochastic_impossible_draft_always_rejected():
     dists = [p, dist(4, t1=1.0)]
     rng = np.random.default_rng(1)
     draws = [
-        verify_stochastic(tree, dists, Uniforms(rng, tree.past_len + 1), 1.0) for _ in range(5000)
+        verify_stochastic(tree, dists, InverseCDF(1.0, Uniforms(rng, tree.past_len + 1)))
+        for _ in range(5000)
     ]
     assert all(not o.accepted for o in draws)
     freq = np.mean([o.bonus == 2 for o in draws])
@@ -146,7 +147,7 @@ def test_stochastic_sibling_marginal_preserved():
     counts = np.zeros(3)
     n = 50_000
     for _ in range(n):
-        out = verify_stochastic(tree, dists, Uniforms(rng, tree.past_len + 1), 1.0)
+        out = verify_stochastic(tree, dists, InverseCDF(1.0, Uniforms(rng, tree.past_len + 1)))
         first = out.accepted[0] if out.accepted else out.bonus
         counts[first] += 1
     tv = 0.5 * np.abs(counts / n - p).sum()
@@ -163,7 +164,7 @@ def test_stochastic_emits_at_least_one_token():
         for _ in range(tree.seq_len):
             d = rng.random(4)
             dists.append(d / d.sum())
-        out = verify_stochastic(tree, dists, Uniforms(rng, tree.past_len + 1), 1.0)
+        out = verify_stochastic(tree, dists, InverseCDF(1.0, Uniforms(rng, tree.past_len + 1)))
         assert len(out.accepted) <= tree.draft_count
         assert 0 <= out.bonus < 4
         assert out.next_dist.sum() == pytest.approx(1.0, abs=1e-9)
@@ -227,7 +228,7 @@ def test_verify_matches_token_path_oracle():
             got = verify_greedy(tree, dists)
         else:
             got = verify_stochastic(
-                tree, dists, Uniforms(new_rng, tree.past_len + 1), temperature
+                tree, dists, InverseCDF(temperature, Uniforms(new_rng, tree.past_len + 1))
             )
         assert got.accepted == want.accepted, case
         assert got.bonus == want.bonus, case
@@ -248,15 +249,12 @@ def test_stochastic_reads_the_uniform_of_each_depths_position():
         want = reference_verify(tree, dists, temperature, np.random.default_rng(case))
         stream = Uniforms(np.random.default_rng(case), tree.past_len + 1)
         stream[tree.past_len + 3]  # reading ahead moves nothing
-        got = verify_stochastic(tree, dists, stream, temperature)
+        got = verify_stochastic(tree, dists, InverseCDF(temperature, stream))
         assert (got.accepted, got.bonus) == (want.accepted, want.bonus), case
         depth = len(got.accepted)
         assert got.bonus == sample_uniform(
             got.next_dist, temperature, stream[tree.past_len + depth + 1]
         )
-        # the bonus draw hands its CDF on to the next step's drafter
-        np.testing.assert_array_equal(got.next_cdf, tempered_cdf(got.next_dist, temperature))
-        assert verify_greedy(tree, dists).next_cdf is None
 
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
@@ -264,7 +262,7 @@ def test_stochastic_builds_one_cdf_per_distinct_dist(monkeypatch, temperature):
     # a chain whose rows share one dist array (as a model's unseen row
     # does) builds its tempered CDF once per call, and every draw is
     # still sample_uniform of its own row and position
-    import logitspec.verify as verify_module
+    import logitspec.models as models_module
 
     calls = []
 
@@ -272,7 +270,7 @@ def test_stochastic_builds_one_cdf_per_distinct_dist(monkeypatch, temperature):
         calls.append(id(d))
         return tempered_cdf(d, t)
 
-    monkeypatch.setattr(verify_module, "tempered_cdf", counting_cdf)
+    monkeypatch.setattr(models_module, "tempered_cdf", counting_cdf)
     shared = np.full(3, 1.0 / 3)
     other = np.array([0.2, 0.5, 0.3])
     rng = np.random.default_rng(3)
@@ -282,10 +280,18 @@ def test_stochastic_builds_one_cdf_per_distinct_dist(monkeypatch, temperature):
         dists = [shared if rng.random() < 0.8 else other for _ in range(tree.seq_len)]
         calls.clear()
         stream = Uniforms(np.random.default_rng(case), tree.past_len + 1)
-        got = verify_stochastic(tree, dists, stream, temperature)
+        rule = InverseCDF(temperature, stream)
+        got = verify_stochastic(tree, dists, rule)
         walked = dists[: len(got.accepted) + 1]
-        assert len(calls) == len({id(d) for d in walked}), case
+        built = len(calls)
+        assert built == len({id(d) for d in walked}), case
+        # the rule keeps the bonus draw's CDF for the next step's drafter
+        # and drops the walk's others
+        np.testing.assert_array_equal(
+            rule.cdf(got.next_dist), tempered_cdf(got.next_dist, temperature)
+        )
+        rule.cdf(other if got.next_dist is shared else shared)
+        assert len(calls) == built + 1, case
         for depth, tok in enumerate([*got.accepted, got.bonus]):
             u = stream[tree.past_len + depth + 1]
             assert tok == sample_uniform(walked[depth], temperature, u), case
-        np.testing.assert_array_equal(got.next_cdf, tempered_cdf(got.next_dist, temperature))
