@@ -127,17 +127,18 @@ def prompt_row(prompt_index: int, result: DecodeResult) -> dict:
     """A decode's per-prompt report row: its totals, its MAT (tokens per
     step), its steps counted per `RANK_BUCKETS` bucket and its summed
     `StepRecord.phase_counters`."""
-    records = result.step_records
     rank_counts = dict.fromkeys(RANK_BUCKETS, 0)
-    for rec in records:
+    for rec in result.step_records:
         bucket = next(b for b, bound in RANK_BUCKETS.items() if rec.next_next_rank < bound)
         rank_counts[bucket] += 1
+    metrics = result.metrics
+    counters = [rec.phase_counters for rec in result.step_records]
     return {
         "prompt_index": prompt_index,
-        **asdict(result.metrics),
-        "mat": result.metrics.tokens / result.metrics.steps,
+        **asdict(metrics),
+        "mat": metrics.tokens / metrics.steps,
         "rank_counts": rank_counts,
-        "phase_counters": {p: sum(r.phase_counters[p] for r in records) for p in PHASES},
+        "phase_counters": {p: sum(c[p] for c in counters) for p in PHASES},
     }
 
 

@@ -47,8 +47,8 @@ __all__ = [
     "build_draft",
 ]
 
-# fallback floor for candidate queries: the candidate token itself must
-# stay inside the query gram
+# fallback floor for candidate queries, which end in the candidate: the
+# pending next token must stay inside the query gram
 CANDIDATE_MIN_M = 2
 
 

@@ -94,18 +94,29 @@ class DecodeConfig:
 
 @dataclass
 class StepRecord:
-    accepted_len: int
+    accepted_len: int  # emitted tokens after the pending one
     draft_size: int
-    retrieval_hit: bool
     next_next_rank: int
-    phase_counters: dict[str, int]
+    queries: int  # the tree's retrieval queries, and those that hit
+    hits: int
+    draws: int  # verification draws
+
+    @property
+    def retrieval_hit(self) -> bool:
+        return self.hits > 0
+
+    @property
+    def phase_counters(self) -> dict[str, int]:
+        counts = (self.queries, 1, self.draft_size + 1, self.draws, self.accepted_len + 1)
+        return dict(zip(PHASES, counts))
 
 
 @dataclass
 class DecodeMetrics:
     """A decode's totals: steps (verification forwards, prefill
-    excluded), generated tokens and steps whose retrieval hit. Every
-    other statistic derives from `DecodeResult.step_records`."""
+    excluded), generated tokens and steps whose retrieval hit. Like a
+    `StepRecord`'s `retrieval_hit` and `phase_counters`, they derive on
+    read from the six counts each step's record holds."""
 
     steps: int
     tokens: int
@@ -115,8 +126,12 @@ class DecodeMetrics:
 @dataclass
 class DecodeResult:
     tokens: list[int]
-    metrics: DecodeMetrics
     step_records: list[StepRecord]
+
+    @property
+    def metrics(self) -> DecodeMetrics:
+        records = self.step_records
+        return DecodeMetrics(len(records), len(self.tokens), sum(r.retrieval_hit for r in records))
 
 
 def _token_rank(dist: np.ndarray, token: int) -> int:
@@ -199,31 +214,13 @@ def decode(
         if index is not None:
             index.extend(emitted)
 
-        realized_next_next = outcome.accepted[0] if outcome.accepted else outcome.bonus
+        rank = _token_rank(last_dist, outcome.accepted[0] if outcome.accepted else outcome.bonus)
+        draws = len(outcome.accepted) + 1
         records.append(
-            StepRecord(
-                accepted_len=len(emitted) - 1,
-                draft_size=tree.draft_count,
-                retrieval_hit=tree.hits > 0,
-                next_next_rank=_token_rank(last_dist, realized_next_next),
-                phase_counters={
-                    "retrieve": tree.queries,
-                    "prepare": 1,
-                    "forward": tree.seq_len,
-                    "verify": len(outcome.accepted) + 1,
-                    "update": len(emitted),
-                },
-            )
+            StepRecord(len(emitted) - 1, tree.draft_count, rank, tree.queries, tree.hits, draws)
         )
         if emitted[-1] == eos or len(state) >= end:
             break
         depth = DraftConfig.next_depth(depth, len(outcome.accepted))
 
-    generated = state.committed[len(prompt) :]
-    metrics = DecodeMetrics(
-        steps=len(records),
-        tokens=len(generated),
-        retrieval_hit_steps=sum(1 for r in records if r.retrieval_hit),
-    )
-    return DecodeResult(tokens=generated, metrics=metrics, step_records=records)
-
+    return DecodeResult(state.committed[len(prompt) :], records)

@@ -253,6 +253,21 @@ def test_build_draft_empty_index_candidates_alone():
     assert (draft.queries, draft.hits) == (3, 0)
 
 
+def test_candidate_query_floor_keeps_the_next_token_in_the_gram():
+    # next token 1 never occurs, so its query misses; candidate 3 occurs
+    # (followed by 7), but the bigram "1 3" never does, so the floored
+    # candidate query finds nothing and 3's row gets no tail
+    context = [3, 7, 2, 3, 7]
+    index = NGramIndex.build(context, m_max=3)
+    assert CANDIDATE_MIN_M == 2
+    # at floor 1 the unigram "3" would give the tail [7]
+    assert list(index.match_candidates(context[-3:] + [1], [3], 3, 4, 1)) == [[7]]
+    cfg = DraftConfig(top_k=1, capacity=16, m_start=3)
+    draft = build_draft(index, context, 1, make_dist([1, 3, 5], vocab=8), cfg)
+    assert rows(draft) == (5, [1, 3], [-1, 0])
+    assert (draft.queries, draft.hits) == (2, 0)
+
+
 def test_build_draft_bare_candidate_shares_a_next_token_row():
     # next token 1: "1" is followed by 2 only at the end of the source, so
     # the next-token continuation [2] repeats its period "2 1", while

@@ -19,7 +19,7 @@ from logitspec import (
 )
 from logitspec.cli import prompt_row
 from logitspec.corpus import gen_corpus
-from logitspec.engine import MODES, PHASES, DecodeMetrics, DecodeResult, StepRecord
+from logitspec.engine import MODES, PHASES, DecodeResult, StepRecord
 from logitspec.models import Model, Uniforms, sample_uniform
 
 # next-next rank bucket -> its range of 0-based ranks [lo, hi)
@@ -193,6 +193,33 @@ def test_decode_metrics_match_step_records():
                 }
 
 
+@pytest.mark.parametrize("temperature", [0.0, 1.0], ids=lambda t: f"T{t:g}")
+@pytest.mark.parametrize("mode", MODES)
+def test_step_records_hold_what_each_step_observed(mode, temperature):
+    # the six counts come from the step's tree and verification, and the
+    # derived phase counters give each phase's work
+    model, prompts = trained_markov(7)
+    cfg = DecodeConfig(mode=mode, max_new_tokens=48, temperature=temperature, seed=5)
+    for prompt in prompts[:4]:
+        trees = []
+        result = decode(model, prompt, cfg, tree_observer=trees.append)
+        for i, (tree, rec) in enumerate(zip(trees, result.step_records, strict=True)):
+            assert (rec.draft_size, rec.queries, rec.hits) == (
+                tree.draft_count, tree.queries, tree.hits
+            )
+            assert rec.retrieval_hit == (tree.hits > 0)
+            # only the last step can stop inside its accepted drafts
+            last = i == len(trees) - 1
+            assert rec.draws == rec.accepted_len + 1 or (last and rec.draws > rec.accepted_len + 1)
+            assert rec.phase_counters == {
+                "retrieve": tree.queries,
+                "prepare": 1,
+                "forward": tree.seq_len,
+                "verify": rec.draws,
+                "update": rec.accepted_len + 1,
+            }
+
+
 def test_retrieval_success_rate_edges():
     model = chain_model(5, {1: 2, 2: 3, 3: 1}, eos=4)
     hit = decode(model, [1, 2, 3, 1], DecodeConfig(mode="retrieval_only", max_new_tokens=8))
@@ -245,8 +272,8 @@ def test_rank_bucket_counts_pending_token_but_candidate_rank_skips_it():
 def test_rank_bucket_edges():
     # each bucket's bound is exclusive: ranks 0, 1, 59 and 60 are the
     # first rank of "1", of "2", the last of "60" and the first of "rest"
-    records = [StepRecord(0, 0, False, rank, dict.fromkeys(PHASES, 1)) for rank in (0, 1, 59, 60)]
-    result = DecodeResult([1, 2, 3, 4], DecodeMetrics(4, 4, 0), records)
+    records = [StepRecord(0, 0, rank, 0, 0, 1) for rank in (0, 1, 59, 60)]
+    result = DecodeResult([1, 2, 3, 4], records)
     counts = prompt_row(0, result)["rank_counts"]
     assert counts == {**dict.fromkeys(counts, 0), "1": 1, "2": 1, "60": 1, "rest": 1}
 
