@@ -12,12 +12,12 @@ retrieval index keeps its own copy of the prompt and emitted tokens.
 Every token, the first included, is a verification draw by the decode's
 one draw rule, which `decode` builds from the temperature: the argmax
 (`models.Greedy`) at 0, and otherwise the inverse-CDF draw of the
-tempered dist at the uniform of the token's position (`models.InverseCDF`
-over `models.Uniforms`, one `rng.random()` of the decode seed per
-position). The first token is drawn on a one-row tree under the prompt's
-last token with the prefill's last dist and makes no `StepRecord`: it is
-emitted as the first step's root, as every bonus is emitted as the next
-step's root. Drafts only decide how many draws one forward call serves,
+tempered dist at the uniform of the token's position (`models.InverseCDF`,
+which draws one `rng.random()` of the decode seed per position). The
+first token is drawn on a one-row tree under the prompt's last token
+with the prefill's last dist and makes no `StepRecord`: it is emitted as
+the first step's root, as every bonus is emitted as the next step's
+root. Drafts only decide how many draws one forward call serves,
 so for a seed every mode emits exactly the autoregressive tokens. The
 drafter takes the same rule: its key ranks the next-next candidates
 (`speculate_next_next`), and logitspec drafts its coupled path
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .drafting import DraftConfig, build_draft, speculate_next_next
-from .models import GREEDY, InverseCDF, Model, Rule, Uniforms
+from .models import GREEDY, InverseCDF, Model, Rule
 from .models import sample  # noqa: F401  (perfbench/spans.py wraps engine.sample)
 from .ngram_index import NGramIndex
 from .tree import DraftTree
@@ -180,8 +180,8 @@ def decode(
     if cfg.temperature == 0:
         rule, verify = GREEDY, verify_greedy
     else:
-        uniforms = Uniforms(np.random.default_rng(cfg.seed), len(prompt))
-        rule, verify = InverseCDF(cfg.temperature, uniforms), verify_stochastic
+        rng = np.random.default_rng(cfg.seed)
+        rule, verify = InverseCDF(cfg.temperature, rng, len(prompt)), verify_stochastic
 
     state = model.new_state()
     # the prefill: the first token is verification's draw on a one-row

@@ -5,8 +5,9 @@ prefill and, once per step, `forward_tree` to evaluate a draft tree. It
 commits accepted tokens by appending them to `ModelState.committed`.
 Both reference models here (an add-alpha Markov table and a scripted
 lookup table) are exact and deterministic, so they double as oracles in
-tests. The draw rules, `Greedy` at temperature 0 and `InverseCDF` over
-the decode's `Uniforms` otherwise, turn a dist into tokens and drafts.
+tests. The draw rules turn a dist into tokens and drafts: `Greedy` at
+temperature 0, and otherwise `InverseCDF`, which draws the decode's
+uniforms itself.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "sample_uniform",
     "tempered",
     "tempered_cdf",
-    "Uniforms",
     "Greedy",
     "GREEDY",
     "InverseCDF",
@@ -380,57 +380,14 @@ def sample_uniform(dist: np.ndarray, temperature: float, u: float) -> int:
     return int(tempered_cdf(dist, temperature).searchsorted(u, side="right"))
 
 
-class Uniforms:
-    """One decode's uniforms keyed by sequence position: position
-    start + i reads the i-th `rng.random()` draw. Draws happen lazily
-    and in position order (`rng.random(n)` returns the values of n
-    single draws), so reading positions early, as the drafter does for
-    the positions after the next token, changes no value and no later
-    draw.
-
-    `uniforms[pos]` reads one position as a float, and
-    `uniforms[lo:hi]` reads positions lo .. hi - 1 in one block, as a
-    new list of floats. A position before start raises IndexError."""
-
-    def __init__(self, rng: np.random.Generator, start: int):
-        self.rng = rng
-        self.start = start
-        self._values: list[float] = []
-
-    def _index(self, pos: int, n: int = 1) -> int:
-        """pos's index in the stream, once positions pos .. pos + n - 1
-        are drawn."""
-        i = pos - self.start
-        if i < 0:
-            raise IndexError(f"position {pos} precedes the stream start {self.start}")
-        values = self._values
-        if i + n > len(values):
-            values.extend(self.rng.random(i + n - len(values)).tolist())
-        return i
-
-    def __getitem__(self, pos: int | slice) -> float | list[float]:
-        if isinstance(pos, slice):
-            if pos.step is not None:
-                raise ValueError("a block read takes positions lo:hi")
-            n = max(pos.stop - pos.start, 0)
-            i = self._index(pos.start, n)
-            return self._values[i : i + n]
-        return self._values[self._index(pos)]
-
-
-def _check_uniforms(us: list[float]) -> None:
-    """Raise ValueError unless every u of us lies in [0, 1) (NaN does not)."""
-    if not all(0.0 <= u < 1.0 for u in us):
-        raise ValueError(f"uniforms must lie in [0, 1), got {us}")
-
-
 class Greedy:
     """The draw rule at temperature 0. A decode builds one rule for its
     drafter and verification. At position pos, `draw(dist, pos)` is the
     token, `key(last, pos)` ranks candidates for it from the last dist
     (smallest first), `path(last, pos, depth)` is the draws at pos ..
     pos + depth - 1 should every later dist equal last, and
-    `handoff(dist)` keeps the bonus's dist for the next step's drafter.
+    `handoff(dist)` keeps what the next step's drafter needs of the
+    bonus's dist.
 
     Greedy draws the argmax (lowest id on ties) and reads no uniform; its
     key gives the top-k and it drafts no path (one would repeat the
@@ -450,8 +407,8 @@ class Greedy:
     def path(self, last: np.ndarray, pos: int, depth: int) -> list[int]:
         return []
 
-    def handoff(self, dist: np.ndarray) -> np.ndarray:
-        return dist
+    def handoff(self, dist: np.ndarray) -> None:
+        pass
 
 
 GREEDY = Greedy()
@@ -459,29 +416,48 @@ GREEDY = Greedy()
 
 class InverseCDF:
     """The draw rule at temperature > 0: the token at pos is
-    `sample_uniform` of uniforms[pos], so a seed gives `rng.choice`'s
+    `sample_uniform` of the uniform at pos, so a seed gives `rng.choice`'s
     tokens in every mode. It builds one tempered CDF per distinct dist
     per verification walk (`tempered_cdf`, which rejects a temperature
     <= 0), and `handoff` keeps the bonus's for the next step's drafter.
-    Token j's key is the distance from uniforms[pos] to its interval
+    Token j's key is the distance from the uniform at pos to its interval
     [cdf[j - 1], cdf[j]), so the token whose interval holds it comes
     first: the draw itself should the next-next dist equal the last one,
     which shared randomness makes a drafter's best guess at a sample
     (Daliri, Musco and Suresh 2024).
 
-    The uniforms the drafter reads enter in one block per step, checked
-    once: `path`'s depth block, which `key` at the same position reuses,
-    or `key`'s one uniform. One outside [0, 1) or NaN raises ValueError.
-    Verification's draws read the stream unchecked."""
+    The rule owns its decode's uniforms: `uniforms[i]` is position
+    start + i's, the i-th `rng.random()` draw. It draws lazily, in
+    position order and only up to the highest position read
+    (`rng.random(n)` returns the values of n single draws), so reading
+    ahead, as the drafter does for the positions after the next token,
+    changes no value and no later draw. Each value is checked once, as it
+    is drawn: one outside [0, 1), or NaN, raises ValueError, and a
+    position before start raises IndexError."""
 
     stops_at_full_hit = False
 
-    def __init__(self, temperature: float, uniforms: Uniforms):
+    def __init__(self, temperature: float, rng: np.random.Generator, start: int):
         self.temperature = temperature
-        self.uniforms = uniforms
+        self.rng = rng
+        self.start = start
+        self.uniforms: list[float] = []
         # id(dist) -> (dist, its CDF); holding dist keeps its id unique
         self._cdfs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._read: tuple[int, list[float]] = (-1, [])  # the last block checked
+
+    def _at(self, pos: int, n: int = 1) -> int:
+        """pos's index in uniforms, once positions pos .. pos + n - 1
+        are drawn."""
+        i = pos - self.start
+        if i < 0:
+            raise IndexError(f"position {pos} precedes the rule's start {self.start}")
+        us = self.uniforms
+        if i + n > len(us):
+            new = self.rng.random(i + n - len(us)).tolist()
+            if not all(0.0 <= u < 1.0 for u in new):
+                raise ValueError(f"uniforms must lie in [0, 1), got {new}")
+            us.extend(new)
+        return i
 
     def cdf(self, dist: np.ndarray) -> np.ndarray:
         entry = self._cdfs.get(id(dist))
@@ -490,29 +466,20 @@ class InverseCDF:
         return entry[1]
 
     def draw(self, dist: np.ndarray, pos: int) -> int:
-        return int(self.cdf(dist).searchsorted(self.uniforms[pos], side="right"))
+        return int(self.cdf(dist).searchsorted(self.uniforms[self._at(pos)], side="right"))
 
-    def handoff(self, dist: np.ndarray) -> np.ndarray:
-        cdf = self.cdf(dist)
-        self._cdfs = {id(dist): (dist, cdf)}
-        return cdf
-
-    def _coming(self, pos: int, n: int) -> list[float]:
-        start, us = self._read
-        if start != pos or len(us) < n:
-            us = self.uniforms[pos : pos + n]
-            _check_uniforms(us)
-            self._read = (pos, us)
-        return us[:n]
+    def handoff(self, dist: np.ndarray) -> None:
+        self._cdfs = {id(dist): (dist, self.cdf(dist))}
 
     def key(self, last: np.ndarray, pos: int) -> np.ndarray:
-        cdf, u = self.cdf(last), self._coming(pos, 1)[0]
+        cdf, u = self.cdf(last), self.uniforms[self._at(pos)]
         key = np.maximum(u - cdf, 0.0)
         np.maximum(key[1:], cdf[:-1] - u, out=key[1:])
         return key
 
     def path(self, last: np.ndarray, pos: int, depth: int) -> list[int]:
-        return self.cdf(last).searchsorted(self._coming(pos, depth), side="right").tolist()
+        i = self._at(pos, depth)
+        return self.cdf(last).searchsorted(self.uniforms[i : i + depth], side="right").tolist()
 
 
 Rule = Greedy | InverseCDF  # a decode's draw rule

@@ -14,10 +14,12 @@ the most any valid rule can accept (SpecTr, Sun et al. 2023). The
 decode's draw rule (`models.Greedy`, `models.InverseCDF`) draws the
 token at position pos as `rule.draw(dist, pos)`, as autoregressive
 decoding does, so a seed gives the same tokens in every mode, and no
-draft moves a uniform. Every emitted token is drawn here, the first on a
-one-row tree under the prompt's last token. The walk ends with
-`rule.handoff` of the bonus's dist, which the next step's drafter reads
-(at temperature > 0, the tempered CDF the bonus was drawn from).
+draft moves a uniform. The rule checks each uniform as it draws it, so
+a value outside [0, 1) raises ValueError here as in the drafter. Every
+emitted token is drawn here, the first on a one-row tree under the
+prompt's last token. The walk ends with `rule.handoff` of the bonus's
+dist, so the rule keeps what the next step's drafter reads of it (at
+temperature > 0, the tempered CDF the bonus was drawn from).
 """
 
 from __future__ import annotations

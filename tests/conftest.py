@@ -63,3 +63,19 @@ def small_markov() -> MarkovTableModel:
 def uniform_scripted(vocab_size: int = 4, eos: int | None = None) -> ScriptedModel:
     vocab = VocabSpec(vocab_size, eos if eos is not None else vocab_size - 1)
     return ScriptedModel(vocab, {}, np.full(vocab_size, 1.0 / vocab_size))
+
+
+class ListRng:
+    """Stand-in for a np.random.Generator: `random(n)` hands out the next
+    n of the given values, in order, and raises IndexError past them."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.drawn = 0
+
+    def random(self, n: int) -> np.ndarray:
+        if self.drawn + n > len(self.values):
+            raise IndexError(f"ListRng holds {len(self.values)} values, {self.drawn + n} asked")
+        block = self.values[self.drawn : self.drawn + n]
+        self.drawn += n
+        return np.array(block)

@@ -23,7 +23,7 @@ from logitspec import (
 )
 from logitspec.cli import main, prompt_seed
 from logitspec.corpus import gen_corpus
-from logitspec.models import InverseCDF, Uniforms
+from logitspec.models import InverseCDF
 from logitspec.ngram_index import NGramIndex
 
 from conftest import naive_fallback, naive_match
@@ -122,7 +122,7 @@ def test_criterion_2_stochastic_losslessness():
             rng = np.random.default_rng(1000 + shape_idx)
             counts = np.zeros(8)
             for _ in range(trials):
-                rule = InverseCDF(1.0, Uniforms(rng, tree.past_len + 1))
+                rule = InverseCDF(1.0, rng, tree.past_len + 1)
                 out = verify_stochastic(tree, dists, rule)
                 first = out.accepted[0] if out.accepted else out.bonus
                 counts[first] += 1

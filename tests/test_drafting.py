@@ -15,7 +15,7 @@ from logitspec.drafting import CANDIDATE_MIN_M
 from logitspec.engine import DecodeConfig, _build_step_draft
 from logitspec.models import GREEDY, InverseCDF, sample_uniform, tempered_cdf
 
-from conftest import naive_fallback
+from conftest import ListRng, naive_fallback
 
 
 def make_dist(order: list[int], vocab: int = 16) -> np.ndarray:
@@ -62,9 +62,8 @@ QUARTERS_CDF = tempered_cdf(QUARTERS, 1.0)
 
 def rule_at(pos, us, temperature=1.0):
     """An inverse-CDF rule whose uniforms at positions pos, pos + 1, ..
-    are us. Earlier positions hold NaN, which a rule that read them would
-    reject."""
-    return InverseCDF(temperature, [float("nan")] * pos + list(us))
+    are us. Reading an earlier position raises IndexError."""
+    return InverseCDF(temperature, ListRng(us), pos)
 
 
 def coupled_order(cdf, next_token, k, u):

@@ -20,7 +20,7 @@ from logitspec import (
 from logitspec.cli import prompt_row
 from logitspec.corpus import gen_corpus
 from logitspec.engine import MODES, PHASES, DecodeResult, StepRecord
-from logitspec.models import Model, Uniforms, sample_uniform
+from logitspec.models import InverseCDF, Model, sample_uniform
 
 # next-next rank bucket -> its range of 0-based ranks [lo, hi)
 RANK_RANGES = {
@@ -473,12 +473,14 @@ def test_coupled_path_accepts_nothing_when_later_dists_differ():
         result = decode(model, prompt, cfg, tree_observer=trees.append)
         assert result.tokens == decode(model, prompt, replace(cfg, mode="autoregressive")).tokens
         full = prompt + result.tokens
-        uniforms = Uniforms(np.random.default_rng(seed), len(prompt))
+        # position p's uniform: one rng.random() per position from the prompt's end
+        uniforms = np.random.default_rng(seed).random(len(result.tokens) + 2)
         for tree, rec in zip(trees, result.step_records):
             past = tree.past_len
             # the path's first token: the pending token's dist and the
             # next-next position's uniform
-            first = sample_uniform(dist_for[full[past - 1]], 1.0, uniforms[past + 1])
+            u = uniforms[past + 1 - len(prompt)]
+            first = sample_uniform(dist_for[full[past - 1]], 1.0, u)
             assert any(p == 0 and t == first for p, t in zip(tree.parents, tree.draft_ids))
             if rec.accepted_len:
                 assert full[past + 1] != first
@@ -556,34 +558,81 @@ def test_sampled_cycle_follows_the_depth_schedule_and_keeps_autoregressive_token
     assert grown > 0
 
 
+class CheckedUniform(float):
+    """A uniform that counts the comparisons made on it, as checking it
+    against [0, 1) does."""
+
+    compares = 0
+
+    def _count(self) -> float:
+        self.compares += 1
+        return float(self)
+
+    def __lt__(self, other):
+        return self._count() < other
+
+    def __le__(self, other):
+        return self._count() <= other
+
+    def __gt__(self, other):
+        return self._count() > other
+
+    def __ge__(self, other):
+        return self._count() >= other
+
+
+class CheckCountingRng:
+    """Wraps a Generator: `random(n)` hands out its values as
+    CheckedUniforms and keeps every one it hands out."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn: list[CheckedUniform] = []
+
+    def random(self, n: int) -> np.ndarray:
+        block = [CheckedUniform(u) for u in self.rng.random(n).tolist()]
+        self.drawn += block
+        return np.array(block, dtype=object)  # tolist() returns the same objects
+
+
+class ReadTrackingRule(InverseCDF):
+    """InverseCDF over a CheckCountingRng that keeps the highest position
+    read."""
+
+    def __init__(self, temperature, rng, start):
+        super().__init__(temperature, CheckCountingRng(rng), start)
+        self.highest = start - 1
+
+    def _at(self, pos, n=1):
+        self.highest = max(self.highest, pos + n - 1)
+        return super()._at(pos, n)
+
+
 @pytest.mark.parametrize("temperature", [0.7, 1.0])
 @pytest.mark.parametrize("mode", MODES)
 def test_drafter_uniforms_are_checked_once_per_step(monkeypatch, mode, temperature):
-    # the uniforms a step's drafter reads enter the rule in one checked
-    # block: logitspec reads the step's depth block once (the coupled
-    # path, whose block the ranking reuses), last_logit the next-next
-    # uniform alone, retrieval_only and autoregressive none
-    import logitspec.models as models_module
+    # every uniform, whether the drafter or verification reads it first,
+    # is checked once, as the rule draws it, and never again; the rule
+    # draws no position past the highest one read
+    import logitspec.engine as engine_module
 
-    check = models_module._check_uniforms
-    reads = []
+    one = ReadTrackingRule(temperature, np.random.default_rng(0), 0)
+    one.draw(np.full(4, 0.25), 0)
+    per_check = one.rng.drawn[0].compares  # the comparisons one check makes
+    assert per_check > 0
+    rules = []
 
-    def counting_check(us):
-        reads.append(len(us))
-        check(us)
+    def build(temperature, rng, start):
+        rules.append(ReadTrackingRule(temperature, rng, start))
+        return rules[-1]
 
-    monkeypatch.setattr(models_module, "_check_uniforms", counting_check)
+    monkeypatch.setattr(engine_module, "InverseCDF", build)
     model, corpus = trained_markov(4)
     for seed, prompt in enumerate(corpus[:4]):
-        reads.clear()
         cfg = DecodeConfig(mode=mode, max_new_tokens=64, temperature=temperature, seed=seed)
-        records = decode(model, prompt, cfg).step_records
-        if mode == "logitspec":
-            depths = [DraftConfig.DEPTH_FLOOR]
-            for r in records[:-1]:
-                depths.append(DraftConfig.next_depth(depths[-1], r.accepted_len))
-            assert reads == depths, seed
-        elif mode == "last_logit":
-            assert reads == [1] * len(records), seed
-        else:
-            assert reads == [], seed
+        result = decode(model, prompt, cfg)
+        rule = rules[-1]
+        drawn = rule.rng.drawn
+        assert rule.uniforms == drawn and len(drawn) >= len(result.tokens), seed
+        assert [u.compares for u in drawn] == [per_check] * len(drawn), seed
+        assert rule.start + len(drawn) - 1 == rule.highest, seed

@@ -14,7 +14,6 @@ from logitspec import (
 )
 from logitspec.models import (
     InverseCDF,
-    Uniforms,
     load_model_file,
     sample_uniform,
     save_model_file,
@@ -309,56 +308,37 @@ def test_sample_uniform_inverts_the_tempered_cdf():
 
 
 def test_uniforms_are_keyed_by_position():
-    # reading ahead draws the positions in between, in order, and
-    # changes no value: the stream equals one rng.random() per position
-    stream = Uniforms(np.random.default_rng(6), start=10)
-    assert stream[13] == stream[13]
-    got = [stream[pos] for pos in range(10, 20)]
+    # the rule draws lazily and in position order, so reading ahead
+    # draws the positions in between and changes no value: its draws
+    # equal sample_uniform of one plain rng.random() per position
+    d = np.array([0.125, 0.25, 0.375, 0.25])
+    rule = InverseCDF(0.7, np.random.default_rng(6), start=10)
+    ahead = rule.path(d, 13, 4)
     plain = np.random.default_rng(6)
-    assert got == [plain.random() for _ in range(10)]
-    assert stream.rng.bit_generator.state == plain.bit_generator.state
+    want = [plain.random() for _ in range(20)]
+    got = [rule.draw(d, pos) for pos in range(10, 30)]
+    assert got == [sample_uniform(d, 0.7, u) for u in want]
+    assert ahead == got[3:7]
+    assert rule.uniforms == want
+    assert rule.rng.bit_generator.state == plain.bit_generator.state
     with pytest.raises(IndexError):
-        stream[9]
-
-
-def test_uniforms_block_read_equals_per_position_reads():
-    # a block read draws what it needs in position order, like reads one
-    # position at a time, and moves no value read before or after it
-    plain = np.random.default_rng(8)
-    want = [plain.random() for _ in range(30)]
-    stream = Uniforms(np.random.default_rng(8), start=5)
-    first = stream[7]
-    block = stream[6:22]
-    assert block == want[1:17]
-    assert stream[7] == first == want[2]
-    assert stream[12:15] == want[7:10]  # inside what was drawn
-    assert stream[20:35] == want[15:30]  # partly beyond it
-    assert [stream[pos] for pos in range(5, 35)] == want
-    assert stream.rng.bit_generator.state == plain.bit_generator.state
-    # a block read returns a copy
-    block[0] = 2.0
-    assert stream[6] == want[1]
-    with pytest.raises(IndexError):
-        stream[4:8]
-    with pytest.raises(IndexError):
-        stream[4:5]
+        rule.draw(d, 9)
 
 
 def test_inverse_cdf_rule_draws_sample_uniform_and_keeps_the_bonus_cdf():
     d = np.array([0.125, 0.25, 0.375, 0.25])
     other = np.full(4, 0.25)
-    stream = Uniforms(np.random.default_rng(9), start=3)
-    rule = InverseCDF(0.7, stream)
+    rule = InverseCDF(0.7, np.random.default_rng(9), start=3)
     for pos in range(3, 20):
-        assert rule.draw(d, pos) == sample_uniform(d, 0.7, stream[pos])
+        assert rule.draw(d, pos) == sample_uniform(d, 0.7, rule.uniforms[pos - 3])
     # the coupled path: the draws of depth positions from one dist
     assert rule.path(d, 5, 4) == [rule.draw(d, pos) for pos in range(5, 9)]
     kept, dropped = rule.cdf(d), rule.cdf(other)
     np.testing.assert_array_equal(kept, tempered_cdf(d, 0.7))
-    assert rule.handoff(d) is kept
+    rule.handoff(d)
     assert rule.cdf(d) is kept and rule.cdf(other) is not dropped
     with pytest.raises(ValueError):
-        InverseCDF(0.0, stream).draw(d, 3)
+        InverseCDF(0.0, np.random.default_rng(9), start=3).draw(d, 3)
 
 
 def _hand_counts(sequences, order):

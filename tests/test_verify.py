@@ -14,10 +14,10 @@ from logitspec import (
     verify_stochastic,
 )
 
-from logitspec.models import InverseCDF, Uniforms, sample_uniform, tempered_cdf
+from logitspec.models import InverseCDF, sample_uniform, tempered_cdf
 from logitspec.verify import VerifyOutcome
 
-from conftest import dist
+from conftest import ListRng, dist
 
 
 def test_acceptance_prob_values():
@@ -117,7 +117,7 @@ def test_stochastic_certain_draft_always_accepted():
     dists = [dist(4, t2=1.0), dist(4, t1=1.0)]
     rng = np.random.default_rng(0)
     for _ in range(50):
-        out = verify_stochastic(tree, dists, InverseCDF(1.0, Uniforms(rng, tree.past_len + 1)))
+        out = verify_stochastic(tree, dists, InverseCDF(1.0, rng, tree.past_len + 1))
         assert out.accepted == [2]
         assert out.bonus == 1
 
@@ -128,7 +128,7 @@ def test_stochastic_impossible_draft_always_rejected():
     dists = [p, dist(4, t1=1.0)]
     rng = np.random.default_rng(1)
     draws = [
-        verify_stochastic(tree, dists, InverseCDF(1.0, Uniforms(rng, tree.past_len + 1)))
+        verify_stochastic(tree, dists, InverseCDF(1.0, rng, tree.past_len + 1))
         for _ in range(5000)
     ]
     assert all(not o.accepted for o in draws)
@@ -147,7 +147,7 @@ def test_stochastic_sibling_marginal_preserved():
     counts = np.zeros(3)
     n = 50_000
     for _ in range(n):
-        out = verify_stochastic(tree, dists, InverseCDF(1.0, Uniforms(rng, tree.past_len + 1)))
+        out = verify_stochastic(tree, dists, InverseCDF(1.0, rng, tree.past_len + 1))
         first = out.accepted[0] if out.accepted else out.bonus
         counts[first] += 1
     tv = 0.5 * np.abs(counts / n - p).sum()
@@ -164,10 +164,20 @@ def test_stochastic_emits_at_least_one_token():
         for _ in range(tree.seq_len):
             d = rng.random(4)
             dists.append(d / d.sum())
-        out = verify_stochastic(tree, dists, InverseCDF(1.0, Uniforms(rng, tree.past_len + 1)))
+        out = verify_stochastic(tree, dists, InverseCDF(1.0, rng, tree.past_len + 1))
         assert len(out.accepted) <= tree.draft_count
         assert 0 <= out.bonus < 4
         assert out.next_dist.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("u", [1.0, 1.5, -0.25, float("nan")])
+def test_stochastic_rejects_uniform_outside_unit_interval(u):
+    # u >= 1 or NaN would draw token id 4, outside the 4-token vocab, and
+    # a negative u token 0: the rule checks the uniform as it draws it
+    tree = prepare_attention_inputs(2, 0, [])
+    rule = InverseCDF(1.0, ListRng([u]), tree.past_len + 1)
+    with pytest.raises(ValueError):
+        verify_stochastic(tree, [np.full(4, 0.25)], rule)
 
 
 def reference_verify(tree, dists, temperature, rng):
@@ -227,9 +237,8 @@ def test_verify_matches_token_path_oracle():
         if temperature == 0:
             got = verify_greedy(tree, dists)
         else:
-            got = verify_stochastic(
-                tree, dists, InverseCDF(temperature, Uniforms(new_rng, tree.past_len + 1))
-            )
+            rule = InverseCDF(temperature, new_rng, tree.past_len + 1)
+            got = verify_stochastic(tree, dists, rule)
         assert got.accepted == want.accepted, case
         assert got.bonus == want.bonus, case
         assert got.next_dist is want.next_dist, case
@@ -247,14 +256,12 @@ def test_stochastic_reads_the_uniform_of_each_depths_position():
         dists = [random_dist(rng, vocab) for _ in range(tree.seq_len)]
         temperature = [0.5, 1.0, 2.0][case % 3]
         want = reference_verify(tree, dists, temperature, np.random.default_rng(case))
-        stream = Uniforms(np.random.default_rng(case), tree.past_len + 1)
-        stream[tree.past_len + 3]  # reading ahead moves nothing
-        got = verify_stochastic(tree, dists, InverseCDF(temperature, stream))
+        rule = InverseCDF(temperature, np.random.default_rng(case), tree.past_len + 1)
+        rule.path(dists[0], tree.past_len + 1, 3)  # reading ahead moves nothing
+        got = verify_stochastic(tree, dists, rule)
         assert (got.accepted, got.bonus) == (want.accepted, want.bonus), case
         depth = len(got.accepted)
-        assert got.bonus == sample_uniform(
-            got.next_dist, temperature, stream[tree.past_len + depth + 1]
-        )
+        assert got.bonus == sample_uniform(got.next_dist, temperature, rule.uniforms[depth])
 
 
 @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
@@ -279,8 +286,7 @@ def test_stochastic_builds_one_cdf_per_distinct_dist(monkeypatch, temperature):
         tree = prepare_attention_inputs(int(rng.integers(0, 9)), 0, [path])
         dists = [shared if rng.random() < 0.8 else other for _ in range(tree.seq_len)]
         calls.clear()
-        stream = Uniforms(np.random.default_rng(case), tree.past_len + 1)
-        rule = InverseCDF(temperature, stream)
+        rule = InverseCDF(temperature, np.random.default_rng(case), tree.past_len + 1)
         got = verify_stochastic(tree, dists, rule)
         walked = dists[: len(got.accepted) + 1]
         built = len(calls)
@@ -293,5 +299,5 @@ def test_stochastic_builds_one_cdf_per_distinct_dist(monkeypatch, temperature):
         rule.cdf(other if got.next_dist is shared else shared)
         assert len(calls) == built + 1, case
         for depth, tok in enumerate([*got.accepted, got.bonus]):
-            u = stream[tree.past_len + depth + 1]
+            u = rule.uniforms[depth]
             assert tok == sample_uniform(walked[depth], temperature, u), case
