@@ -41,9 +41,9 @@ from .tree import DraftTree, format_tree
 PROMPT_SEED_STRIDE = 1_000_003
 
 # rank buckets for the next-next-token statistic, name -> exclusive bound:
-# a step falls in the first bucket whose bound exceeds the realized
-# token's 0-based rank among all V last-logit tokens, the pending token
-# included (a candidate's rank skips it); "rest" is past the top-60 window
+# a step's bucket is the first whose bound exceeds the realized token's
+# 0-based rank among all V last-logit tokens, pending token included (a
+# candidate's rank skips it); "rest" lies past the default capacity, 60
 RANK_BUCKETS = {
     "1": 1, "2": 2, "4": 4, "8": 8, "16": 16, "32": 32, "60": 60, "rest": math.inf,
 }
@@ -77,10 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--capacity",
         type=int,
         default=defaults.draft.capacity,
-        help="most draft rows per step in the retrieval modes (last_logit uses --last-logit-k)",
+        help="most draft rows per step",
     )
     run.add_argument("--m-start", type=int, default=defaults.draft.m_start)
-    run.add_argument("--last-logit-k", type=int, default=defaults.last_logit_k)
     run.add_argument("--json-out", default=None, help="report path (default: stdout)")
     run.add_argument(
         "--compare",
@@ -206,7 +205,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 temperature=args.temperature,
                 seed=args.seed,
                 draft=draft,
-                last_logit_k=args.last_logit_k,
             )
             for mode in dict.fromkeys((["autoregressive"] if args.compare else []) + modes)
         }

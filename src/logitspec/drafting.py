@@ -54,8 +54,8 @@ CANDIDATE_MIN_M = 2
 
 @dataclass(frozen=True)
 class DraftConfig:
-    """Retrieval drafting knobs: top_k candidates, at most capacity draft
-    rows per tree (the root not counted), query grams of <= m_start tokens.
+    """Drafting knobs: at most capacity draft rows per tree in every mode
+    (root not counted), top_k candidates, query grams <= m_start tokens.
 
     It also owns the draft depth, the most tokens a next-token path
     drafts. A decode starts each session at DEPTH_FLOOR and moves the

@@ -28,11 +28,11 @@ The retrieval modes draft to a per-session depth that
 
 Modes:
   autoregressive  no drafts; one token per forward (the baseline).
-  last_logit      last_logit_k last-logit candidates (the top-k at
+  last_logit      capacity last-logit candidates (the top-k at
                   temperature 0, the coupled order otherwise) as
-                  single-token sibling guesses at the next-next token,
-                  whatever the capacity (accepted length 0 or 1 per
-                  step, so at most 2 tokens per forward).
+                  single-token sibling guesses at the next-next token
+                  (accepted length 0 or 1 per step, so at most 2 tokens
+                  per forward).
   retrieval_only  next-token retrieval continuations only.
   logitspec       retrieval for the next token and for each speculated
                   next-next candidate, and the rule's coupled path; a
@@ -77,7 +77,6 @@ class DecodeConfig:
     temperature: float = 0.0
     seed: int = 0
     draft: DraftConfig = field(default_factory=DraftConfig)
-    last_logit_k: int = 60
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -88,8 +87,6 @@ class DecodeConfig:
             raise ValueError("max_new_tokens must be >= 1")
         if not 0 <= self.temperature < math.inf:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if self.last_logit_k < 0:
-            raise ValueError(f"last_logit_k must be >= 0, got {self.last_logit_k}")
 
 
 @dataclass
@@ -154,7 +151,7 @@ def _build_step_draft(
         return DraftTree(len(context), [pending], [-1])
     if cfg.mode == "last_logit":
         # distinct tokens, none of them pending: a star of root children
-        cands = speculate_next_next(last_dist, pending, cfg.last_logit_k, rule, len(context) + 1)
+        cands = speculate_next_next(last_dist, pending, cfg.draft.capacity, rule, len(context) + 1)
         return DraftTree(len(context), [pending, *cands], [-1, *[0] * len(cands)])
     assert index is not None
     return build_draft(index, context, pending, last_dist, cfg.draft, depth=depth, rule=rule)

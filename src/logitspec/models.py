@@ -376,7 +376,10 @@ def tempered_cdf(dist: np.ndarray, temperature: float) -> np.ndarray:
 def sample_uniform(dist: np.ndarray, temperature: float, u: float) -> int:
     """The token whose interval of `tempered_cdf(dist, temperature)`
     holds u, for temperature > 0 and u in [0, 1): the inverse-CDF draw
-    `Generator.choice` makes from one uniform, with its checks."""
+    `Generator.choice` makes from one uniform, with its checks (any
+    other u, NaN included, raises ValueError, as in `InverseCDF`)."""
+    if not 0.0 <= u < 1.0:
+        raise ValueError(f"uniform must lie in [0, 1), got {u}")
     return int(tempered_cdf(dist, temperature).searchsorted(u, side="right"))
 
 

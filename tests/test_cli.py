@@ -353,7 +353,6 @@ def test_run_repeated_mode_exit_2(tmp_path, bench_files, capsys):
         ("--temperature", "-1"),
         ("--temperature", "nan"),
         ("--temperature", "inf"),
-        ("--last-logit-k", "-3"),
         ("--seed", "-1"),
     ],
     ids=lambda option: " ".join(option),
@@ -365,6 +364,16 @@ def test_run_out_of_range_option_exit_2(tmp_path, bench_files, capsys, option):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_run_last_logit_k_is_unrecognized_exit_2(tmp_path, bench_files, capsys):
+    # --capacity bounds last_logit's draft rows; there is no second knob
+    model, corpus = bench_files
+    with pytest.raises(SystemExit) as exc:
+        run_report(tmp_path, model, corpus, "--mode", "last_logit", "--last-logit-k", "60")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --last-logit-k 60" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_run_json_out_missing_dir_exit_2(tmp_path, bench_files, capsys, decoded_modes):

@@ -655,7 +655,7 @@ def test_build_draft_probe_count_flat_in_source_length():
 def test_last_logit_draft_is_a_star_of_candidates():
     rng = np.random.default_rng(53)
     last_dist = rng.random(16)
-    cfg = DecodeConfig(mode="last_logit", last_logit_k=6)
+    cfg = DecodeConfig(mode="last_logit", draft=DraftConfig(capacity=6))
     draft = _build_step_draft(cfg, None, [1, 2], 4, last_dist, GREEDY, DraftConfig.DEPTH_FLOOR)
     cands = speculate_next_next(last_dist, 4, 6)
     assert rows(draft) == merged([1, 2], 4, [[tok] for tok in cands])

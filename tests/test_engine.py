@@ -127,7 +127,7 @@ def test_retrieval_only_accepts_on_repeating_span():
 
 def test_last_logit_mode_bounds():
     model, prompts = trained_markov(3)
-    cfg = DecodeConfig(mode="last_logit", max_new_tokens=64, last_logit_k=60)
+    cfg = DecodeConfig(mode="last_logit", max_new_tokens=64)
     for prompt in prompts[:5]:
         result = decode(model, prompt, cfg)
         assert all(rec.accepted_len in (0, 1) for rec in result.step_records)
@@ -135,14 +135,19 @@ def test_last_logit_mode_bounds():
 
 
 @pytest.mark.parametrize("temperature", [0.0, 1.0], ids=lambda t: f"T{t:g}")
-@pytest.mark.parametrize("mode, rows", [("last_logit", 1 + 60), ("autoregressive", 1)])
-def test_non_retrieval_mode_trees(mode, rows, temperature):
-    # last_logit drafts last_logit_k sibling rows under the root, however
-    # small the capacity; autoregressive's tree is the root alone
+@pytest.mark.parametrize(
+    "mode, capacity, rows",
+    [("last_logit", 60, 1 + 60), ("last_logit", 5, 1 + 5), ("autoregressive", 5, 1)],
+    ids=["last_logit-61", "last_logit-6", "autoregressive-1"],
+)
+def test_non_retrieval_mode_trees(mode, capacity, rows, temperature):
+    # last_logit drafts capacity sibling rows under the root (the vocab
+    # has 63 tokens besides the pending one, so capacity 60 fills);
+    # autoregressive's tree is the root alone, whatever the capacity
     model, prompts = trained_markov(3, vocab=64)
     cfg = DecodeConfig(
         mode=mode, max_new_tokens=24, temperature=temperature,
-        draft=DraftConfig(capacity=5), last_logit_k=60,
+        draft=DraftConfig(capacity=capacity),
     )
     for prompt in prompts[:3]:
         trees = []
@@ -260,7 +265,7 @@ def test_rank_bucket_counts_pending_token_but_candidate_rank_skips_it():
     model = ScriptedModel(vocab, {(5, 0): after}, last)
     assert speculate_next_next(last, 0, 16).index(16) == 15
     assert prune_budget(15) == 3
-    cfg = DecodeConfig(mode="last_logit", max_new_tokens=2, last_logit_k=16)
+    cfg = DecodeConfig(mode="last_logit", max_new_tokens=2, draft=DraftConfig(capacity=16))
     result = decode(model, [5], cfg)
     assert result.tokens == [0, 16]
     assert result.step_records[0].accepted_len == 1
@@ -425,8 +430,9 @@ def test_coupled_candidate_accepted_when_next_dist_equals_last(mode):
             max_new_tokens=64,
             temperature=1.0,
             seed=seed,
-            draft=DraftConfig(top_k=4),
-            last_logit_k=4,
+            # logitspec's coupled path needs the depth: capacity 4
+            # would cut it, so only last_logit drafts four rows
+            draft=DraftConfig(top_k=4, capacity=4 if mode == "last_logit" else 60),
         )
         pasts = []
         result = decode(model, prompt, cfg, tree_observer=lambda t: pasts.append(t.past_len))
@@ -508,14 +514,13 @@ def test_decode_rejects_bad_inputs():
         decode(model, [999], DecodeConfig())
     with pytest.raises(ValueError):
         DecodeConfig(mode="nope")
-    with pytest.raises(ValueError):
-        DecodeConfig(last_logit_k=-1)
+    with pytest.raises(TypeError):  # capacity bounds last_logit's rows
+        DecodeConfig(last_logit_k=60)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         DecodeConfig(seed=-1)
     for temperature in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             DecodeConfig(temperature=temperature)
-    assert DecodeConfig(last_logit_k=0).last_logit_k == 0
 
 
 def cycle_model() -> MarkovTableModel:

@@ -307,6 +307,14 @@ def test_sample_uniform_inverts_the_tempered_cdf():
         sample_uniform(d, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("u", [1.0, 1.5, -0.25, float("nan")])
+def test_sample_uniform_rejects_uniform_outside_unit_interval(u):
+    # u >= 1 or NaN would draw token id 4, outside the 4-token vocab, and
+    # a negative u token 0; InverseCDF rejects the same uniforms
+    with pytest.raises(ValueError, match=r"\[0, 1\)"):
+        sample_uniform(np.full(4, 0.25), 1.0, u)
+
+
 def test_uniforms_are_keyed_by_position():
     # the rule draws lazily and in position order, so reading ahead
     # draws the positions in between and changes no value: its draws

@@ -53,7 +53,14 @@ fewer steps (73 -> 28, MAT 1.918 -> 5.0) and evaluates fewer tree rows
 logitspec tree gains the path's rows between its next-token rows and
 its candidate rows (33 -> 40 rows). Report 09e060d1...7529d9ea ->
 54d9190e...8c603088, dump 380d003b...a0b04bf -> 5c229078...c8382be0a.
-The T0 report and dump are unchanged."""
+The T0 report and dump are unchanged.
+
+Both report digests were re-recorded when `capacity` became the draft-row
+budget of every mode and `last_logit_k` was deleted: each report's
+`config` block lost its `"last_logit_k": 60,` line and no other byte
+moved (at the default capacity last_logit still drafts 60 candidates).
+T0 45aa4e4d...5236697 -> 4384f6ab...11ae0bd, T1 54d9190e...8c603088 ->
+613aa946...6ac41a. Both dumps are unchanged."""
 
 from __future__ import annotations
 
@@ -66,11 +73,11 @@ from logitspec.cli import main
 # case -> (report sha256, --dump-tree stdout sha256)
 GOLDEN = {
     "T0-all-modes-compare": (
-        "45aa4e4d6d8cfafdf86d2d36d076068256080b7e1973a0a8bf8bf511e5236697",
+        "4384f6ab01ffeeb6e2a5129960b095f74a5503da273dd3bb494cda8f811ae0bd",
         "7d3e56cde4777abb33074d42590cc90464174ca7f527ac045e89e6abc10ec88f",
     ),
     "T1-logitspec-last_logit": (
-        "54d9190eec8a56e60379c8d75119ec9b73b767138500c9d826cc09288c603088",
+        "613aa946e381c6c2b28350d2100a7361022b7bb1c9c3fafec288f2c9736ac41a",
         "5c229078dfcb9f284d1c9ec816b301c6b63557bce32fd64ef6944d5c8382be0a",
     ),
 }
